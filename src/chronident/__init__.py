@@ -10,7 +10,6 @@ method.
 from .errors import (
     ChannelUnusableError,
     ChronidentError,
-    DivergedError,
     DriftUnidentifiableError,
     InvalidCovarianceError,
     NoResidueError,
@@ -48,13 +47,7 @@ from .model import (
     pack_theta,
     unpack_theta,
 )
-from .numerics import (
-    LsDiagnostics,
-    gauss_newton,
-    left_null_space,
-    pinv_solve,
-    weighted_least_squares,
-)
+from .numerics import LsDiagnostics, left_null_space, weighted_least_squares
 from .report import EstimateReport, write_report_json
 from .simulate import (
     MeasurementRecord,

@@ -13,21 +13,20 @@ import logging
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DivergedError, NoResidueError, UnidentifiableError
+from .errors import NoResidueError, UnidentifiableError
 from .ident_acov import estimate_acov_method
 from .ident_mdm import MdmConfig, estimate_mdm
 from .model import (
-    ClockParams,
     EnsembleParams,
     assemble_ensemble,
     load_ensemble_config,
     pack_theta,
-    upper_triangle_pairs,
+    theta_names,
 )
 from .report import EstimateReport, write_report_json
 from .simulate import (
@@ -63,11 +62,6 @@ def _setup_logging() -> None:
     level_name = os.environ.get("CHRONIDENT_LOG", "warning").upper()
     level = getattr(logging, level_name, logging.WARNING)
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
-
-
-def _load_scenario(path: str) -> tuple[EnsembleParams, float, dict]:
-    params, ts, extras = load_ensemble_config(path)
-    return params, ts, extras
 
 
 def _options_from(extras: dict, args: argparse.Namespace) -> EstimationOptions:
@@ -111,7 +105,7 @@ def run_estimation(record: MeasurementRecord, opts: EstimationOptions) -> Estima
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    params, ts, extras = _load_scenario(args.config)
+    params, ts, extras = load_ensemble_config(args.config)
     if "n_steps" not in extras:
         raise ValueError("config field 'n_steps' is required for simulation")
     n_steps = int(extras["n_steps"])
@@ -151,31 +145,18 @@ def cmd_avar(args: argparse.Namespace) -> int:
 
 def _mc_worker(payload: tuple) -> tuple[int, dict]:
     """Simulate one run and estimate with every requested method."""
-    run_idx, seed, config_blob = payload
-    params = EnsembleParams(
-        clocks=tuple(ClockParams(**c) for c in config_blob["clocks"]),
-        R=np.asarray(config_blob["R"]),
+    run_idx, seed, params, ts, n_steps, options, methods = payload
+    _, record = simulate_ensemble(
+        assemble_ensemble(params, ts), n_steps, seed, keep_states=False
     )
-    model = assemble_ensemble(params, config_blob["ts"])
-    _, record = simulate_ensemble(model, config_blob["n_steps"], seed, keep_states=False)
-    opts = EstimationOptions(**config_blob["options"])
     results: dict = {}
-    for method in config_blob["methods"]:
-        opts.method = method
+    for method in methods:
         try:
-            report = run_estimation(record, opts)
+            report = run_estimation(record, replace(options, method=method))
             results[method] = {"theta": report.theta.tolist(), "error": None}
         except Exception as exc:  # recorded, excluded from stats
             results[method] = {"theta": None, "error": f"{type(exc).__name__}: {exc}"}
     return run_idx, results
-
-
-def theta_names(n: int) -> list[str]:
-    names = [f"q1_clk{i + 1}" for i in range(n)]
-    names += [f"q2_clk{i + 1}" for i in range(n)]
-    names += [f"d_clk{i + 1}" for i in range(n)]
-    names += [f"r_{i}{j}" for i, j in upper_triangle_pairs(n - 1)]
-    return names
 
 
 def run_monte_carlo(
@@ -198,16 +179,9 @@ def run_monte_carlo(
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     n = params.n
-    config_blob = {
-        "clocks": [{"q1": c.q1, "q2": c.q2, "d": c.d} for c in params.clocks],
-        "R": params.R.tolist(),
-        "ts": ts,
-        "n_steps": int(n_steps),
-        "options": asdict(options),
-        "methods": list(methods),
-    }
     payloads = [
-        (i, derive_run_seed(master_seed, i), config_blob) for i in range(runs)
+        (i, derive_run_seed(master_seed, i), params, ts, int(n_steps), options, list(methods))
+        for i in range(runs)
     ]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -286,9 +260,9 @@ def write_mc_outputs(summary: dict, out_dir: str | Path) -> None:
     """Write mc_summary.json plus one AVAR-curve CSV per clock."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    curves = summary.pop("curves", {})
+    curves = summary.get("curves", {})
     with open(out / "mc_summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
+        json.dump({k: v for k, v in summary.items() if k != "curves"}, fh, indent=2)
         fh.write("\n")
     for clk, curve in curves.items():
         with open(out / f"avar_clk{clk}.csv", "w", encoding="utf-8") as fh:
@@ -300,7 +274,7 @@ def write_mc_outputs(summary: dict, out_dir: str | Path) -> None:
 
 
 def cmd_montecarlo(args: argparse.Namespace) -> int:
-    params, ts, extras = _load_scenario(args.config)
+    params, ts, extras = load_ensemble_config(args.config)
     if "n_steps" not in extras:
         raise ValueError("config field 'n_steps' is required for a Monte-Carlo study")
     opts = _options_from(extras, args)
@@ -381,7 +355,7 @@ def main(argv: list[str] | None = None) -> int:
     except (NoResidueError, UnidentifiableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNIDENTIFIABLE
-    except (DivergedError, FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:

@@ -36,7 +36,3 @@ class NoResidueError(ChronidentError):
 
 class DriftUnidentifiableError(UnidentifiableError):
     """The residue-mean drift map lost column rank; try a larger window L."""
-
-
-class DivergedError(ChronidentError):
-    """An iterative solver produced a non-finite residual."""

@@ -6,14 +6,13 @@ enter through pairwise products. Estimation is therefore split in two:
 1. a weighted linear regression over the stacked ACOV estimates for the
    noise intensities, measurement covariances and the drift products
    f_ij = (d_{i+1} - d_1)(d_{j+1} - d_1);
-2. a small nonlinear least-squares fit factorising the symmetric matrix
-   of f estimates as an outer product to recover the drifts themselves,
-   with the pivot drift supplied by the caller.
+2. a rank-one factorisation of the symmetric matrix of f estimates (its
+   leading eigenpair) to recover the drifts themselves, with the pivot
+   drift supplied by the caller.
 
-The regression vector theta_a is ordered to match the block structure of
-the regression matrix: pivot [q1, q2] first, then per diagonal channel i
-the block [r_ii, f_ii, q1^(i+1), q2^(i+1)], then [r_ij, f_ij] per
-off-diagonal pair in lexicographic order.
+The regression vector theta_a is [q1 x n, q2 x n, r upper, f upper], with
+both upper triangles in the row-major order of ``upper_triangle_pairs``;
+its first n(n+3)/2 entries are the MDM parameter vector theta_alpha.
 """
 
 from __future__ import annotations
@@ -23,48 +22,34 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnidentifiableError
-from .model import ClockParams, EnsembleParams, symmetric_to_upper
-from .numerics import gauss_newton, weighted_least_squares
+from .model import (
+    ClockParams,
+    EnsembleParams,
+    clamp_negative_variances,
+    pack_theta,
+    symmetric_to_upper,
+    upper_to_symmetric,
+    upper_triangle_pairs,
+)
+from .numerics import weighted_least_squares
 from .report import EstimateReport
 from .simulate import MeasurementRecord
-from .stability import AcovEstimate, acov_grid, acov_pairs, log_spaced_grid
+from .stability import AcovEstimate, acov_grid, log_spaced_grid
 
 __all__ = [
     "ThetaA",
     "RegressionSystem",
     "theta_a_from_params",
-    "theta_a_names",
     "build_regression",
     "solve_theta_a",
     "recover_drifts",
     "estimate_acov_method",
 ]
 
-_POSITIVE_FLOOR = np.finfo(float).tiny
-
-
-def _theta_a_layout(n: int) -> dict:
-    """Index map of the canonical theta_a ordering for n clocks."""
-    n_z = n - 1
-    diag_base = {i: 2 + 4 * (i - 1) for i in range(1, n_z + 1)}
-    off_pairs = [(i, j) for i in range(1, n_z + 1) for j in range(i + 1, n_z + 1)]
-    off_base = {pair: 2 + 4 * n_z + 2 * t for t, pair in enumerate(off_pairs)}
-    return {"n_z": n_z, "diag_base": diag_base, "off_pairs": off_pairs, "off_base": off_base}
-
-
-def theta_a_names(n: int) -> list[str]:
-    layout = _theta_a_layout(n)
-    names = ["q1_clk1", "q2_clk1"]
-    for i in range(1, layout["n_z"] + 1):
-        names += [f"r_{i}{i}", f"f_{i}{i}", f"q1_clk{i + 1}", f"q2_clk{i + 1}"]
-    for i, j in layout["off_pairs"]:
-        names += [f"r_{i}{j}", f"f_{i}{j}"]
-    return names
-
 
 @dataclass(frozen=True)
 class ThetaA:
-    """Regression parameter vector of length n(n+1) in canonical order."""
+    """Regression parameter vector [q1 x n, q2 x n, r upper, f upper]."""
 
     vector: np.ndarray
     n: int
@@ -82,62 +67,35 @@ class ThetaA:
         return self.n - 1
 
     def q1_all(self) -> np.ndarray:
-        layout = _theta_a_layout(self.n)
-        vals = [self.vector[0]]
-        vals += [self.vector[layout["diag_base"][i] + 2] for i in range(1, self.n_z + 1)]
-        return np.array(vals)
+        return self.vector[: self.n].copy()
 
     def q2_all(self) -> np.ndarray:
-        layout = _theta_a_layout(self.n)
-        vals = [self.vector[1]]
-        vals += [self.vector[layout["diag_base"][i] + 3] for i in range(1, self.n_z + 1)]
-        return np.array(vals)
+        return self.vector[self.n : 2 * self.n].copy()
 
     def r_matrix(self) -> np.ndarray:
-        layout = _theta_a_layout(self.n)
-        out = np.zeros((self.n_z, self.n_z))
-        for i in range(1, self.n_z + 1):
-            out[i - 1, i - 1] = self.vector[layout["diag_base"][i]]
-        for (i, j), base in layout["off_base"].items():
-            out[i - 1, j - 1] = out[j - 1, i - 1] = self.vector[base]
-        return out
+        r_upper, _ = np.split(self.vector[2 * self.n :], 2)
+        return upper_to_symmetric(r_upper, self.n_z)
 
     def f_matrix(self) -> np.ndarray:
-        layout = _theta_a_layout(self.n)
-        out = np.zeros((self.n_z, self.n_z))
-        for i in range(1, self.n_z + 1):
-            out[i - 1, i - 1] = self.vector[layout["diag_base"][i] + 1]
-        for (i, j), base in layout["off_base"].items():
-            out[i - 1, j - 1] = out[j - 1, i - 1] = self.vector[base + 1]
-        return out
+        _, f_upper = np.split(self.vector[2 * self.n :], 2)
+        return upper_to_symmetric(f_upper, self.n_z)
 
 
 def theta_a_from_params(params: EnsembleParams) -> ThetaA:
-    """Pack true ensemble parameters into the canonical theta_a vector."""
+    """Pack true ensemble parameters into the theta_a vector."""
     n = params.n
-    layout = _theta_a_layout(n)
+    theta = pack_theta(params)
     delta = params.drifts()[1:] - params.clocks[0].d
-    vec = np.zeros(n * (n + 1))
-    vec[0] = params.clocks[0].q1
-    vec[1] = params.clocks[0].q2
-    for i in range(1, layout["n_z"] + 1):
-        base = layout["diag_base"][i]
-        vec[base] = params.R[i - 1, i - 1]
-        vec[base + 1] = delta[i - 1] ** 2
-        vec[base + 2] = params.clocks[i].q1
-        vec[base + 3] = params.clocks[i].q2
-    for (i, j), base in layout["off_base"].items():
-        vec[base] = params.R[i - 1, j - 1]
-        vec[base + 1] = delta[i - 1] * delta[j - 1]
-    return ThetaA(vector=vec, n=n)
+    f_upper = symmetric_to_upper(np.outer(delta, delta))
+    return ThetaA(vector=np.concatenate([theta[: 2 * n], theta[3 * n :], f_upper]), n=n)
 
 
 @dataclass(frozen=True)
 class RegressionSystem:
     """Stacked regression z_a ~ Phi theta_a with diagonal weights w.
 
-    Row blocks follow acov_pairs (diagonal pairs then off-diagonal pairs),
-    each expanded over the tau grid.
+    Row blocks follow the channel pairs of ``upper_triangle_pairs``
+    (row-major, as in AcovEstimate.pairs), each expanded over the tau grid.
     """
 
     z_a: np.ndarray
@@ -150,36 +108,28 @@ class RegressionSystem:
 def build_regression(acov: AcovEstimate, n: int) -> RegressionSystem:
     """Assemble (z_a, Phi, W) from grid ACOV estimates for n clocks."""
     n_z = n - 1
-    if acov.pairs != tuple(acov_pairs(n_z)):
+    pairs = upper_triangle_pairs(n_z)
+    if acov.pairs != tuple(pairs):
         raise ValueError(
             f"ACOV estimate covers pairs for n_z={acov.n_z}, expected n_z={n_z}"
         )
     taus = acov.grid.taus
     ell = len(taus)
-    layout = _theta_a_layout(n)
-    n_rows = len(acov.pairs) * ell
-    n_cols = n * (n + 1)
-    Phi = np.zeros((n_rows, n_cols))
+    Phi = np.zeros((len(pairs) * ell, n * (n + 1)))
+    r_col = 2 * n
+    f_col = r_col + len(pairs)
+    white_fm = 1.0 / taus
+    walk_fm = taus / 3.0
 
-    inv_tau = 1.0 / taus
-    third_tau = taus / 3.0
-    white_pm = 3.0 / taus**2
-    drift_sq = taus**2 / 2.0
-
-    for row_block, (i, j) in enumerate(acov.pairs):
-        rows = slice(row_block * ell, (row_block + 1) * ell)
-        Phi[rows, 0] = inv_tau
-        Phi[rows, 1] = third_tau
+    for t, (i, j) in enumerate(pairs):
+        rows = slice(t * ell, (t + 1) * ell)
+        Phi[rows, 0] = white_fm
+        Phi[rows, n] = walk_fm
+        Phi[rows, r_col + t] = 3.0 / taus**2
+        Phi[rows, f_col + t] = taus**2 / 2.0
         if i == j:
-            base = layout["diag_base"][i]
-            Phi[rows, base] = white_pm
-            Phi[rows, base + 1] = drift_sq
-            Phi[rows, base + 2] = inv_tau
-            Phi[rows, base + 3] = third_tau
-        else:
-            base = layout["off_base"][(i, j)]
-            Phi[rows, base] = white_pm
-            Phi[rows, base + 1] = drift_sq
+            Phi[rows, i] = white_fm
+            Phi[rows, n + i] = walk_fm
     return RegressionSystem(
         z_a=acov.sigma2.ravel().copy(),
         Phi=Phi,
@@ -187,24 +137,6 @@ def build_regression(acov: AcovEstimate, n: int) -> RegressionSystem:
         taus=taus.copy(),
         n=n,
     )
-
-
-def _weighted_stderr_and_null(system: RegressionSystem) -> tuple[np.ndarray, np.ndarray, int]:
-    """Per-parameter standard errors sqrt(diag((Phi^T W Phi)^-1)) plus the
-    right null-space basis (rows, unscaled parameter space) and the rank."""
-    B = system.Phi * np.sqrt(system.w)[:, None]
-    scale = np.linalg.norm(B, axis=0)
-    scale[scale == 0.0] = 1.0
-    _, s, Vt = np.linalg.svd(B / scale, full_matrices=False)
-    rank = int(np.sum(s > 1e-12 * s[0])) if s.size and s[0] > 0 else 0
-    keep = Vt[:rank]
-    with np.errstate(divide="ignore"):
-        cov_diag = ((keep.T / s[:rank]) ** 2).sum(axis=1) if rank else np.full(B.shape[1], np.inf)
-    se = np.sqrt(cov_diag) / scale
-    null_rows = Vt[rank:] / scale  # map back to unscaled parameter space
-    norms = np.linalg.norm(null_rows, axis=1, keepdims=True)
-    null_rows = null_rows / np.where(norms > 0, norms, 1.0)
-    return se, null_rows, rank
 
 
 def solve_theta_a(system: RegressionSystem) -> tuple[ThetaA, dict]:
@@ -222,33 +154,19 @@ def solve_theta_a(system: RegressionSystem) -> tuple[ThetaA, dict]:
         raise UnidentifiableError(
             f"need >= 4 distinct averaging times, got {len(np.unique(system.taus))}"
         )
-    se, null_rows, rank = _weighted_stderr_and_null(system)
-    if rank < n_cols:
-        raise UnidentifiableError(
-            f"regression rank {rank} < {n_cols} parameters; "
-            f"{n_cols - rank} unidentifiable direction(s)",
-            null_directions=null_rows,
-        )
     x, diag = weighted_least_squares(system.Phi, system.z_a, system.w)
-
-    names = theta_a_names(n)
-    layout = _theta_a_layout(n)
-    variance_like = [0, 1]
-    for i in range(1, layout["n_z"] + 1):
-        base = layout["diag_base"][i]
-        variance_like += [base, base + 1, base + 2, base + 3]
-    clamped = []
-    for idx in variance_like:
-        if x[idx] < 0.0:
-            x[idx] = max(1e-3 * se[idx], _POSITIVE_FLOOR)
-            clamped.append(names[idx])
-
+    if diag.rank < n_cols:
+        raise UnidentifiableError(
+            f"regression rank {diag.rank} < {n_cols} parameters; "
+            f"{n_cols - diag.rank} unidentifiable direction(s)",
+            null_directions=diag.null_directions,
+        )
     diagnostics = {
         "residual": diag.residual_norm,
         "cond": diag.condition_number,
         "rank": diag.rank,
-        "se": se,
-        "clamped": clamped,
+        "se": diag.se,
+        "clamped": clamp_negative_variances(x, diag.se, n),
     }
     return ThetaA(vector=x, n=n), diagnostics
 
@@ -260,22 +178,22 @@ def recover_drifts(
 ) -> tuple[np.ndarray, dict]:
     """Recover drifts d^(2..n) from the symmetric matrix of f estimates.
 
-    Minimises sum_{i<=j} (f_ij - delta_i delta_j)^2 over delta, started
-    from the leading eigenpair of the (symmetrised) f matrix and refined
-    by Gauss-Newton. f is invariant under delta -> -delta; the global sign
+    delta is the leading eigenpair sqrt(lambda_max) v_max of the
+    (symmetrised) f matrix, the best rank-one fit delta delta^T in the
+    Frobenius norm. f is invariant under delta -> -delta; the global sign
     is fixed by a majority vote against ``sign_hint`` (one entry per
     channel, typically the mean second difference which estimates
-    delta_i * Ts^2). Returns d1 + delta and an info dict.
+    delta_i * Ts^2). Returns d1 + delta and an info dict; its
+    ``iterations`` is always 0, since the factorisation is closed-form.
     """
     F = np.asarray(f_hat, dtype=float)
     if F.ndim != 2 or F.shape[0] != F.shape[1]:
         raise ValueError(f"f_hat must be square, got shape {F.shape}")
     F = 0.5 * (F + F.T)
     n_z = F.shape[0]
-    fnorm = float(np.linalg.norm(F))
 
-    info = {"degenerate": False, "iterations": 0, "residual_norm": 0.0}
-    if fnorm == 0.0:
+    info = {"degenerate": False, "iterations": 0}
+    if np.linalg.norm(F) == 0.0:
         info["degenerate"] = True
         return d1 + np.zeros(n_z), info
 
@@ -283,29 +201,7 @@ def recover_drifts(
     if eigvals[-1] <= 0.0:
         info["degenerate"] = True
         return d1 + np.zeros(n_z), info
-    delta0 = np.sqrt(eigvals[-1]) * eigvecs[:, -1]
-
-    pairs = [(i, j) for i in range(n_z) for j in range(i, n_z)]
-    targets = np.array([F[i, j] for i, j in pairs])
-
-    def residual(delta):
-        return np.array([delta[i] * delta[j] for i, j in pairs]) - targets
-
-    def jacobian(delta):
-        J = np.zeros((len(pairs), n_z))
-        for t, (i, j) in enumerate(pairs):
-            if i == j:
-                J[t, i] = 2.0 * delta[i]
-            else:
-                J[t, i] = delta[j]
-                J[t, j] = delta[i]
-        return J
-
-    delta, gn_diag = gauss_newton(
-        residual, jacobian, delta0, max_iter=100, gtol=1e-14 * fnorm
-    )
-    info["iterations"] = gn_diag.iterations
-    info["residual_norm"] = gn_diag.residual_norm
+    delta = np.sqrt(eigvals[-1]) * eigvecs[:, -1]
 
     if sign_hint is not None:
         hint = np.asarray(sign_hint, dtype=float).ravel()

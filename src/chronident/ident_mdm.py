@@ -10,7 +10,7 @@ in the state and measurement noises alone:
 The residue mean is linear in the drifts and the residue second moment is
 linear in the unique elements of Q and R (via the Kronecker identity
 (A e) kron (A e) = (A kron A)(e kron e)), so both stages reduce to
-pseudo-inverse solves of known maps.
+least-squares solves of known maps.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ from .model import (
     EnsembleModel,
     EnsembleParams,
     assemble_ensemble,
+    clamp_negative_variances,
+    pack_theta,
     upper_triangle_pairs,
 )
 from .numerics import left_null_space, weighted_least_squares
@@ -44,12 +46,8 @@ __all__ = [
     "solve_theta_alpha_from_moment",
     "estimate_theta_alpha",
     "theta_alpha_from_params",
-    "theta_alpha_names",
     "estimate_mdm",
 ]
-
-_POSITIVE_FLOOR = np.finfo(float).tiny
-
 
 @dataclass(frozen=True)
 class MdmConfig:
@@ -138,19 +136,10 @@ def build_structure_matrices(
     return B_Q, B_R
 
 
-def theta_alpha_names(n: int) -> list[str]:
-    names = [f"q1_clk{i + 1}" for i in range(n)]
-    names += [f"q2_clk{i + 1}" for i in range(n)]
-    names += [f"r_{i}{j}" for i, j in upper_triangle_pairs(n - 1)]
-    return names
-
-
 def theta_alpha_from_params(params: EnsembleParams) -> np.ndarray:
-    """[q1 x n, q2 x n, upper triangle of R]; drifts are excluded."""
-    q1 = [c.q1 for c in params.clocks]
-    q2 = [c.q2 for c in params.clocks]
-    r = [params.R[i - 1, j - 1] for i, j in upper_triangle_pairs(params.n_z)]
-    return np.concatenate([q1, q2, r])
+    """[q1 x n, q2 x n, upper triangle of R]: pack_theta without the drifts."""
+    theta = pack_theta(params)
+    return np.concatenate([theta[: 2 * params.n], theta[3 * params.n :]])
 
 
 def build_mdm_system(model: EnsembleModel, L: int) -> MdmSystem:
@@ -281,18 +270,6 @@ def estimate_drifts_mdm(
     return solve_drifts_from_mean(residues.mean(axis=1), system, d1=d1)
 
 
-def _lstsq_cov_diag(M: np.ndarray) -> np.ndarray:
-    """diag((M^T M)^-1) through a column-equilibrated SVD."""
-    scale = np.linalg.norm(M, axis=0)
-    scale[scale == 0.0] = 1.0
-    _, s, Vt = np.linalg.svd(M / scale, full_matrices=False)
-    rank = int(np.sum(s > 1e-12 * s[0])) if s.size and s[0] > 0 else 0
-    if rank == 0:
-        return np.full(M.shape[1], np.inf)
-    diag = ((Vt[:rank].T / s[:rank]) ** 2).sum(axis=1)
-    return diag / scale**2
-
-
 def solve_theta_alpha_from_moment(
     moment: np.ndarray, system: MdmSystem
 ) -> tuple[np.ndarray, dict]:
@@ -314,24 +291,12 @@ def solve_theta_alpha_from_moment(
             f"L={system.L}); increase the window L",
         )
     dof = max(moment.size - diag.rank, 1)
-    sigma_fit = diag.residual_norm / np.sqrt(dof)
-    se = np.sqrt(_lstsq_cov_diag(system.theta_map)) * sigma_fit
-
-    names = theta_alpha_names(n)
-    variance_like = list(range(2 * n))
-    for t, (i, j) in enumerate(upper_triangle_pairs(n - 1)):
-        if i == j:
-            variance_like.append(2 * n + t)
-    clamped = []
-    for idx in variance_like:
-        if x[idx] < 0.0:
-            x[idx] = max(1e-3 * se[idx], _POSITIVE_FLOOR)
-            clamped.append(names[idx])
+    se = diag.se * (diag.residual_norm / np.sqrt(dof))
     diagnostics = {
         "residual": diag.residual_norm,
         "cond": diag.condition_number,
         "se_approx": se,
-        "clamped": clamped,
+        "clamped": clamp_negative_variances(x, se, n),
     }
     return x, diagnostics
 

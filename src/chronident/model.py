@@ -29,6 +29,8 @@ __all__ = [
     "pack_theta",
     "unpack_theta",
     "theta_length",
+    "theta_names",
+    "clamp_negative_variances",
     "upper_to_symmetric",
     "symmetric_to_upper",
     "upper_triangle_pairs",
@@ -221,6 +223,37 @@ def pack_theta(params: EnsembleParams) -> np.ndarray:
     q2 = [c.q2 for c in params.clocks]
     d = [c.d for c in params.clocks]
     return np.concatenate([q1, q2, d, symmetric_to_upper(params.R)])
+
+
+def theta_names(n: int) -> list[str]:
+    """Names of the pack_theta entries for n clocks."""
+    names = [f"q1_clk{i + 1}" for i in range(n)]
+    names += [f"q2_clk{i + 1}" for i in range(n)]
+    names += [f"d_clk{i + 1}" for i in range(n)]
+    names += [f"r_{i}{j}" for i, j in upper_triangle_pairs(n - 1)]
+    return names
+
+
+def clamp_negative_variances(x: np.ndarray, se: np.ndarray, n: int) -> list[str]:
+    """Clamp negative variance-like estimates in place; return their names.
+
+    ``x`` is laid out as [q1 x n, q2 x n, r upper], optionally followed by
+    the upper triangle of the drift products f_ij = (d_{i+1} - d_1)(d_{j+1}
+    - d_1). The q1, q2, r_ii and f_ii entries cannot be negative; a negative
+    one is set to 1e-3 times its standard error (at least the smallest
+    positive float).
+    """
+    names = theta_names(n)
+    r_names = names[3 * n :]
+    names = names[: 2 * n] + r_names + ["f" + name[1:] for name in r_names]
+    diagonal = [i == j for i, j in upper_triangle_pairs(n - 1)]
+    positive = [True] * (2 * n) + diagonal + diagonal
+    clamped = []
+    for idx in range(x.size):
+        if positive[idx] and x[idx] < 0.0:
+            x[idx] = max(1e-3 * se[idx], np.finfo(float).tiny)
+            clamped.append(names[idx])
+    return clamped
 
 
 def unpack_theta(theta: np.ndarray, n: int) -> EnsembleParams:

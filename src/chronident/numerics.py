@@ -1,50 +1,58 @@
 """Shared numerical kernels.
 
 All solvers go through orthogonal (SVD-based) decompositions; normal
-equations are never formed for solving. The weighted least-squares path
-optionally equilibrates columns because downstream regressors mix basis
-functions spanning many orders of magnitude in tau.
+equations are never formed. The weighted least-squares kernel scales every
+column to unit norm before its one SVD, because the regressors mix basis
+functions spanning many orders of magnitude in tau, and derives the
+solution, standard errors and null directions from that one decomposition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
-
-from .errors import DivergedError
 
 __all__ = [
     "LsDiagnostics",
     "weighted_least_squares",
     "left_null_space",
-    "pinv_solve",
-    "gauss_newton",
 ]
+
+# singular values below this fraction of the largest count as zero
+_RCOND = 1e-12
 
 
 @dataclass
 class LsDiagnostics:
+    """Residual, conditioning and uncertainty of a least-squares solve.
+
+    se              : sqrt(diag((A^T W A)^-1)); when rank deficient, taken
+                      from the pseudo-inverse in column-scaled coordinates,
+                      and inf everywhere when the rank is 0
+    null_directions : unit rows spanning the right null space of W^{1/2} A
+    """
+
     residual_norm: float
     condition_number: float
     rank: int
-    iterations: int = 0
+    se: np.ndarray
+    null_directions: np.ndarray
 
 
 def weighted_least_squares(
     A: np.ndarray,
     b: np.ndarray,
     w: np.ndarray,
-    equilibrate: bool = True,
 ) -> tuple[np.ndarray, LsDiagnostics]:
     """Minimize ||W^{1/2} (b - A x)||^2 with W = diag(w), w > 0.
 
-    Solved via SVD of W^{1/2} A (minimum-norm solution when rank
-    deficient). With ``equilibrate`` each column is scaled to unit norm
-    before the solve and the solution is unscaled afterwards, which keeps
-    the decomposition well conditioned for regressors whose columns span
-    tau^-2 .. tau^2.
+    Solved via one SVD of W^{1/2} A with unit-norm columns (least norm in
+    those scaled coordinates when rank deficient). The solution gets one
+    refinement step on the same factors, with the residual formed in
+    extended precision: at maser scale the smallest parameters sit at the
+    rounding floor of b, and the step makes the answer independent of row
+    and column order.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).ravel()
@@ -59,19 +67,39 @@ def weighted_least_squares(
     sqrt_w = np.sqrt(w)
     B = A * sqrt_w[:, None]
     rhs = b * sqrt_w
+    scale = np.linalg.norm(B, axis=0)
+    scale[scale == 0.0] = 1.0
+    Bs = B / scale
 
-    if equilibrate:
-        col_scale = np.linalg.norm(B, axis=0)
-        col_scale[col_scale == 0.0] = 1.0
+    # a wide system needs the full V for its null space
+    U, s, Vt = np.linalg.svd(Bs, full_matrices=Bs.shape[0] < Bs.shape[1])
+    rank = int(np.sum(s > _RCOND * s[0])) if s.size and s[0] > 0.0 else 0
+    U_r, s_r, V_r = U[:, :rank], s[:rank], Vt[:rank]
+
+    def solve(r: np.ndarray) -> np.ndarray:
+        return V_r.T @ ((U_r.T @ r) / s_r)
+
+    y = solve(rhs)
+    ext = np.longdouble
+    resid = rhs.astype(ext) - Bs.astype(ext) @ y.astype(ext)
+    y = y + solve(resid.astype(float))
+    x = y / scale
+
+    if rank:
+        se = np.sqrt(((V_r / s_r[:, None]) ** 2).sum(axis=0)) / scale
     else:
-        col_scale = np.ones(A.shape[1])
+        se = np.full(A.shape[1], np.inf)
+    null_rows = Vt[rank:] / scale
+    null_rows /= np.linalg.norm(null_rows, axis=1, keepdims=True)
 
-    y, _, rank, sv = np.linalg.lstsq(B / col_scale, rhs, rcond=1e-12)
-    x = y / col_scale
-
-    cond = float(sv[0] / sv[rank - 1]) if rank > 0 else np.inf
-    resid = float(np.linalg.norm(rhs - B @ x))
-    return x, LsDiagnostics(residual_norm=resid, condition_number=cond, rank=int(rank))
+    cond = float(s[0] / s[rank - 1]) if rank > 0 else np.inf
+    return x, LsDiagnostics(
+        residual_norm=float(np.linalg.norm(rhs - B @ x)),
+        condition_number=cond,
+        rank=rank,
+        se=se,
+        null_directions=null_rows,
+    )
 
 
 def left_null_space(M: np.ndarray, tol_rel: float = 1e-10) -> np.ndarray:
@@ -89,70 +117,3 @@ def left_null_space(M: np.ndarray, tol_rel: float = 1e-10) -> np.ndarray:
     else:
         rank = int(np.sum(s > tol_rel * s[0]))
     return U[:, rank:].T.copy()
-
-
-def pinv_solve(A: np.ndarray, b: np.ndarray, rcond: float = 1e-12) -> np.ndarray:
-    """Minimum-norm least-squares solution x = A^+ b.
-
-    Singular values below ``rcond * sigma_max`` are treated as zero, so the
-    call is always defined (A = 0 gives x = 0).
-    """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    x, _, _, _ = np.linalg.lstsq(A, b, rcond=rcond)
-    return x
-
-
-def gauss_newton(
-    residual_fn: Callable[[np.ndarray], np.ndarray],
-    jacobian_fn: Callable[[np.ndarray], np.ndarray],
-    x0: np.ndarray,
-    max_iter: int = 100,
-    gtol: float = 1e-12,
-) -> tuple[np.ndarray, LsDiagnostics]:
-    """Damped Gauss-Newton for min ||residual(x)||^2.
-
-    The step is the minimum-norm solution of J dx = -r; it is halved (at
-    most 30 times) until the residual norm decreases. Terminates when
-    ||J^T r|| <= gtol or after ``max_iter`` iterations.
-    """
-    x = np.asarray(x0, dtype=float).copy()
-    r = np.asarray(residual_fn(x), dtype=float)
-    if not np.all(np.isfinite(r)):
-        raise DivergedError("residual is not finite at the starting point")
-    cost = float(r @ r)
-    iterations = 0
-    rank = 0
-    cond = 1.0
-
-    for iterations in range(1, max_iter + 1):
-        J = np.asarray(jacobian_fn(x), dtype=float)
-        grad = J.T @ r
-        if np.linalg.norm(grad) <= gtol:
-            iterations -= 1
-            break
-        step, _, rank, sv = np.linalg.lstsq(J, -r, rcond=1e-12)
-        cond = float(sv[0] / sv[rank - 1]) if rank > 0 else np.inf
-
-        alpha = 1.0
-        for _ in range(31):
-            x_new = x + alpha * step
-            r_new = np.asarray(residual_fn(x_new), dtype=float)
-            if not np.all(np.isfinite(r_new)):
-                raise DivergedError("residual became non-finite during line search")
-            cost_new = float(r_new @ r_new)
-            if cost_new < cost or np.allclose(step, 0.0):
-                break
-            alpha *= 0.5
-        else:
-            break  # no decrease possible, accept current point
-        if cost_new >= cost:
-            break
-        x, r, cost = x_new, r_new, cost_new
-
-    return x, LsDiagnostics(
-        residual_norm=float(np.sqrt(cost)),
-        condition_number=cond,
-        rank=int(rank),
-        iterations=iterations,
-    )

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import EnsembleParams
+from .model import EnsembleParams, upper_triangle_pairs
 from .simulate import MeasurementRecord
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "clock_avar",
     "acov_variance",
     "acov_grid",
-    "acov_pairs",
     "write_acov_csv",
 ]
 
@@ -130,18 +129,12 @@ def acov_variance(sigma2_hat: float, n_steps: int, m: int) -> float:
     return max(2.0 * mag / nu, 1e-3 * mag / nu + _VAR_FLOOR_ABS)
 
 
-def acov_pairs(n_z: int) -> list[tuple[int, int]]:
-    """Canonical channel-pair order: diagonals first, then (i, j) with i < j."""
-    diag = [(i, i) for i in range(1, n_z + 1)]
-    off = [(i, j) for i in range(1, n_z + 1) for j in range(i + 1, n_z + 1)]
-    return diag + off
-
-
 @dataclass(frozen=True)
 class AcovEstimate:
     """ACOV estimates for all channel pairs over a tau grid.
 
-    Rows of sigma2/var follow acov_pairs(n_z); columns follow grid.taus.
+    Rows of sigma2/var follow the row-major channel pairs of
+    upper_triangle_pairs(n_z); columns follow grid.taus.
     """
 
     grid: TauGrid
@@ -170,7 +163,7 @@ def acov_grid(record: MeasurementRecord, grid: TauGrid) -> AcovEstimate:
         )
     if abs(grid.Ts - record.Ts) > 1e-9 * record.Ts:
         raise ValueError(f"grid Ts={grid.Ts} does not match record Ts={record.Ts}")
-    pairs = acov_pairs(record.n_z)
+    pairs = upper_triangle_pairs(record.n_z)
     sigma2 = np.empty((len(pairs), len(grid)))
     var = np.empty_like(sigma2)
     Z = record.Z

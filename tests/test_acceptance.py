@@ -37,7 +37,8 @@ from chronident.ident_mdm import (
     solve_theta_alpha_from_moment,
     theta_alpha_from_params,
 )
-from chronident.stability import AcovEstimate, acov_pairs
+from chronident.model import upper_triangle_pairs
+from chronident.stability import AcovEstimate
 
 from conftest import random_params
 
@@ -87,7 +88,7 @@ def full_scale_mc(maser_params):
 def test_criterion_1_structural_exactness(maser_params):
     start = time.perf_counter()
     grid = log_spaced_grid(20, FULL_M_MAX, 5.0)
-    pairs = acov_pairs(3)
+    pairs = upper_triangle_pairs(3)
     sigma2 = np.array(
         [[analytic_acov(maser_params, i, j, tau) for tau in grid.taus] for i, j in pairs]
     )

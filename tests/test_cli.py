@@ -19,6 +19,7 @@ from chronident.cli import (
     EstimationOptions,
     main,
     run_monte_carlo,
+    write_mc_outputs,
 )
 from chronident.model import dump_ensemble_config
 
@@ -272,6 +273,17 @@ class TestMonteCarloCommand:
         ]
         header = curve_files[0].read_text().splitlines()[0]
         assert header == "tau_s,avar_true,avar_mc_mean,avar_p2_5,avar_p97_5"
+
+    def test_summary_written_twice_unchanged(self, tmp_path, maser_params):
+        opts = EstimationOptions(method="acov", ell=10)
+        summary = run_monte_carlo(
+            maser_params, 5.0, 6000, opts, ["acov"], runs=2, master_seed=2
+        )["acov"]
+        for name in ("first", "second"):
+            write_mc_outputs(summary, tmp_path / name)
+            assert len(list((tmp_path / name).glob("avar_clk*.csv"))) == 4
+            assert (tmp_path / name / "mc_summary.json").exists()
+        assert "curves" in summary
 
     def test_concurrency_independent_results(self, maser_params):
         opts = EstimationOptions(method="acov", ell=10, m_max=2000)

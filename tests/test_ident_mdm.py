@@ -21,7 +21,6 @@ from chronident.ident_mdm import (
     residue_second_moment_from_cov,
     solve_drifts_from_mean,
     solve_theta_alpha_from_moment,
-    theta_alpha_names,
 )
 
 from conftest import random_params
@@ -268,9 +267,9 @@ class TestThetaAlphaEstimation:
         theta_hat, diag = estimate_theta_alpha(
             residues, np.zeros(2), system, d1=0.0
         )
-        names = theta_alpha_names(3)
-        r11 = theta_hat[names.index("r_11")]
-        se = diag["se_approx"][names.index("r_11")]
+        r11_index = 6  # theta_alpha = [q1 x 3, q2 x 3, r_11, r_12, r_22]
+        r11 = theta_hat[r11_index]
+        se = diag["se_approx"][r11_index]
         # the reported se ignores the serial correlation of overlapping
         # residues; windows overlap over 2L-1 lags
         inflation = np.sqrt(2 * system.L - 1)

@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from chronident.errors import DivergedError
-from chronident.numerics import (
-    gauss_newton,
-    left_null_space,
-    pinv_solve,
-    weighted_least_squares,
-)
+from chronident.numerics import left_null_space, weighted_least_squares
 
 
 class TestWeightedLeastSquares:
@@ -33,9 +27,12 @@ class TestWeightedLeastSquares:
         x_true = rng.normal(size=10)
         b = A @ x_true + 0.01 * rng.normal(size=50)
         w = rng.uniform(0.2, 5.0, 50)
-        x, _ = weighted_least_squares(A, b, w)
-        oracle = np.linalg.solve(A.T @ (w[:, None] * A), A.T @ (w * b))
+        x, diag = weighted_least_squares(A, b, w)
+        normal = A.T @ (w[:, None] * A)
+        oracle = np.linalg.solve(normal, A.T @ (w * b))
         np.testing.assert_allclose(x, oracle, rtol=1e-10)
+        np.testing.assert_allclose(diag.se, np.sqrt(np.diag(np.linalg.inv(normal))), rtol=1e-10)
+        assert diag.null_directions.shape == (0, 10)
 
     def test_weight_scaling_invariance(self):
         rng = np.random.default_rng(2)
@@ -51,6 +48,43 @@ class TestWeightedLeastSquares:
         x, diag = weighted_least_squares(A, np.array([2.0, 4.0, 6.0]), np.ones(3))
         assert diag.rank == 1
         np.testing.assert_allclose(x, [1.0, 1.0])  # minimum-norm split
+        assert diag.null_directions.shape == (1, 2)
+        null = diag.null_directions[0]
+        assert abs(abs(null @ np.array([1.0, -1.0]) / np.sqrt(2.0)) - 1.0) < 1e-12
+
+    def test_wide_minimum_norm(self):
+        # fewer rows than columns: the null space has cols - rows directions
+        A = np.array([[1.0, 1.0, 0.0]])
+        x, diag = weighted_least_squares(A, np.array([2.0]), np.ones(1))
+        np.testing.assert_allclose(x, [1.0, 1.0, 0.0])
+        assert diag.rank == 1
+        assert diag.null_directions.shape == (2, 3)
+        np.testing.assert_allclose(diag.null_directions @ A.T, 0.0, atol=1e-15)
+
+    def test_zero_matrix(self):
+        x, diag = weighted_least_squares(np.zeros((3, 2)), np.ones(3), np.ones(3))
+        np.testing.assert_array_equal(x, np.zeros(2))
+        assert diag.rank == 0
+        assert np.all(np.isinf(diag.se))
+
+    def test_unit_weight_matches_lstsq(self):
+        rng = np.random.default_rng(5)
+        A = rng.normal(size=(12, 4))
+        b = rng.normal(size=12)
+        x, _ = weighted_least_squares(A, b, np.ones(12))
+        np.testing.assert_allclose(x, np.linalg.lstsq(A, b, rcond=None)[0], atol=1e-12)
+
+    def test_minimum_scaled_norm_property(self):
+        # columns are equilibrated, so an underdetermined solve returns the
+        # solution of least norm in column-scaled coordinates
+        rng = np.random.default_rng(6)
+        for _ in range(10):
+            A = rng.normal(size=(3, 7))
+            x = rng.normal(size=7)
+            x_hat, _ = weighted_least_squares(A, A @ x, np.ones(3))
+            np.testing.assert_allclose(A @ x_hat, A @ x, atol=1e-10)
+            col = np.linalg.norm(A, axis=0)
+            assert np.linalg.norm(col * x_hat) <= np.linalg.norm(col * x) + 1e-10
 
     def test_descent_sanity(self):
         rng = np.random.default_rng(3)
@@ -96,96 +130,3 @@ class TestLeftNullSpace:
                 )
                 smax = np.linalg.svd(M, compute_uv=False)[0]
                 assert np.linalg.norm(basis @ M) <= 1e-10 * smax * np.sqrt(rows)
-
-
-class TestPinvSolve:
-    def test_zero_matrix(self):
-        np.testing.assert_array_equal(
-            pinv_solve(np.zeros((3, 2)), np.ones(3)), np.zeros(2)
-        )
-
-    def test_matches_unit_weight_wls(self):
-        rng = np.random.default_rng(5)
-        A = rng.normal(size=(12, 4))
-        b = rng.normal(size=12)
-        x1 = pinv_solve(A, b)
-        x2, _ = weighted_least_squares(A, b, np.ones(12))
-        np.testing.assert_allclose(x1, x2, atol=1e-12)
-
-    def test_wide_minimum_norm(self):
-        np.testing.assert_allclose(
-            pinv_solve(np.array([[1.0, 1.0]]), np.array([2.0])), [1.0, 1.0]
-        )
-
-    def test_minimum_norm_property(self):
-        rng = np.random.default_rng(6)
-        for _ in range(10):
-            A = rng.normal(size=(3, 7))
-            x = rng.normal(size=7)
-            x_hat = pinv_solve(A, A @ x)
-            assert np.linalg.norm(x_hat) <= np.linalg.norm(x) + 1e-10
-
-
-class TestGaussNewton:
-    def test_linear_converges_in_one_iteration(self):
-        A = np.array([[2.0, 0.0], [0.0, 3.0], [1.0, 1.0]])
-        b = np.array([2.0, 3.0, 2.0])
-        x, diag = gauss_newton(lambda x: A @ x - b, lambda x: A, np.zeros(2))
-        np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-12)
-        assert diag.iterations == 1
-
-    def test_rank_one_factorisation(self):
-        # fit delta from exact outer-product data
-        delta_true = np.array([0.8, -0.5, 0.3])
-        pairs = [(i, j) for i in range(3) for j in range(i, 3)]
-        target = np.array([delta_true[i] * delta_true[j] for i, j in pairs])
-
-        def resid(d):
-            return np.array([d[i] * d[j] for i, j in pairs]) - target
-
-        def jac(d):
-            J = np.zeros((len(pairs), 3))
-            for t, (i, j) in enumerate(pairs):
-                if i == j:
-                    J[t, i] = 2.0 * d[i]
-                else:
-                    J[t, i], J[t, j] = d[j], d[i]
-            return J
-
-        x, _ = gauss_newton(resid, jac, delta_true + 0.2, gtol=1e-15)
-        np.testing.assert_allclose(x, delta_true, atol=1e-12)
-
-    def test_jacobian_consistency_finite_differences(self):
-        rng = np.random.default_rng(7)
-        pairs = [(i, j) for i in range(3) for j in range(i, 3)]
-        target = rng.normal(size=len(pairs))
-
-        def resid(d):
-            return np.array([d[i] * d[j] for i, j in pairs]) - target
-
-        def jac(d):
-            J = np.zeros((len(pairs), 3))
-            for t, (i, j) in enumerate(pairs):
-                if i == j:
-                    J[t, i] = 2.0 * d[i]
-                else:
-                    J[t, i], J[t, j] = d[j], d[i]
-            return J
-
-        for _ in range(5):
-            x = rng.normal(size=3)
-            J = jac(x)
-            h = 1e-6 * max(1.0, np.abs(x).max())
-            J_fd = np.empty_like(J)
-            for k in range(3):
-                e = np.zeros(3)
-                e[k] = h
-                J_fd[:, k] = (resid(x + e) - resid(x - e)) / (2.0 * h)
-            denom = max(1.0, np.abs(J).max())
-            assert np.abs(J - J_fd).max() / denom < 1e-5
-
-    def test_nonfinite_residual_raises(self):
-        with pytest.raises(DivergedError):
-            gauss_newton(
-                lambda x: np.array([np.inf]), lambda x: np.ones((1, 1)), np.zeros(1)
-            )

@@ -220,7 +220,7 @@ class TestAcovGrid:
         _, record = simulate_ensemble(maser_model, 20_000, seed=13)
         grid = log_spaced_grid(20, 10_000, 5.0)
         est = acov_grid(record, grid)
-        assert est.pairs == ((1, 1), (2, 2), (3, 3), (1, 2), (1, 3), (2, 3))
+        assert est.pairs == ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3))
         assert est.sigma2.shape == (6, len(grid))
         assert est.sigma2.size == 6 * len(grid)
         assert np.all(est.var > 0.0)
