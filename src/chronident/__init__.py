@@ -25,7 +25,6 @@ from .ident_acov import (
     theta_a_from_params,
 )
 from .ident_mdm import (
-    MdmConfig,
     MdmSystem,
     build_mdm_system,
     build_structure_matrices,
@@ -33,7 +32,6 @@ from .ident_mdm import (
     estimate_drifts_mdm,
     estimate_mdm,
     estimate_theta_alpha,
-    theta_alpha_from_params,
 )
 from .model import (
     ClockParams,
@@ -43,8 +41,10 @@ from .model import (
     clock_drift_mean,
     clock_noise_cov,
     clock_transition,
+    ensemble_structure,
     load_ensemble_config,
     pack_theta,
+    theta_alpha_from_params,
     unpack_theta,
 )
 from .numerics import LsDiagnostics, left_null_space, weighted_least_squares

@@ -13,14 +13,14 @@ import logging
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import NoResidueError, UnidentifiableError
 from .ident_acov import estimate_acov_method
-from .ident_mdm import MdmConfig, estimate_mdm
+from .ident_mdm import estimate_mdm
 from .model import (
     EnsembleParams,
     assemble_ensemble,
@@ -65,27 +65,15 @@ def _setup_logging() -> None:
 
 
 def _options_from(extras: dict, args: argparse.Namespace) -> EstimationOptions:
-    opts = EstimationOptions()
+    """Options from the config's ``estimation`` block, overridden by flags."""
     est = extras.get("estimation", {})
     if not isinstance(est, dict):
         raise ValueError("config field 'estimation' must be an object")
-    for key in ("method", "ell", "m_max", "L", "ts_target_s", "d1", "outlier_k"):
-        if key in est and est[key] is not None:
-            setattr(opts, key, est[key])
-    for attr, flag in (
-        ("method", "method"),
-        ("ell", "ell"),
-        ("m_max", "m_max"),
-        ("L", "L"),
-        ("ts_target_s", "ts_target"),
-        ("d1", "d1"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            setattr(opts, attr, value)
-    outlier = getattr(args, "outlier_k", None)
-    if outlier is not None:
-        opts.outlier_k = None if str(outlier).lower() == "off" else float(outlier)
+    opts = EstimationOptions()
+    for name in (f.name for f in fields(EstimationOptions)):
+        for source in (est, vars(args)):
+            if source.get(name) is not None:
+                setattr(opts, name, source[name])
     if opts.method not in ("acov", "mdm"):
         raise ValueError(f"method must be 'acov' or 'mdm', got '{opts.method}'")
     return opts
@@ -100,8 +88,9 @@ def run_estimation(record: MeasurementRecord, opts: EstimationOptions) -> Estima
         return estimate_acov_method(
             record, ell=int(opts.ell), m_max=opts.m_max, d1=float(opts.d1)
         )
-    config = MdmConfig(L=int(opts.L), ts_target_s=float(opts.ts_target_s))
-    return estimate_mdm(record, config, d1=float(opts.d1))
+    return estimate_mdm(
+        record, L=int(opts.L), ts_target_s=float(opts.ts_target_s), d1=float(opts.d1)
+    )
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -298,6 +287,11 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _outlier_threshold(text: str) -> float | None:
+    """--outlier-k value: a MAD multiple, or 'off' for no filtering."""
+    return None if text.lower() == "off" else float(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chronident",
@@ -305,21 +299,28 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # flags shared by estimate and montecarlo; each dest is an EstimationOptions field
+    est = argparse.ArgumentParser(add_help=False)
+    est.add_argument("--method", choices=["acov", "mdm"], default=None)
+    est.add_argument("--ell", type=int, default=None)
+    est.add_argument("--m-max", dest="m_max", type=int, default=None)
+    est.add_argument("--L", dest="L", type=int, default=None)
+    est.add_argument(
+        "--ts-target", dest="ts_target_s", metavar="TS_TARGET", type=float, default=None
+    )
+    est.add_argument("--d1", type=float, default=None)
+
     p_sim = sub.add_parser("simulate", help="simulate a measurement CSV from a config")
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--seed", type=int, default=None)
     p_sim.add_argument("--out", required=True)
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_est = sub.add_parser("estimate", help="identify parameters from a measurement CSV")
+    p_est = sub.add_parser(
+        "estimate", parents=[est], help="identify parameters from a measurement CSV"
+    )
     p_est.add_argument("input", help="measurement CSV path")
-    p_est.add_argument("--method", choices=["acov", "mdm"], default=None)
-    p_est.add_argument("--ell", type=int, default=None)
-    p_est.add_argument("--m-max", dest="m_max", type=int, default=None)
-    p_est.add_argument("--L", dest="L", type=int, default=None)
-    p_est.add_argument("--ts-target", dest="ts_target", type=float, default=None)
-    p_est.add_argument("--d1", type=float, default=None)
-    p_est.add_argument("--outlier-k", dest="outlier_k", default=None)
+    p_est.add_argument("--outlier-k", dest="outlier_k", type=_outlier_threshold, default=None)
     p_est.add_argument("--out", default=None)
     p_est.set_defaults(func=cmd_estimate)
 
@@ -330,14 +331,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_avar.add_argument("--out", required=True)
     p_avar.set_defaults(func=cmd_avar)
 
-    p_mc = sub.add_parser("montecarlo", help="seeded Monte-Carlo study of one method")
+    p_mc = sub.add_parser(
+        "montecarlo", parents=[est], help="seeded Monte-Carlo study of one method"
+    )
     p_mc.add_argument("--config", required=True)
-    p_mc.add_argument("--method", choices=["acov", "mdm"], default=None)
-    p_mc.add_argument("--ell", type=int, default=None)
-    p_mc.add_argument("--m-max", dest="m_max", type=int, default=None)
-    p_mc.add_argument("--L", dest="L", type=int, default=None)
-    p_mc.add_argument("--ts-target", dest="ts_target", type=float, default=None)
-    p_mc.add_argument("--d1", type=float, default=None)
     p_mc.add_argument("--runs", type=int, required=True)
     p_mc.add_argument("--seed", type=int, default=None)
     p_mc.add_argument("--jobs", type=int, default=1)

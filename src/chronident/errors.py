@@ -1,8 +1,8 @@
 """Exception hierarchy shared by all chronident modules.
 
-Argument validation raises plain ``ValueError`` (aliased below for callers
-that want to catch everything from this package at once); the remaining
-classes mark domain conditions the CLI maps to distinct exit codes.
+Argument validation raises plain ``ValueError``; the classes below mark
+domain conditions the CLI maps to distinct exit codes (the two that also
+derive from ``ValueError`` count as invalid input).
 """
 
 

@@ -23,11 +23,11 @@ import numpy as np
 
 from .errors import UnidentifiableError
 from .model import (
-    ClockParams,
     EnsembleParams,
     clamp_negative_variances,
-    pack_theta,
+    params_from_theta_alpha,
     symmetric_to_upper,
+    theta_alpha_from_params,
     upper_to_symmetric,
     upper_triangle_pairs,
 )
@@ -83,11 +83,9 @@ class ThetaA:
 
 def theta_a_from_params(params: EnsembleParams) -> ThetaA:
     """Pack true ensemble parameters into the theta_a vector."""
-    n = params.n
-    theta = pack_theta(params)
     delta = params.drifts()[1:] - params.clocks[0].d
     f_upper = symmetric_to_upper(np.outer(delta, delta))
-    return ThetaA(vector=np.concatenate([theta[: 2 * n], theta[3 * n :], f_upper]), n=n)
+    return ThetaA(vector=np.concatenate([theta_alpha_from_params(params), f_upper]), n=params.n)
 
 
 @dataclass(frozen=True)
@@ -111,7 +109,8 @@ def build_regression(acov: AcovEstimate, n: int) -> RegressionSystem:
     pairs = upper_triangle_pairs(n_z)
     if acov.pairs != tuple(pairs):
         raise ValueError(
-            f"ACOV estimate covers pairs for n_z={acov.n_z}, expected n_z={n_z}"
+            f"ACOV estimate covers {len(acov.pairs)} channel pairs, "
+            f"expected {len(pairs)} for n_z={n_z}"
         )
     taus = acov.grid.taus
     ell = len(taus)
@@ -240,21 +239,15 @@ def estimate_acov_method(
         theta_a.f_matrix(), d1=d1, sign_hint=drift_sign_hint(record)
     )
 
-    q1 = theta_a.q1_all()
-    q2 = theta_a.q2_all()
-    clocks = [ClockParams(q1=q1[0], q2=q2[0], d=d1)]
-    clocks += [
-        ClockParams(q1=q1[i], q2=q2[i], d=drifts[i - 1]) for i in range(1, n)
-    ]
     diagnostics = dict(diagnostics)
     diagnostics["drift_iterations"] = drift_info["iterations"]
     diagnostics["drift_degenerate"] = drift_info["degenerate"]
     diagnostics["ell"] = len(grid)
     diagnostics["m_max"] = int(grid.m_values[-1])
+    theta_alpha = theta_a.vector[: n * (n + 3) // 2]
     return EstimateReport(
         method="acov",
         ts_seconds=record.Ts,
-        clocks=tuple(clocks),
-        r_upper=symmetric_to_upper(theta_a.r_matrix()),
+        params=params_from_theta_alpha(theta_alpha, np.concatenate([[d1], drifts])),
         diagnostics=diagnostics,
     )

@@ -21,12 +21,11 @@ import numpy as np
 
 from .errors import DriftUnidentifiableError, NoResidueError, UnidentifiableError
 from .model import (
-    ClockParams,
-    EnsembleModel,
-    EnsembleParams,
-    assemble_ensemble,
     clamp_negative_variances,
-    pack_theta,
+    clock_drift_mean,
+    clock_noise_cov,
+    ensemble_structure,
+    params_from_theta_alpha,
     upper_triangle_pairs,
 )
 from .numerics import left_null_space, weighted_least_squares
@@ -34,7 +33,6 @@ from .report import EstimateReport
 from .simulate import MeasurementRecord, decimate
 
 __all__ = [
-    "MdmConfig",
     "MdmSystem",
     "build_mdm_system",
     "build_structure_matrices",
@@ -45,22 +43,8 @@ __all__ = [
     "estimate_drifts_mdm",
     "solve_theta_alpha_from_moment",
     "estimate_theta_alpha",
-    "theta_alpha_from_params",
     "estimate_mdm",
 ]
-
-@dataclass(frozen=True)
-class MdmConfig:
-    """Window length L (>= 2) and resampling period for the MDM method."""
-
-    L: int = 5
-    ts_target_s: float = 5000.0
-
-    def validate(self) -> None:
-        if int(self.L) != self.L or self.L < 2:
-            raise ValueError(f"L must be an integer >= 2, got {self.L}")
-        if self.ts_target_s <= 0.0:
-            raise ValueError(f"ts_target_s must be > 0, got {self.ts_target_s}")
 
 
 @dataclass(frozen=True)
@@ -68,7 +52,6 @@ class MdmSystem:
     """Precomputed matrices of the residue construction.
 
     O          : (L n_z, 2n) stacked observation matrix [H; HF; ...]
-    Gamma      : (L n_z, (L-1) 2n) noise propagation stack
     Am         : (n_aO, L n_z) annihilator, Am O = 0
     A          : (n_aO, n_E) residue map Am [Gamma, I]
     drift_map_pivot / drift_map_rest : residue-mean maps for d^(1) and d^(2..n)
@@ -76,14 +59,11 @@ class MdmSystem:
     """
 
     O: np.ndarray
-    Gamma: np.ndarray
     Am: np.ndarray
     A: np.ndarray
     drift_map_pivot: np.ndarray
     drift_map_rest: np.ndarray
     theta_map: np.ndarray
-    B_Q: tuple[np.ndarray, ...]
-    B_R: tuple[np.ndarray, ...]
     Ts: float
     L: int
     n: int
@@ -102,7 +82,7 @@ class MdmSystem:
 
 
 def build_structure_matrices(
-    n: int, n_z: int, ts: float
+    n: int, ts: float
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Basis matrices (B_Q^(i), B_R^(i)) such that Q = sum theta_i B_Q^(i)
     and R = sum theta_i B_R^(i) for theta = [q1 x n, q2 x n, r upper].
@@ -111,22 +91,14 @@ def build_structure_matrices(
     q2 entries the random-walk part, and the r entries place ones at the
     matching (symmetric) positions of R.
     """
-    white_block = np.array([[ts, 0.0], [0.0, 0.0]])
-    walk_block = np.array(
-        [[ts**3 / 3.0, ts**2 / 2.0], [ts**2 / 2.0, ts]]
-    )
+    n_z = n - 1
     B_Q: list[np.ndarray] = []
-    B_R: list[np.ndarray] = []
-    for i in range(n):
-        selector = np.zeros((n, n))
-        selector[i, i] = 1.0
-        B_Q.append(np.kron(selector, white_block))
-        B_R.append(np.zeros((n_z, n_z)))
-    for i in range(n):
-        selector = np.zeros((n, n))
-        selector[i, i] = 1.0
-        B_Q.append(np.kron(selector, walk_block))
-        B_R.append(np.zeros((n_z, n_z)))
+    for block in (clock_noise_cov(1.0, 0.0, ts), clock_noise_cov(0.0, 1.0, ts)):
+        for i in range(n):
+            selector = np.zeros((n, n))
+            selector[i, i] = 1.0
+            B_Q.append(np.kron(selector, block))
+    B_R = [np.zeros((n_z, n_z)) for _ in B_Q]
     for i, j in upper_triangle_pairs(n_z):
         indicator = np.zeros((n_z, n_z))
         indicator[i - 1, j - 1] = 1.0
@@ -136,25 +108,33 @@ def build_structure_matrices(
     return B_Q, B_R
 
 
-def theta_alpha_from_params(params: EnsembleParams) -> np.ndarray:
-    """[q1 x n, q2 x n, upper triangle of R]: pack_theta without the drifts."""
-    theta = pack_theta(params)
-    return np.concatenate([theta[: 2 * params.n], theta[3 * params.n :]])
+def _second_moment(A: np.ndarray, L: int, Q: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """vec(A blockdiag(I_{L-1} kron Q, I_L kron R) A^T), column-major.
+
+    This is (A kron A) vec(blockdiag(...)) without the explicit
+    n_aO^2 x n_E^2 Kronecker product.
+    """
+    n_w = (L - 1) * Q.shape[0]
+    block = np.zeros((A.shape[1], A.shape[1]))
+    block[:n_w, :n_w] = np.kron(np.eye(L - 1), Q)
+    block[n_w:, n_w:] = np.kron(np.eye(L), R)
+    return (A @ block @ A.T).reshape(-1, order="F")
 
 
-def build_mdm_system(model: EnsembleModel, L: int) -> MdmSystem:
-    """Assemble the annihilator, residue map and moment maps for window L.
+def build_mdm_system(n: int, ts: float, L: int) -> MdmSystem:
+    """Assemble the annihilator, residue map and moment maps for n clocks
+    sampled every ts seconds and window L.
 
-    Only the structural parts of the model (F, H, Ts, n) are used; the
-    noise parameters being estimated never enter. Raises NoResidueError
-    when O has full row rank (the common-mode pivot subspace leaves
-    rank(O) = 2(n-1), so L = 2 always has an empty null space).
+    Only the model structure (F, H) enters; the noise parameters being
+    estimated never do. Raises NoResidueError when O has full row rank
+    (the common-mode pivot subspace leaves rank(O) = 2(n-1), so L = 2
+    always has an empty null space).
     """
     if int(L) != L or L < 2:
         raise ValueError(f"L must be an integer >= 2, got {L}")
     L = int(L)
-    H, F, ts, n = model.H, model.F, model.Ts, model.n
-    n_z, n_x = model.n_z, model.n_x
+    F, H = ensemble_structure(n, ts)
+    n_z, n_x = n - 1, 2 * n
 
     hf_powers = [H.copy()]
     for _ in range(L - 1):
@@ -174,7 +154,7 @@ def build_mdm_system(model: EnsembleModel, L: int) -> MdmSystem:
         )
     A = Am @ np.hstack([Gamma, np.eye(L * n_z)])
 
-    step_mean = np.array([[ts**2 / 2.0], [ts]])
+    step_mean = clock_drift_mean(1.0, ts)[:, None]
     pivot_sel = np.zeros((n, 1))
     pivot_sel[0, 0] = 1.0
     rest_sel = np.vstack([np.zeros((1, n - 1)), np.eye(n - 1)])
@@ -182,30 +162,18 @@ def build_mdm_system(model: EnsembleModel, L: int) -> MdmSystem:
     ups_pivot = np.kron(ones_l, np.kron(pivot_sel, step_mean))
     ups_rest = np.kron(ones_l, np.kron(rest_sel, step_mean))
     am_gamma = Am @ Gamma
-    drift_map_pivot = am_gamma @ ups_pivot
-    drift_map_rest = am_gamma @ ups_rest
 
-    B_Q, B_R = build_structure_matrices(n, n_z, ts)
-    theta_map = np.empty((Am.shape[0] ** 2, len(B_Q)))
-    for col, (bq, br) in enumerate(zip(B_Q, B_R)):
-        # (A kron A) vec(M) = vec(A M A^T); built per column to avoid the
-        # explicit n_aO^2 x n_E^2 Kronecker product
-        block = np.zeros((A.shape[1], A.shape[1]))
-        block[: (L - 1) * n_x, : (L - 1) * n_x] = np.kron(np.eye(L - 1), bq)
-        block[(L - 1) * n_x :, (L - 1) * n_x :] = np.kron(np.eye(L), br)
-        theta_map[:, col] = (A @ block @ A.T).reshape(-1, order="F")
+    B_Q, B_R = build_structure_matrices(n, ts)
+    theta_map = np.column_stack([_second_moment(A, L, bq, br) for bq, br in zip(B_Q, B_R)])
 
     return MdmSystem(
         O=O,
-        Gamma=Gamma,
         Am=Am,
         A=A,
-        drift_map_pivot=drift_map_pivot,
-        drift_map_rest=drift_map_rest,
+        drift_map_pivot=am_gamma @ ups_pivot,
+        drift_map_rest=am_gamma @ ups_rest,
         theta_map=theta_map,
-        B_Q=tuple(B_Q),
-        B_R=tuple(B_R),
-        Ts=ts,
+        Ts=float(ts),
         L=L,
         n=n,
     )
@@ -239,11 +207,7 @@ def residue_second_moment_from_cov(
     system: MdmSystem, Q: np.ndarray, R: np.ndarray
 ) -> np.ndarray:
     """Model-implied vec of the residue covariance for given Q and R."""
-    L, n_x = system.L, 2 * system.n
-    block = np.zeros((system.n_noise, system.n_noise))
-    block[: (L - 1) * n_x, : (L - 1) * n_x] = np.kron(np.eye(L - 1), Q)
-    block[(L - 1) * n_x :, (L - 1) * n_x :] = np.kron(np.eye(L), R)
-    return (system.A @ block @ system.A.T).reshape(-1, order="F")
+    return _second_moment(system.A, system.L, Q, R)
 
 
 def solve_drifts_from_mean(
@@ -319,41 +283,29 @@ def estimate_theta_alpha(
 
 def estimate_mdm(
     record: MeasurementRecord,
-    config: MdmConfig | None = None,
+    L: int = 5,
+    ts_target_s: float = 5000.0,
     d1: float = 0.0,
 ) -> EstimateReport:
-    """Full MDM pipeline: resample, build system, residues, drifts, noise."""
-    config = config or MdmConfig()
-    config.validate()
-    ratio = config.ts_target_s / record.Ts
-    factor = int(round(ratio))
+    """Full MDM pipeline: resample, build system, residues, drifts, noise.
+
+    ts_target_s must be an integer multiple of the record's Ts; the record
+    is decimated to it before the window of L samples is applied.
+    """
+    ratio = ts_target_s / record.Ts
+    factor = int(round(ratio)) if np.isfinite(ratio) else 0
     if factor < 1 or abs(ratio - factor) > 1e-9 * factor:
         raise ValueError(
-            f"ts_target_s={config.ts_target_s} is not an integer multiple of "
+            f"ts_target_s={ts_target_s} is not an integer multiple of "
             f"record Ts={record.Ts}"
         )
     resampled = decimate(record, factor) if factor > 1 else record
 
-    n = record.n_z + 1
-    structural = assemble_ensemble(
-        EnsembleParams(
-            clocks=tuple(ClockParams(q1=1.0, q2=1.0, d=0.0) for _ in range(n)),
-            R=np.eye(n - 1),
-        ),
-        resampled.Ts,
-    )
-    system = build_mdm_system(structural, config.L)
+    system = build_mdm_system(record.n_z + 1, resampled.Ts, L)
     residues = compute_residues(resampled, system)
     drifts, drift_diag = estimate_drifts_mdm(residues, system, d1=d1)
     theta_alpha, diagnostics = estimate_theta_alpha(residues, drifts, system, d1=d1)
 
-    q1 = theta_alpha[:n]
-    q2 = theta_alpha[n : 2 * n]
-    r_upper = theta_alpha[2 * n :]
-    clocks = [ClockParams(q1=q1[0], q2=q2[0], d=d1)]
-    clocks += [
-        ClockParams(q1=q1[i], q2=q2[i], d=drifts[i - 1]) for i in range(1, n)
-    ]
     diagnostics = dict(diagnostics)
     diagnostics["drift_residual"] = drift_diag["residual"]
     diagnostics["drift_cond"] = drift_diag["cond"]
@@ -363,7 +315,6 @@ def estimate_mdm(
     return EstimateReport(
         method="mdm",
         ts_seconds=record.Ts,
-        clocks=tuple(clocks),
-        r_upper=r_upper,
+        params=params_from_theta_alpha(theta_alpha, np.concatenate([[d1], drifts])),
         diagnostics=diagnostics,
     )

@@ -25,11 +25,14 @@ __all__ = [
     "clock_transition",
     "clock_noise_cov",
     "clock_drift_mean",
+    "ensemble_structure",
     "assemble_ensemble",
     "pack_theta",
     "unpack_theta",
     "theta_length",
     "theta_names",
+    "theta_alpha_from_params",
+    "params_from_theta_alpha",
     "clamp_negative_variances",
     "upper_to_symmetric",
     "symmetric_to_upper",
@@ -162,22 +165,28 @@ def clock_drift_mean(d: float, ts: float) -> np.ndarray:
     return np.array([d * ts**2 / 2.0, d * ts])
 
 
-def assemble_ensemble(params: EnsembleParams, ts: float) -> EnsembleModel:
-    """Build the full ensemble model at sampling period ts.
+def ensemble_structure(n: int, ts: float) -> tuple[np.ndarray, np.ndarray]:
+    """Transition F and measurement matrix H of an n-clock ensemble.
 
     H row i is +1 on the phase of clock i+2 and -1 on the pivot phase, so a
     common phase offset on all clocks is invisible to the measurements.
+    Neither matrix depends on the noise parameters.
     """
+    if n < 2:
+        raise ValueError("an ensemble needs at least 2 clocks")
+    F = np.kron(np.eye(n), clock_transition(ts))
+    H = np.zeros((n - 1, 2 * n))
+    H[:, 0] = -1.0
+    for i in range(n - 1):
+        H[i, 2 * (i + 1)] = 1.0
+    return F, H
+
+
+def assemble_ensemble(params: EnsembleParams, ts: float) -> EnsembleModel:
+    """Build the full ensemble model at sampling period ts."""
     params.validate()
     n = params.n
-    n_z = params.n_z
-
-    F = np.kron(np.eye(n), clock_transition(ts))
-    H = np.zeros((n_z, 2 * n))
-    H[:, 0] = -1.0
-    for i in range(n_z):
-        H[i, 2 * (i + 1)] = 1.0
-
+    F, H = ensemble_structure(n, ts)
     Q = np.zeros((2 * n, 2 * n))
     mu = np.zeros(2 * n)
     for i, clk in enumerate(params.clocks):
@@ -269,6 +278,24 @@ def unpack_theta(theta: np.ndarray, n: int) -> EnsembleParams:
     clocks = tuple(ClockParams(q1=a, q2=b, d=c) for a, b, c in zip(q1, q2, d))
     R = upper_to_symmetric(theta[3 * n :], n_z)
     return EnsembleParams(clocks=clocks, R=R)
+
+
+def theta_alpha_from_params(params: EnsembleParams) -> np.ndarray:
+    """[q1 x n, q2 x n, upper triangle of R]: pack_theta without the drifts."""
+    theta = pack_theta(params)
+    return np.concatenate([theta[: 2 * params.n], theta[3 * params.n :]])
+
+
+def params_from_theta_alpha(theta_alpha: np.ndarray, drifts: np.ndarray) -> EnsembleParams:
+    """Inverse of theta_alpha_from_params, given the n drifts (pivot first).
+
+    The result is not validated, so estimated vectors always unpack."""
+    theta_alpha = np.asarray(theta_alpha, dtype=float).ravel()
+    drifts = np.asarray(drifts, dtype=float).ravel()
+    n = drifts.size
+    return unpack_theta(
+        np.concatenate([theta_alpha[: 2 * n], drifts, theta_alpha[2 * n :]]), n
+    )
 
 
 def load_ensemble_config(path: str | Path) -> tuple[EnsembleParams, float, dict]:

@@ -8,9 +8,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import ClockParams, EnsembleParams, pack_theta, upper_to_symmetric
+from .model import EnsembleParams, pack_theta, symmetric_to_upper
 
-__all__ = ["EstimateReport", "write_report_json", "read_report_json"]
+__all__ = ["EstimateReport", "write_report_json"]
 
 
 def _jsonable(value):
@@ -29,33 +29,24 @@ def _jsonable(value):
 class EstimateReport:
     """Identified ensemble parameters plus solver diagnostics.
 
-    diagnostics always carries ``residual`` (weighted residual norm of the
-    main solve), ``cond`` and ``clamped`` (names of entries raised to the
-    positive floor); the MDM method adds ``L``, ``ts_target_s`` and
-    ``n_residue_dim``.
+    ``params`` holds the estimates as ``unpack_theta`` returns them (not
+    validated: an estimated R may be indefinite). ``diagnostics`` always
+    carries ``residual`` (residual norm of the main solve), ``cond`` and
+    ``clamped`` (names of entries raised to the positive floor). The
+    ``acov`` method adds ``se``, ``rank``, ``drift_iterations``,
+    ``drift_degenerate``, ``ell`` and ``m_max``; the ``mdm`` method adds
+    ``se_approx``, ``drift_residual``, ``drift_cond``, ``L``,
+    ``ts_target_s`` and ``n_residue_dim``.
     """
 
     method: str
     ts_seconds: float
-    clocks: tuple[ClockParams, ...]
-    r_upper: np.ndarray
+    params: EnsembleParams
     diagnostics: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(self, "clocks", tuple(self.clocks))
-        object.__setattr__(self, "r_upper", np.asarray(self.r_upper, dtype=float))
 
     @property
     def n(self) -> int:
-        return len(self.clocks)
-
-    @property
-    def params(self) -> EnsembleParams:
-        """Estimated parameters in structured form (not validated: estimated
-        R may be indefinite)."""
-        return EnsembleParams(
-            clocks=self.clocks, R=upper_to_symmetric(self.r_upper, self.n - 1)
-        )
+        return self.params.n
 
     @property
     def theta(self) -> np.ndarray:
@@ -67,8 +58,8 @@ class EstimateReport:
             "method": self.method,
             "n": self.n,
             "ts_seconds": self.ts_seconds,
-            "clocks": [{"q1": c.q1, "q2": c.q2, "d": c.d} for c in self.clocks],
-            "r_upper": self.r_upper.tolist(),
+            "clocks": [{"q1": c.q1, "q2": c.q2, "d": c.d} for c in self.params.clocks],
+            "r_upper": symmetric_to_upper(self.params.R).tolist(),
             "theta": self.theta.tolist(),
             "diagnostics": _jsonable(self.diagnostics),
         }
@@ -78,8 +69,3 @@ def write_report_json(report: EstimateReport, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report.to_json_dict(), fh, indent=2)
         fh.write("\n")
-
-
-def read_report_json(path: str | Path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)

@@ -143,12 +143,6 @@ class AcovEstimate:
     var: np.ndarray
     n_steps: int
 
-    @property
-    def n_z(self) -> int:
-        count = len(self.pairs)
-        # invert count = n_z (n_z + 1) / 2
-        return int((np.sqrt(8 * count + 1) - 1) / 2)
-
 
 def acov_grid(record: MeasurementRecord, grid: TauGrid) -> AcovEstimate:
     """Evaluate all n_z(n_z+1)/2 channel pairs on the grid, with variances.

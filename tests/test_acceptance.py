@@ -35,9 +35,8 @@ from chronident.ident_mdm import (
     residue_second_moment_from_cov,
     solve_drifts_from_mean,
     solve_theta_alpha_from_moment,
-    theta_alpha_from_params,
 )
-from chronident.model import upper_triangle_pairs
+from chronident.model import theta_alpha_from_params, upper_triangle_pairs
 from chronident.stability import AcovEstimate
 
 from conftest import random_params
@@ -55,13 +54,6 @@ def _criterion(num, description, passed, detail=""):
         line += f" ({detail})"
     print(line)
     assert passed, line
-
-
-def _structural_model(n, ts):
-    params = EnsembleParams(
-        clocks=tuple(ClockParams(1.0, 1.0, 0.0) for _ in range(n)), R=np.eye(n - 1)
-    )
-    return assemble_ensemble(params, ts)
 
 
 @pytest.fixture(scope="module")
@@ -113,11 +105,11 @@ def test_criterion_1_structural_exactness(maser_params):
 
 def test_criterion_2_annihilation_and_rank():
     start = time.perf_counter()
-    system = build_mdm_system(_structural_model(4, 5000.0), 5)
+    system = build_mdm_system(4, 5000.0, 5)
     rel = np.linalg.norm(system.Am @ system.O) / np.linalg.norm(system.O)
     rank = np.linalg.matrix_rank(system.O)
     try:
-        build_mdm_system(_structural_model(2, 5000.0), 2)
+        build_mdm_system(2, 5000.0, 2)
         no_residue_raised = False
     except NoResidueError:
         no_residue_raised = True
@@ -139,7 +131,7 @@ def test_criterion_3_exact_moment_round_trips(maser_params):
     for _ in range(3):
         params = random_params(rng, 4)
         model = assemble_ensemble(params, float(rng.uniform(1.0, 20.0)))
-        system = build_mdm_system(model, 5)
+        system = build_mdm_system(model.n, model.Ts, 5)
         mean = residue_mean_from_drifts(system, params.drifts())
         d_hat, _ = solve_drifts_from_mean(mean, system, d1=params.clocks[0].d)
         worst_drift = max(
@@ -157,7 +149,7 @@ def test_criterion_3_exact_moment_round_trips(maser_params):
     # components are limited by float64 representation of the moment
     # vector (q terms dominate by ~11 orders), see the acceptance notes
     model = assemble_ensemble(maser_params, 5000.0)
-    system = build_mdm_system(model, 5)
+    system = build_mdm_system(model.n, model.Ts, 5)
     mean = residue_mean_from_drifts(system, maser_params.drifts())
     d_hat, _ = solve_drifts_from_mean(mean, system, d1=0.0)
     drift_rel = np.max(np.abs(d_hat - maser_params.drifts()[1:]) / maser_params.drifts()[1:])

@@ -295,10 +295,14 @@ class TestEstimateAcovMethod:
         report = estimate_acov_method(record, ell=20)
         assert report.method == "acov"
         assert report.theta.shape == (18,)
-        assert len(report.clocks) == 4
-        q1 = np.array([c.q1 for c in report.clocks])
+        assert len(report.params.clocks) == 4
+        q1 = np.array([c.q1 for c in report.params.clocks])
         true_q1 = np.array([c.q1 for c in maser_params.clocks])
         assert np.all(np.abs(q1 - true_q1) / true_q1 < 0.15)
+        assert set(report.diagnostics) == {
+            "residual", "cond", "clamped", "se", "rank", "drift_iterations",
+            "drift_degenerate", "ell", "m_max",
+        }
         assert report.diagnostics["ell"] == 20
 
     def test_deterministic_report(self, maser_model):

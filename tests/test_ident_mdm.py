@@ -4,11 +4,11 @@ import pytest
 from chronident import (
     ClockParams,
     EnsembleParams,
-    MdmConfig,
     assemble_ensemble,
     build_mdm_system,
     build_structure_matrices,
     compute_residues,
+    ensemble_structure,
     estimate_drifts_mdm,
     estimate_mdm,
     estimate_theta_alpha,
@@ -26,16 +26,9 @@ from chronident.ident_mdm import (
 from conftest import random_params
 
 
-def structural_model(n, ts):
-    params = EnsembleParams(
-        clocks=tuple(ClockParams(1.0, 1.0, 0.0) for _ in range(n)), R=np.eye(n - 1)
-    )
-    return assemble_ensemble(params, ts)
-
-
 class TestBuildSystem:
     def test_reference_dimensions(self):
-        system = build_mdm_system(structural_model(4, 5000.0), 5)
+        system = build_mdm_system(4, 5000.0, 5)
         assert system.O.shape == (15, 8)
         assert np.linalg.matrix_rank(system.O) == 6
         assert system.Am.shape == (9, 15)
@@ -49,7 +42,7 @@ class TestBuildSystem:
             n = int(rng.integers(2, 6))
             L = int(rng.integers(3, 8))
             ts = float(rng.uniform(0.5, 100.0))
-            system = build_mdm_system(structural_model(n, ts), L)
+            system = build_mdm_system(n, ts, L)
             rel = np.linalg.norm(system.Am @ system.O) / np.linalg.norm(system.O)
             assert rel <= 1e-10
             # common pivot phase and frequency are unobservable
@@ -58,17 +51,17 @@ class TestBuildSystem:
 
     def test_no_residue_for_minimal_window(self):
         with pytest.raises(NoResidueError):
-            build_mdm_system(structural_model(2, 1.0), 2)
+            build_mdm_system(2, 1.0, 2)
         with pytest.raises(NoResidueError):
-            build_mdm_system(structural_model(4, 1.0), 2)
+            build_mdm_system(4, 1.0, 2)
 
     def test_invalid_window(self):
         with pytest.raises(ValueError):
-            build_mdm_system(structural_model(3, 1.0), 1)
+            build_mdm_system(3, 1.0, 1)
 
     def test_kronecker_identity(self):
         # (A e) kron (A e) = (A kron A)(e kron e) for the residue map
-        system = build_mdm_system(structural_model(3, 2.0), 4)
+        system = build_mdm_system(3, 2.0, 4)
         A = system.A
         rng = np.random.default_rng(51)
         A_kron = np.kron(A, A)
@@ -80,23 +73,40 @@ class TestBuildSystem:
 
     def test_theta_map_matches_explicit_kron(self):
         # column i equals (A kron A) vec(blockdiag(I kron B_Q, I kron B_R))
-        system = build_mdm_system(structural_model(3, 2.0), 4)
+        system = build_mdm_system(3, 2.0, 4)
+        B_Q, B_R = build_structure_matrices(3, 2.0)
         A = system.A
         A_kron = np.kron(A, A)
         L, n_x = system.L, 2 * system.n
         for col in (0, 3, 7):
             block = np.zeros((system.n_noise, system.n_noise))
-            block[: (L - 1) * n_x, : (L - 1) * n_x] = np.kron(
-                np.eye(L - 1), system.B_Q[col]
-            )
-            block[(L - 1) * n_x :, (L - 1) * n_x :] = np.kron(np.eye(L), system.B_R[col])
+            block[: (L - 1) * n_x, : (L - 1) * n_x] = np.kron(np.eye(L - 1), B_Q[col])
+            block[(L - 1) * n_x :, (L - 1) * n_x :] = np.kron(np.eye(L), B_R[col])
             expected = A_kron @ block.reshape(-1, order="F")
             np.testing.assert_allclose(system.theta_map[:, col], expected, atol=1e-12)
+
+    def test_built_from_model_map(self):
+        # the moment map is the model's own second moment of each basis pair
+        system = build_mdm_system(4, 5000.0, 5)
+        B_Q, B_R = build_structure_matrices(4, 5000.0)
+        for col, (bq, br) in enumerate(zip(B_Q, B_R)):
+            np.testing.assert_array_equal(
+                system.theta_map[:, col], residue_second_moment_from_cov(system, bq, br)
+            )
+        # the structure-only constructor is the one assemble_ensemble uses
+        rng = np.random.default_rng(64)
+        for n, ts in ((2, 1.0), (4, 5.0), (5, 5000.0)):
+            model = assemble_ensemble(random_params(rng, n), ts)
+            F, H = ensemble_structure(n, ts)
+            np.testing.assert_array_equal(F, model.F)
+            np.testing.assert_array_equal(H, model.H)
+        with pytest.raises(ValueError):
+            ensemble_structure(1, 1.0)
 
 
 class TestStructureMatrices:
     def test_indicator_patterns(self):
-        _, B_R = build_structure_matrices(4, 3, 5000.0)
+        _, B_R = build_structure_matrices(4, 5000.0)
         first = B_R[8]  # 2n = 8 entries of B_Q precede the r block
         np.testing.assert_array_equal(first, np.diag([1.0, 0.0, 0.0]))
         third = B_R[10]  # r_13
@@ -106,7 +116,7 @@ class TestStructureMatrices:
 
     def test_reconstruction_identity(self, maser_params, maser_model):
         theta = theta_alpha_from_params(maser_params)
-        B_Q, B_R = build_structure_matrices(4, 3, 5.0)
+        B_Q, B_R = build_structure_matrices(4, 5.0)
         Q = sum(t * b for t, b in zip(theta, B_Q))
         R = sum(t * b for t, b in zip(theta, B_R))
         np.testing.assert_allclose(Q, maser_model.Q, atol=0.0)
@@ -120,7 +130,7 @@ class TestStructureMatrices:
             ts = float(rng.uniform(0.5, 10.0))
             model = assemble_ensemble(params, ts)
             theta = theta_alpha_from_params(params)
-            B_Q, B_R = build_structure_matrices(n, n - 1, ts)
+            B_Q, B_R = build_structure_matrices(n, ts)
             assert len(B_Q) == n * (n + 3) // 2
             np.testing.assert_allclose(
                 sum(t * b for t, b in zip(theta, B_Q)), model.Q, rtol=1e-14, atol=1e-300
@@ -138,7 +148,7 @@ class TestComputeResidues:
             R=np.zeros((3, 3)),
         )
         model = assemble_ensemble(params, 1000.0)
-        system = build_mdm_system(model, 5)
+        system = build_mdm_system(model.n, model.Ts, 5)
         rng = np.random.default_rng(53)
         x0 = rng.normal(scale=1e-6, size=8)
         _, record = simulate_ensemble(model, 200, seed=0, x0=x0)
@@ -147,7 +157,7 @@ class TestComputeResidues:
         assert np.abs(residues).max() <= 1e-10 * scale
 
     def test_residue_count(self, maser_model):
-        system = build_mdm_system(structural_model(4, 5.0), 5)
+        system = build_mdm_system(4, 5.0, 5)
         _, record = simulate_ensemble(maser_model, 100, seed=1)
         residues = compute_residues(record, system)
         assert residues.shape == (system.n_residue, 100 - 5 + 2)
@@ -161,7 +171,7 @@ class TestComputeResidues:
             clocks=tuple(ClockParams(0.0, 0.0, 0.0) for _ in range(3)), R=R
         )
         model = assemble_ensemble(params, 1.0)
-        system = build_mdm_system(model, 4)
+        system = build_mdm_system(model.n, model.Ts, 4)
         _, record = simulate_ensemble(model, 100_000, seed=55)
         residues = compute_residues(record, system)
         sample_cov = np.cov(residues, ddof=1)
@@ -170,7 +180,7 @@ class TestComputeResidues:
         assert err < 0.05
 
     def test_record_shorter_than_window_rejected(self):
-        system = build_mdm_system(structural_model(4, 1.0), 5)
+        system = build_mdm_system(4, 1.0, 5)
         record_z = np.zeros((3, 4))
         from chronident import MeasurementRecord
 
@@ -178,7 +188,7 @@ class TestComputeResidues:
             compute_residues(MeasurementRecord(Ts=1.0, Z=record_z), system)
 
     def test_channel_count_mismatch_rejected(self, maser_model):
-        system = build_mdm_system(structural_model(3, 5.0), 5)
+        system = build_mdm_system(3, 5.0, 5)
         _, record = simulate_ensemble(maser_model, 50, seed=0)
         with pytest.raises(ValueError):
             compute_residues(record, system)
@@ -186,14 +196,14 @@ class TestComputeResidues:
 
 class TestDriftEstimation:
     def test_exact_mean_recovers_maser_drifts(self, maser_params):
-        system = build_mdm_system(structural_model(4, 5000.0), 5)
+        system = build_mdm_system(4, 5000.0, 5)
         mean = residue_mean_from_drifts(system, maser_params.drifts())
         d_hat, _ = solve_drifts_from_mean(mean, system, d1=0.0)
         np.testing.assert_allclose(d_hat, [8e-21, 7.5e-21, 3e-21], rtol=1e-12)
 
     def test_exact_mean_with_nonzero_pivot(self):
         rng = np.random.default_rng(56)
-        system = build_mdm_system(structural_model(4, 100.0), 5)
+        system = build_mdm_system(4, 100.0, 5)
         drifts = rng.normal(size=4)
         mean = residue_mean_from_drifts(system, drifts)
         d_hat, _ = solve_drifts_from_mean(mean, system, d1=drifts[0])
@@ -205,7 +215,7 @@ class TestDriftEstimation:
             R=0.1 * np.eye(2),
         )
         model = assemble_ensemble(params, 1.0)
-        system = build_mdm_system(model, 5)
+        system = build_mdm_system(model.n, model.Ts, 5)
         _, record = simulate_ensemble(model, 20_000, seed=57)
         residues = compute_residues(record, system)
         d_hat, _ = estimate_drifts_mdm(residues, system, d1=0.0)
@@ -220,7 +230,7 @@ class TestDriftEstimation:
 
     def test_two_clock_drift_identified(self):
         # the drift (unlike the noise split) is identifiable for n = 2
-        system = build_mdm_system(structural_model(2, 10.0), 4)
+        system = build_mdm_system(2, 10.0, 4)
         mean = residue_mean_from_drifts(system, np.array([0.0, 0.3]))
         d_hat, _ = solve_drifts_from_mean(mean, system, d1=0.0)
         np.testing.assert_allclose(d_hat, [0.3], rtol=1e-12)
@@ -234,7 +244,7 @@ class TestThetaAlphaEstimation:
             params = random_params(rng, n)
             ts = float(rng.uniform(1.0, 10.0))
             model = assemble_ensemble(params, ts)
-            system = build_mdm_system(model, 5)
+            system = build_mdm_system(model.n, model.Ts, 5)
             moment = residue_second_moment_from_cov(system, model.Q, model.R)
             theta_hat, diag = solve_theta_alpha_from_moment(moment, system)
             theta_true = theta_alpha_from_params(params)
@@ -245,7 +255,7 @@ class TestThetaAlphaEstimation:
     def test_exact_moment_maser_scale_q_components(self, maser_params):
         # r components are representation-limited at this scale (see ledger)
         model = assemble_ensemble(maser_params, 5000.0)
-        system = build_mdm_system(model, 5)
+        system = build_mdm_system(model.n, model.Ts, 5)
         moment = residue_second_moment_from_cov(system, model.Q, model.R)
         theta_hat, _ = solve_theta_alpha_from_moment(moment, system)
         theta_true = theta_alpha_from_params(maser_params)
@@ -261,7 +271,7 @@ class TestThetaAlphaEstimation:
             R=sigma2 * np.eye(2),
         )
         model = assemble_ensemble(params, 1.0)
-        system = build_mdm_system(model, 5)
+        system = build_mdm_system(model.n, model.Ts, 5)
         _, record = simulate_ensemble(model, 100_000, seed=59)
         residues = compute_residues(record, system)
         theta_hat, diag = estimate_theta_alpha(
@@ -277,24 +287,15 @@ class TestThetaAlphaEstimation:
 
     def test_rank_deficient_two_clock_split(self):
         # the pivot/non-pivot covariance signatures coincide for n = 2
-        system = build_mdm_system(structural_model(2, 1.0), 4)
+        system = build_mdm_system(2, 1.0, 4)
         moment = np.zeros(system.n_residue**2)
         with pytest.raises(UnidentifiableError, match="increase"):
             solve_theta_alpha_from_moment(moment, system)
 
     def test_negative_entries_clamped(self):
-        system = build_mdm_system(structural_model(3, 1.0), 5)
-        theta_bad = theta_alpha_from_params(
-            EnsembleParams(
-                clocks=(
-                    ClockParams(1.0, 1.0),
-                    ClockParams(1.0, 1.0),
-                    ClockParams(1.0, 1.0),
-                ),
-                R=np.eye(2),
-            )
-        ).copy()
-        theta_bad[0] = -0.5  # negative q1 for the pivot
+        system = build_mdm_system(3, 1.0, 5)
+        # [q1 x 3, q2 x 3, r_11, r_12, r_22] with a negative q1 for the pivot
+        theta_bad = np.array([-0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 1.0])
         moment = system.theta_map @ theta_bad
         theta_hat, diag = solve_theta_alpha_from_moment(moment, system)
         assert "q1_clk1" in diag["clamped"]
@@ -304,24 +305,28 @@ class TestThetaAlphaEstimation:
 class TestEstimateMdm:
     def test_end_to_end_report(self, maser_model):
         _, record = simulate_ensemble(maser_model, 40_000, seed=60, keep_states=False)
-        report = estimate_mdm(record, MdmConfig(L=5, ts_target_s=250.0))
+        report = estimate_mdm(record, L=5, ts_target_s=250.0)
         assert report.method == "mdm"
         assert report.theta.shape == (18,)
         diag = report.diagnostics
+        assert set(diag) == {
+            "residual", "cond", "clamped", "se_approx", "drift_residual",
+            "drift_cond", "L", "ts_target_s", "n_residue_dim",
+        }
         assert diag["L"] == 5
         assert diag["ts_target_s"] == 250.0
         assert diag["n_residue_dim"] == 9
 
     def test_deterministic_report(self, maser_model):
         _, record = simulate_ensemble(maser_model, 20_000, seed=61, keep_states=False)
-        rep1 = estimate_mdm(record, MdmConfig(L=5, ts_target_s=100.0))
-        rep2 = estimate_mdm(record, MdmConfig(L=5, ts_target_s=100.0))
+        rep1 = estimate_mdm(record, L=5, ts_target_s=100.0)
+        rep2 = estimate_mdm(record, L=5, ts_target_s=100.0)
         assert rep1.to_json_dict() == rep2.to_json_dict()
 
     def test_non_multiple_resampling_rejected(self, maser_model):
         _, record = simulate_ensemble(maser_model, 100, seed=0)
         with pytest.raises(ValueError, match="multiple"):
-            estimate_mdm(record, MdmConfig(L=3, ts_target_s=7.5))
+            estimate_mdm(record, L=3, ts_target_s=7.5)
 
     def test_two_clock_pipeline_unidentifiable(self):
         # drifts are identifiable for n=2 but the noise split is not, so the
@@ -333,20 +338,22 @@ class TestEstimateMdm:
         model = assemble_ensemble(params, 5.0)
         _, record = simulate_ensemble(model, 5000, seed=62)
         with pytest.raises(UnidentifiableError):
-            estimate_mdm(record, MdmConfig(L=4, ts_target_s=5.0))
+            estimate_mdm(record, L=4, ts_target_s=5.0)
 
-    def test_invalid_config(self):
+    def test_invalid_config(self, maser_model):
+        _, record = simulate_ensemble(maser_model, 100, seed=0)
         with pytest.raises(ValueError):
-            MdmConfig(L=1).validate()
+            estimate_mdm(record, L=1, ts_target_s=5.0)
         with pytest.raises(ValueError):
-            MdmConfig(L=5, ts_target_s=0.0).validate()
+            estimate_mdm(record, L=5, ts_target_s=0.0)
+        with pytest.raises(ValueError):
+            estimate_mdm(record, L=5, ts_target_s=np.inf)
 
     def test_consistency_error_shrinks_with_record_length(self):
         # median absolute error decreases over 4x and 16x longer records
         rng = np.random.default_rng(63)
         params = random_params(rng, 3)
         model = assemble_ensemble(params, 1.0)
-        config = MdmConfig(L=5, ts_target_s=1.0)
         true_q1 = params.clocks[1].q1
         medians = []
         for n_steps in (2000, 8000, 32_000):
@@ -355,8 +362,8 @@ class TestEstimateMdm:
                 _, record = simulate_ensemble(
                     model, n_steps, seed=7000 + run, keep_states=False
                 )
-                report = estimate_mdm(record, config)
-                errors.append(abs(report.clocks[1].q1 - true_q1))
+                report = estimate_mdm(record, L=5, ts_target_s=1.0)
+                errors.append(abs(report.params.clocks[1].q1 - true_q1))
             medians.append(np.median(errors))
         assert medians[1] < medians[0]
         assert medians[2] < medians[1]

@@ -14,7 +14,9 @@ from chronident import (
 from chronident.model import (
     dump_ensemble_config,
     load_ensemble_config,
+    params_from_theta_alpha,
     symmetric_to_upper,
+    theta_alpha_from_params,
     theta_length,
     upper_to_symmetric,
 )
@@ -104,7 +106,7 @@ class TestAssembleEnsemble:
 
     def test_two_clock_single_difference(self):
         params = EnsembleParams(
-            clocks=(ClockParams(1.0, 1.0), ClockParams(1.0, 1.0)), R=np.eye(1)
+            clocks=(ClockParams(1e-27, 1e-36), ClockParams(1.5e-27, 2e-35)), R=np.eye(1)
         )
         model = assemble_ensemble(params, 1.0)
         np.testing.assert_array_equal(model.H, [[-1.0, 0.0, 1.0, 0.0]])
@@ -118,7 +120,7 @@ class TestAssembleEnsemble:
         assert np.all(maser_model.Q[0:2, 2:4] == 0.0)
 
     def test_single_clock_rejected(self):
-        params = EnsembleParams(clocks=(ClockParams(1.0, 1.0),), R=np.zeros((0, 0)))
+        params = EnsembleParams(clocks=(ClockParams(1e-27, 1e-36),), R=np.zeros((0, 0)))
         with pytest.raises(ValueError):
             assemble_ensemble(params, 1.0)
 
@@ -166,6 +168,9 @@ class TestThetaPacking:
             assert theta.shape == (theta_length(n),)
             back = unpack_theta(theta, n)
             np.testing.assert_array_equal(pack_theta(back), theta)
+            # the same layout with the drifts split off and put back
+            split = params_from_theta_alpha(theta_alpha_from_params(params), params.drifts())
+            np.testing.assert_array_equal(pack_theta(split), theta)
 
     def test_unpack_then_pack_identity(self):
         rng = np.random.default_rng(4)
