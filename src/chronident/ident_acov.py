@@ -213,9 +213,13 @@ def recover_drifts(
 
 
 def drift_sign_hint(record: MeasurementRecord) -> np.ndarray:
-    """Mean second difference per channel; estimates (d^(i+1)-d^(1)) Ts^2."""
+    """Mean second difference per channel; estimates (d^(i+1)-d^(1)) Ts^2.
+
+    The sum of the S - 2 second differences of S samples telescopes to the
+    last first difference minus the first one.
+    """
     Z = record.Z
-    return (Z[:, 2:] - 2.0 * Z[:, 1:-1] + Z[:, :-2]).mean(axis=1)
+    return ((Z[:, -1] - Z[:, -2]) - (Z[:, 1] - Z[:, 0])) / (Z.shape[1] - 2)
 
 
 def estimate_acov_method(

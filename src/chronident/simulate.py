@@ -30,6 +30,9 @@ __all__ = [
     "derive_run_seed",
 ]
 
+# rows formatted per string operation when writing a measurement CSV
+_CSV_BLOCK_ROWS = 8192
+
 
 @dataclass(frozen=True)
 class MeasurementRecord:
@@ -105,6 +108,43 @@ def _psd_factor(M: np.ndarray, tol_rel: float = 1e-12) -> np.ndarray:
     return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
 
 
+def _integrate_clocks(
+    model: EnsembleModel,
+    rng: np.random.Generator,
+    x0: np.ndarray,
+    phases: np.ndarray,
+    freqs: np.ndarray | None,
+) -> None:
+    """Fill phases (and freqs, if given) with each clock's state trajectory.
+
+    Clock i draws one (2, N) standard-normal block, w = Q_i^(1/2) draws +
+    mu_i, then integrates frequency and phase with cumulative sums. The
+    work buffers are released on return, before the measurement noise is
+    drawn.
+    """
+    n_steps = phases.shape[1] - 1
+    ts = model.Ts
+    draws = np.empty((2, n_steps))
+    w = np.empty((2, n_steps))
+    x2 = np.empty(n_steps + 1)
+    step = np.empty(n_steps)
+    for i in range(model.n):
+        q_factor = _psd_factor(model.Q[2 * i : 2 * i + 2, 2 * i : 2 * i + 2])
+        rng.standard_normal(out=draws)
+        np.matmul(q_factor, draws, out=w)
+        w += model.mu[2 * i : 2 * i + 2, None]
+        x2[0] = x0[2 * i + 1]
+        np.cumsum(w[1], out=x2[1:])
+        x2[1:] += x0[2 * i + 1]
+        phases[i, 0] = x0[2 * i]
+        np.multiply(x2[:-1], ts, out=step)
+        step += w[0]
+        np.cumsum(step, out=phases[i, 1:])
+        phases[i, 1:] += x0[2 * i]
+        if freqs is not None:
+            freqs[i] = x2
+
+
 def simulate_ensemble(
     model: EnsembleModel,
     n_steps: int,
@@ -115,10 +155,11 @@ def simulate_ensemble(
     """Simulate states x_{k+1} = F x_k + w_k and measurements z_k = H x_k + v_k.
 
     w_k is Gaussian with mean model.mu and covariance model.Q (block
-    diagonal), v_k is zero-mean Gaussian with covariance model.R. With
-    ``keep_states=False`` the state trajectory is dropped as soon as the
-    measurements are formed, roughly halving peak memory on long records;
-    the measurement stream is bit-identical either way.
+    diagonal), v_k is zero-mean Gaussian with covariance model.R. The
+    per-clock draw, noise and integration buffers are allocated once and
+    reused for every clock. With ``keep_states=False`` no frequency states
+    are kept and no state trajectory is assembled; the measurement stream
+    is bit-identical either way.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
@@ -136,21 +177,11 @@ def simulate_ensemble(
 
     phases = np.empty((n, n_steps + 1))
     freqs = np.empty((n, n_steps + 1)) if keep_states else None
-    for i in range(n):
-        q_factor = _psd_factor(model.Q[2 * i : 2 * i + 2, 2 * i : 2 * i + 2])
-        w = model.mu[2 * i : 2 * i + 2, None] + q_factor @ rng.standard_normal((2, n_steps))
-        x2 = np.empty(n_steps + 1)
-        x2[0] = x0[2 * i + 1]
-        np.cumsum(w[1], out=x2[1:])
-        x2[1:] += x0[2 * i + 1]
-        phases[i, 0] = x0[2 * i]
-        np.cumsum(ts * x2[:-1] + w[0], out=phases[i, 1:])
-        phases[i, 1:] += x0[2 * i]
-        if keep_states:
-            freqs[i] = x2
+    _integrate_clocks(model, rng, x0, phases, freqs)
 
     v = r_factor @ rng.standard_normal((n_z, n_steps + 1))
-    Z = phases[1:] - phases[0] + v
+    Z = phases[1:] - phases[0]
+    Z += v
 
     traj = None
     if keep_states:
@@ -227,10 +258,16 @@ def write_measurements_csv(record: MeasurementRecord, path: str | Path) -> None:
     reproduces the doubles exactly.
     """
     n_z = record.n_z
-    header = "t_s," + ",".join(f"z{i + 1}" for i in range(n_z))
-    t = np.arange(record.Z.shape[1]) * record.Ts
-    data = np.column_stack([t, record.Z.T])
-    np.savetxt(path, data, fmt="%.17g", delimiter=",", header=header, comments="")
+    n_samples = record.Z.shape[1]
+    row_fmt = ",".join(["%.17g"] * (n_z + 1)) + "\n"
+    block = np.empty((min(_CSV_BLOCK_ROWS, n_samples), n_z + 1))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("t_s," + ",".join(f"z{i + 1}" for i in range(n_z)) + "\n")
+        for start in range(0, n_samples, _CSV_BLOCK_ROWS):
+            rows = min(_CSV_BLOCK_ROWS, n_samples - start)
+            np.multiply(np.arange(start, start + rows), record.Ts, out=block[:rows, 0])
+            block[:rows, 1:] = record.Z[:, start : start + rows].T
+            fh.write(row_fmt * rows % tuple(block[:rows].ravel().tolist()))
 
 
 def read_measurements_csv(path: str | Path) -> MeasurementRecord:

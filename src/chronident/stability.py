@@ -35,6 +35,11 @@ __all__ = [
 # absolute floor so weights stay finite even for identically zero channels
 _VAR_FLOOR_ABS = 1e-100
 
+# columns of second differences formed at a time: (n_z, block) float64
+# buffers stay in cache, where full-length ones cost a page-faulted
+# temporary per array operation
+_BLOCK = 16_384
+
 
 @dataclass(frozen=True)
 class TauGrid:
@@ -81,11 +86,8 @@ def empirical_acov(record: MeasurementRecord, i: int, j: int, m: int) -> float:
     if not 1 <= m <= n // 2:
         raise ValueError(f"m={m} outside 1..floor(N/2)={n // 2}")
     tau = m * record.Ts
-    zi = record.Z[i - 1]
-    zj = record.Z[j - 1]
-    di = zi[2 * m :] - 2.0 * zi[m : -m] + zi[: -2 * m]
-    dj = di if j == i else zj[2 * m :] - 2.0 * zj[m : -m] + zj[: -2 * m]
-    return float(di @ dj) / (2.0 * tau**2 * (n - 2 * m + 1))
+    G = _second_difference_grams(record.Z, [m])[0]
+    return float(G[i - 1, j - 1] / (2.0 * tau**2 * (n - 2 * m + 1)))
 
 
 def analytic_acov(params: EnsembleParams, i: int, j: int, tau: float) -> float:
@@ -115,18 +117,21 @@ def clock_avar(q1: float, q2: float, d: float, tau):
     return q1 / tau + q2 * tau / 3.0 + d**2 * tau**2 / 2.0
 
 
-def acov_variance(sigma2_hat: float, n_steps: int, m: int) -> float:
+def acov_variance(
+    sigma2_hat: float | np.ndarray, n_steps: int, m: int
+) -> float | np.ndarray:
     """Approximate variance of an ACOV estimate, 2|sigma2|/nu with nu = N/m.
 
     nu is the conservative random-walk choice of effective degrees of
     freedom. Cross covariances can be negative, hence the absolute value,
     and a strictly positive floor keeps downstream weights finite.
+    Elementwise for an array of estimates at one m.
     """
     if n_steps < 2 * m:
         raise ValueError(f"need N >= 2m, got N={n_steps}, m={m}")
     nu = n_steps / m
-    mag = abs(float(sigma2_hat))
-    return max(2.0 * mag / nu, 1e-3 * mag / nu + _VAR_FLOOR_ABS)
+    mag = np.abs(sigma2_hat)
+    return np.maximum(2.0 * mag / nu, 1e-3 * mag / nu + _VAR_FLOOR_ABS)
 
 
 @dataclass(frozen=True)
@@ -144,11 +149,37 @@ class AcovEstimate:
     n_steps: int
 
 
+def _second_difference_grams(Z: np.ndarray, m_values) -> np.ndarray:
+    """Unnormalised Gram matrices D_m @ D_m.T, one per m, shape (len, n_z, n_z).
+
+    D_m[:, k] = (Z[:, k+2m] - 2 Z[:, k+m]) + Z[:, k] is formed _BLOCK
+    columns at a time in two buffers shared by all m, so every element of
+    D_m is the same double as in a one-shot evaluation; only the summation
+    order of the inner products differs.
+    """
+    n_z = Z.shape[0]
+    d = np.empty((n_z, _BLOCK))
+    twice = np.empty((n_z, _BLOCK))
+    grams = np.zeros((len(m_values), n_z, n_z))
+    for G, m in zip(grams, m_values):
+        count = Z.shape[1] - 2 * m
+        for start in range(0, count, _BLOCK):
+            width = min(_BLOCK, count - start)
+            db = d[:, :width]
+            tb = twice[:, :width]
+            np.multiply(Z[:, start + m : start + m + width], 2.0, out=tb)
+            np.subtract(Z[:, start + 2 * m : start + 2 * m + width], tb, out=db)
+            db += Z[:, start : start + width]
+            G += db @ db.T
+    return grams
+
+
 def acov_grid(record: MeasurementRecord, grid: TauGrid) -> AcovEstimate:
     """Evaluate all n_z(n_z+1)/2 channel pairs on the grid, with variances.
 
-    The second-difference matrix is shared between pairs at each m, so the
-    cost is O(len(grid) * n_z * N) rather than per pair.
+    At each m one Gram matrix of the second differences serves every pair.
+    It is accumulated over blocks of _BLOCK columns, so the cost is
+    O(len(grid) * n_z * N) time with O(n_z * _BLOCK) extra memory.
     """
     n = record.n_steps
     if grid.m_values[-1] > n // 2:
@@ -158,16 +189,15 @@ def acov_grid(record: MeasurementRecord, grid: TauGrid) -> AcovEstimate:
     if abs(grid.Ts - record.Ts) > 1e-9 * record.Ts:
         raise ValueError(f"grid Ts={grid.Ts} does not match record Ts={record.Ts}")
     pairs = upper_triangle_pairs(record.n_z)
+    rows, cols = (np.array(pairs) - 1).T
     sigma2 = np.empty((len(pairs), len(grid)))
     var = np.empty_like(sigma2)
-    Z = record.Z
-    for p, m in enumerate(grid.m_values):
+    grams = _second_difference_grams(record.Z, grid.m_values)
+    for p, (G, m) in enumerate(zip(grams, grid.m_values)):
         tau = m * record.Ts
-        D = Z[:, 2 * m :] - 2.0 * Z[:, m : -m] + Z[:, : -2 * m]
-        G = (D @ D.T) / (2.0 * tau**2 * (n - 2 * m + 1))
-        for row, (i, j) in enumerate(pairs):
-            sigma2[row, p] = G[i - 1, j - 1]
-            var[row, p] = acov_variance(G[i - 1, j - 1], n, int(m))
+        G /= 2.0 * tau**2 * (n - 2 * m + 1)
+        sigma2[:, p] = G[rows, cols]
+        var[:, p] = acov_variance(sigma2[:, p], n, int(m))
     return AcovEstimate(
         grid=grid, pairs=tuple(pairs), sigma2=sigma2, var=var, n_steps=n
     )

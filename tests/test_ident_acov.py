@@ -323,6 +323,12 @@ class TestEstimateAcovMethod:
         hint = drift_sign_hint(record)
         np.testing.assert_allclose(hint, [6e-21 * 25.0], rtol=1e-9)
 
+    def test_drift_sign_hint_is_mean_second_difference(self, maser_model):
+        _, record = simulate_ensemble(maser_model, 20_000, seed=25, keep_states=False)
+        Z = record.Z
+        explicit = (Z[:, 2:] - 2.0 * Z[:, 1:-1] + Z[:, :-2]).mean(axis=1)
+        np.testing.assert_allclose(drift_sign_hint(record), explicit, rtol=1e-9)
+
     def test_record_too_short_rejected(self, maser_model):
         _, record = simulate_ensemble(maser_model, 1, seed=0)
         with pytest.raises(ValueError):

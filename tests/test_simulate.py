@@ -15,7 +15,28 @@ from chronident import (
 )
 from chronident.errors import ChannelUnusableError, InvalidCovarianceError
 from chronident.model import EnsembleModel
-from chronident.simulate import _psd_factor
+from chronident.simulate import _CSV_BLOCK_ROWS, _psd_factor
+
+
+def _reference_simulation(model, n_steps, seed, x0):
+    """One-shot formulation with fresh per-clock arrays (the reference)."""
+    n = model.n
+    rng = np.random.default_rng(seed)
+    r_factor = _psd_factor(model.R)
+    X = np.empty((2 * n, n_steps + 1))
+    for i in range(n):
+        q_factor = _psd_factor(model.Q[2 * i : 2 * i + 2, 2 * i : 2 * i + 2])
+        w = model.mu[2 * i : 2 * i + 2, None] + q_factor @ rng.standard_normal((2, n_steps))
+        x2 = np.empty(n_steps + 1)
+        x2[0] = x0[2 * i + 1]
+        np.cumsum(w[1], out=x2[1:])
+        x2[1:] += x0[2 * i + 1]
+        X[2 * i, 0] = x0[2 * i]
+        np.cumsum(model.Ts * x2[:-1] + w[0], out=X[2 * i, 1:])
+        X[2 * i, 1:] += x0[2 * i]
+        X[2 * i + 1] = x2
+    v = r_factor @ rng.standard_normal((model.n_z, n_steps + 1))
+    return X, X[2::2] - X[0] + v
 
 
 def _noise_free_model(n, ts, drifts=None):
@@ -54,6 +75,20 @@ class TestSimulateEnsemble:
         assert np.array_equal(rec1.Z, rec2.Z)
         # measurements are differences of phase states plus noise
         assert traj.X.shape == (8, 301)
+
+    def test_bit_identical_to_reference_formulation(self, maser_model):
+        # reused buffers must not change a single draw or rounding
+        assert np.any(maser_model.mu != 0.0)
+        x0 = np.array([1e-9, 2e-13, -3e-9, 1e-12, 5e-10, -4e-13, 2e-9, 7e-13])
+        X_ref, Z_ref = _reference_simulation(maser_model, 3000, 21, x0)
+        traj, rec = simulate_ensemble(maser_model, 3000, seed=21, x0=x0)
+        none_traj, rec_lean = simulate_ensemble(
+            maser_model, 3000, seed=21, x0=x0, keep_states=False
+        )
+        assert none_traj is None
+        assert np.array_equal(traj.X, X_ref)
+        assert np.array_equal(rec.Z, Z_ref)
+        assert np.array_equal(rec_lean.Z, Z_ref)
 
     def test_state_noise_moments(self, maser_model):
         # reconstruct the noise samples w_k = x_{k+1} - F x_k and compare
@@ -191,6 +226,23 @@ class TestMeasurementCsv:
         back = read_measurements_csv(path)
         assert back.Ts == record.Ts
         assert np.array_equal(back.Z, record.Z)
+
+    def test_bytes_match_savetxt_across_blocks(self, tmp_path, maser_model):
+        n_steps = 2 * _CSV_BLOCK_ROWS + 100
+        _, record = simulate_ensemble(maser_model, n_steps, seed=19, keep_states=False)
+        path = tmp_path / "meas.csv"
+        write_measurements_csv(record, path)
+        ref = tmp_path / "ref.csv"
+        t = np.arange(n_steps + 1) * record.Ts
+        np.savetxt(
+            ref,
+            np.column_stack([t, record.Z.T]),
+            fmt="%.17g",
+            delimiter=",",
+            header="t_s,z1,z2,z3",
+            comments="",
+        )
+        assert path.read_bytes() == ref.read_bytes()
 
     def test_header_contract(self, tmp_path, maser_model):
         _, record = simulate_ensemble(maser_model, 5, seed=0)

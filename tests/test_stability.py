@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from chronident import (
     log_spaced_grid,
     simulate_ensemble,
 )
-from chronident.stability import TauGrid, write_acov_csv
+from chronident.stability import _BLOCK, TauGrid, write_acov_csv
 
 
 class TestEmpiricalAcov:
@@ -231,11 +233,41 @@ class TestAcovGrid:
         est = acov_grid(record, grid)
         for row, (i, j) in enumerate(est.pairs):
             for p, m in enumerate(grid.m_values):
-                np.testing.assert_allclose(
-                    est.sigma2[row, p],
-                    empirical_acov(record, i, j, int(m)),
-                    rtol=1e-12,
-                )
+                assert est.sigma2[row, p] == empirical_acov(record, i, j, int(m))
+
+    def test_blocked_kernel_matches_one_shot_gram(self, maser_model):
+        # several blocks with a partial last one; the largest m leaves 2 columns
+        n_steps = 3 * _BLOCK + 1001
+        _, record = simulate_ensemble(maser_model, n_steps, seed=22, keep_states=False)
+        grid = TauGrid(m_values=np.array([1, 7, 1000, _BLOCK, n_steps // 2]), Ts=5.0)
+        est = acov_grid(record, grid)
+        Z = record.Z
+        for p, m in enumerate(grid.m_values):
+            D = Z[:, 2 * m :] - 2.0 * Z[:, m:-m] + Z[:, : -2 * m]
+            G = (D @ D.T) / (2.0 * (m * 5.0) ** 2 * (n_steps - 2 * m + 1))
+            ref = np.array([G[i - 1, j - 1] for i, j in est.pairs])
+            assert np.max(np.abs(est.sigma2[:, p] - ref)) <= 1e-12 * np.max(np.abs(G))
+
+    def test_variances_follow_scalar_formula(self, maser_model):
+        _, record = simulate_ensemble(maser_model, 5000, seed=23, keep_states=False)
+        grid = log_spaced_grid(6, 2500, 5.0)
+        est = acov_grid(record, grid)
+        for row in range(len(est.pairs)):
+            for p, m in enumerate(grid.m_values):
+                expected = acov_variance(float(est.sigma2[row, p]), 5000, int(m))
+                assert est.var[row, p] == expected
+
+    def test_peak_memory_below_record_size(self, maser_model):
+        # no full-length second-difference temporaries
+        _, record = simulate_ensemble(maser_model, 200_000, seed=24, keep_states=False)
+        grid = log_spaced_grid(20, 100_000, 5.0)
+        tracemalloc.start()
+        try:
+            acov_grid(record, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < record.Z.nbytes
 
     def test_two_clock_single_pair(self):
         params = EnsembleParams(
