@@ -5,7 +5,12 @@ transition matrix is block diagonal with unit-triangular blocks), which is
 what makes year-long records practical. The random draw order is fixed:
 one (2, N) standard-normal block per clock in clock order, then one
 (n_z, N+1) block for the measurement noise, so identical inputs always
-produce bit-identical records.
+produce bit-identical records. Each block of draws is mixed by its
+covariance factor in place, _MIX_BLOCK columns per matrix product. The
+blocked products equal the one-shot product bit for bit (the tests
+compare them), and OpenBLAS runs a product that small on the calling
+thread, so Monte-Carlo pool workers do not start BLAS threads of their
+own on top of one another.
 """
 
 from __future__ import annotations
@@ -32,6 +37,10 @@ __all__ = [
 
 # rows formatted per string operation when writing a measurement CSV
 _CSV_BLOCK_ROWS = 8192
+
+# columns of draws mixed per matrix product: well below the size at which
+# OpenBLAS splits a product over threads
+_MIX_BLOCK = 16_384
 
 
 @dataclass(frozen=True)
@@ -108,6 +117,18 @@ def _psd_factor(M: np.ndarray, tol_rel: float = 1e-12) -> np.ndarray:
     return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
 
 
+def _mixed_blocks(factor: np.ndarray, draws: np.ndarray):
+    """Yield (start, block, factor @ block) over _MIX_BLOCK-column blocks of draws.
+
+    The product lives in one buffer reused for every block, so the caller
+    writes what it needs into the block before asking for the next one.
+    """
+    product = np.empty((factor.shape[0], min(_MIX_BLOCK, draws.shape[1])))
+    for start in range(0, draws.shape[1], _MIX_BLOCK):
+        block = draws[:, start : start + _MIX_BLOCK]
+        yield start, block, np.matmul(factor, block, out=product[:, : block.shape[1]])
+
+
 def _integrate_clocks(
     model: EnsembleModel,
     rng: np.random.Generator,
@@ -117,26 +138,28 @@ def _integrate_clocks(
 ) -> None:
     """Fill phases (and freqs, if given) with each clock's state trajectory.
 
-    Clock i draws one (2, N) standard-normal block, w = Q_i^(1/2) draws +
-    mu_i, then integrates frequency and phase with cumulative sums. The
-    work buffers are released on return, before the measurement noise is
-    drawn.
+    Clock i draws one (2, N) standard-normal block and turns it in place,
+    block by block, into w = Q_i^(1/2) draws + mu_i. Frequency is the
+    cumulative sum of w[1]; w[1] is then overwritten by the phase step
+    x2 * Ts + w[0], whose cumulative sum is the phase. The draw and
+    frequency buffers are released on return, before the measurement
+    noise is drawn.
     """
     n_steps = phases.shape[1] - 1
     ts = model.Ts
-    draws = np.empty((2, n_steps))
     w = np.empty((2, n_steps))
     x2 = np.empty(n_steps + 1)
-    step = np.empty(n_steps)
     for i in range(model.n):
         q_factor = _psd_factor(model.Q[2 * i : 2 * i + 2, 2 * i : 2 * i + 2])
-        rng.standard_normal(out=draws)
-        np.matmul(q_factor, draws, out=w)
-        w += model.mu[2 * i : 2 * i + 2, None]
+        mu = model.mu[2 * i : 2 * i + 2, None]
+        rng.standard_normal(out=w)
+        for _, block, mixed in _mixed_blocks(q_factor, w):
+            np.add(mixed, mu, out=block)
         x2[0] = x0[2 * i + 1]
         np.cumsum(w[1], out=x2[1:])
         x2[1:] += x0[2 * i + 1]
         phases[i, 0] = x0[2 * i]
+        step = w[1]
         np.multiply(x2[:-1], ts, out=step)
         step += w[0]
         np.cumsum(step, out=phases[i, 1:])
@@ -155,11 +178,14 @@ def simulate_ensemble(
     """Simulate states x_{k+1} = F x_k + w_k and measurements z_k = H x_k + v_k.
 
     w_k is Gaussian with mean model.mu and covariance model.Q (block
-    diagonal), v_k is zero-mean Gaussian with covariance model.R. The
-    per-clock draw, noise and integration buffers are allocated once and
-    reused for every clock. With ``keep_states=False`` no frequency states
-    are kept and no state trajectory is assembled; the measurement stream
-    is bit-identical either way.
+    diagonal), v_k is zero-mean Gaussian with covariance model.R. Each
+    clock's draws are mixed into w_k in their own buffer, which is reused
+    for every clock; the measurement noise is drawn straight into Z's
+    buffer, mixed there by R's factor and has the phase differences added,
+    block by block. No full-length noise array is kept beside Z. With
+    ``keep_states=False`` no frequency states are kept and no state
+    trajectory is assembled; the measurement stream is bit-identical
+    either way.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
@@ -179,9 +205,11 @@ def simulate_ensemble(
     freqs = np.empty((n, n_steps + 1)) if keep_states else None
     _integrate_clocks(model, rng, x0, phases, freqs)
 
-    v = r_factor @ rng.standard_normal((n_z, n_steps + 1))
-    Z = phases[1:] - phases[0]
-    Z += v
+    Z = rng.standard_normal((n_z, n_steps + 1))
+    for start, block, mixed in _mixed_blocks(r_factor, Z):
+        stop = start + block.shape[1]
+        np.subtract(phases[1:, start:stop], phases[0, start:stop], out=block)
+        block += mixed
 
     traj = None
     if keep_states:

@@ -155,7 +155,11 @@ def _second_difference_grams(Z: np.ndarray, m_values) -> np.ndarray:
     D_m[:, k] = (Z[:, k+2m] - 2 Z[:, k+m]) + Z[:, k] is formed _BLOCK
     columns at a time in two buffers shared by all m, so every element of
     D_m is the same double as in a one-shot evaluation; only the summation
-    order of the inner products differs.
+    order of the inner products differs. Each block's products are summed
+    by einsum's own loop, not by BLAS: OpenBLAS may split each block's
+    syrk over threads of its own, and Monte-Carlo pool workers already
+    occupy every core. G[i, j] and G[j, i] come out of the same loop, so
+    each Gram matrix is exactly symmetric.
     """
     n_z = Z.shape[0]
     d = np.empty((n_z, _BLOCK))
@@ -170,7 +174,7 @@ def _second_difference_grams(Z: np.ndarray, m_values) -> np.ndarray:
             np.multiply(Z[:, start + m : start + m + width], 2.0, out=tb)
             np.subtract(Z[:, start + 2 * m : start + 2 * m + width], tb, out=db)
             db += Z[:, start : start + width]
-            G += db @ db.T
+            G += np.einsum("ik,jk->ij", db, db)
     return grams
 
 
@@ -179,7 +183,9 @@ def acov_grid(record: MeasurementRecord, grid: TauGrid) -> AcovEstimate:
 
     At each m one Gram matrix of the second differences serves every pair.
     It is accumulated over blocks of _BLOCK columns, so the cost is
-    O(len(grid) * n_z * N) time with O(n_z * _BLOCK) extra memory.
+    O(len(grid) * n_z * N) time with O(n_z * _BLOCK) extra memory, and it
+    runs on the calling thread alone (no BLAS call), so process-pool
+    workers start no BLAS threads to compete for their cores.
     """
     n = record.n_steps
     if grid.m_values[-1] > n // 2:

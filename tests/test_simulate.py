@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from chronident import (
 )
 from chronident.errors import ChannelUnusableError, InvalidCovarianceError
 from chronident.model import EnsembleModel
-from chronident.simulate import _CSV_BLOCK_ROWS, _psd_factor
+from chronident.simulate import _CSV_BLOCK_ROWS, _MIX_BLOCK, _psd_factor
 
 
 def _reference_simulation(model, n_steps, seed, x0):
@@ -76,19 +78,37 @@ class TestSimulateEnsemble:
         # measurements are differences of phase states plus noise
         assert traj.X.shape == (8, 301)
 
-    def test_bit_identical_to_reference_formulation(self, maser_model):
-        # reused buffers must not change a single draw or rounding
-        assert np.any(maser_model.mu != 0.0)
+    @staticmethod
+    def _assert_matches_reference(model, n_steps):
+        # reused buffers and blocked mixing must not change a single draw or rounding
+        assert np.any(model.mu != 0.0)
         x0 = np.array([1e-9, 2e-13, -3e-9, 1e-12, 5e-10, -4e-13, 2e-9, 7e-13])
-        X_ref, Z_ref = _reference_simulation(maser_model, 3000, 21, x0)
-        traj, rec = simulate_ensemble(maser_model, 3000, seed=21, x0=x0)
+        X_ref, Z_ref = _reference_simulation(model, n_steps, 21, x0)
+        traj, rec = simulate_ensemble(model, n_steps, seed=21, x0=x0)
         none_traj, rec_lean = simulate_ensemble(
-            maser_model, 3000, seed=21, x0=x0, keep_states=False
+            model, n_steps, seed=21, x0=x0, keep_states=False
         )
         assert none_traj is None
         assert np.array_equal(traj.X, X_ref)
         assert np.array_equal(rec.Z, Z_ref)
         assert np.array_equal(rec_lean.Z, Z_ref)
+
+    def test_bit_identical_to_reference_formulation(self, maser_model):
+        self._assert_matches_reference(maser_model, 3000)
+
+    def test_bit_identical_across_mix_blocks(self, maser_model):
+        # three mixing blocks, the last one partial
+        self._assert_matches_reference(maser_model, 2 * _MIX_BLOCK + 123)
+
+    def test_peak_memory_of_lean_run(self, maser_model):
+        # no full-length state-noise or measurement-noise array beside Z
+        tracemalloc.start()
+        try:
+            _, record = simulate_ensemble(maser_model, 200_000, seed=25, keep_states=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.75 * record.Z.nbytes
 
     def test_state_noise_moments(self, maser_model):
         # reconstruct the noise samples w_k = x_{k+1} - F x_k and compare

@@ -16,7 +16,13 @@ from chronident import (
     log_spaced_grid,
     simulate_ensemble,
 )
-from chronident.stability import _BLOCK, TauGrid, write_acov_csv
+from chronident.stability import (
+    _BLOCK,
+    TauGrid,
+    _second_difference_grams,
+    write_acov_csv,
+)
+from conftest import random_params
 
 
 class TestEmpiricalAcov:
@@ -238,15 +244,27 @@ class TestAcovGrid:
     def test_blocked_kernel_matches_one_shot_gram(self, maser_model):
         # several blocks with a partial last one; the largest m leaves 2 columns
         n_steps = 3 * _BLOCK + 1001
-        _, record = simulate_ensemble(maser_model, n_steps, seed=22, keep_states=False)
         grid = TauGrid(m_values=np.array([1, 7, 1000, _BLOCK, n_steps // 2]), Ts=5.0)
-        est = acov_grid(record, grid)
-        Z = record.Z
-        for p, m in enumerate(grid.m_values):
-            D = Z[:, 2 * m :] - 2.0 * Z[:, m:-m] + Z[:, : -2 * m]
-            G = (D @ D.T) / (2.0 * (m * 5.0) ** 2 * (n_steps - 2 * m + 1))
-            ref = np.array([G[i - 1, j - 1] for i, j in est.pairs])
-            assert np.max(np.abs(est.sigma2[:, p] - ref)) <= 1e-12 * np.max(np.abs(G))
+        rng = np.random.default_rng(22)
+        models = [
+            assemble_ensemble(random_params(rng, 2, balanced=False), 5.0),
+            maser_model,
+            assemble_ensemble(random_params(rng, 6, balanced=False), 5.0),
+        ]
+        for model in models:
+            _, record = simulate_ensemble(model, n_steps, seed=22, keep_states=False)
+            est = acov_grid(record, grid)
+            grams = _second_difference_grams(record.Z, grid.m_values)
+            Z = record.Z
+            for p, m in enumerate(grid.m_values):
+                # empirical_acov(i, j) == empirical_acov(j, i) relies on this
+                assert np.array_equal(grams[p], grams[p].T)
+                D = Z[:, 2 * m :] - 2.0 * Z[:, m:-m] + Z[:, : -2 * m]
+                D_gram = D @ D.T
+                assert np.max(np.abs(grams[p] - D_gram)) <= 1e-12 * np.max(np.abs(D_gram))
+                G = D_gram / (2.0 * (m * 5.0) ** 2 * (n_steps - 2 * m + 1))
+                ref = np.array([G[i - 1, j - 1] for i, j in est.pairs])
+                assert np.max(np.abs(est.sigma2[:, p] - ref)) <= 1e-12 * np.max(np.abs(G))
 
     def test_variances_follow_scalar_formula(self, maser_model):
         _, record = simulate_ensemble(maser_model, 5000, seed=23, keep_states=False)
