@@ -11,10 +11,20 @@ blocked products equal the one-shot product bit for bit (the tests
 compare them), and OpenBLAS runs a product that small on the calling
 thread, so Monte-Carlo pool workers do not start BLAS threads of their
 own on top of one another.
+
+Measurement CSVs are formatted and parsed in row ranges on a process pool
+with one worker per available CPU; the file bytes and the parsed doubles
+are those of the serial code, which runs on a single CPU and for small
+files.
 """
 
 from __future__ import annotations
 
+import io
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,6 +47,10 @@ __all__ = [
 
 # rows formatted per string operation when writing a measurement CSV
 _CSV_BLOCK_ROWS = 8192
+# blocks of rows formatted per pool task when writing a measurement CSV
+_CSV_TASK_BLOCKS = 2
+# bytes of CSV body parsed per pool task when reading (cut at a newline)
+_CSV_PART_BYTES = 1 << 20
 
 # columns of draws mixed per matrix product: well below the size at which
 # OpenBLAS splits a product over threads
@@ -183,9 +197,10 @@ def simulate_ensemble(
     for every clock; the measurement noise is drawn straight into Z's
     buffer, mixed there by R's factor and has the phase differences added,
     block by block. No full-length noise array is kept beside Z. With
-    ``keep_states=False`` no frequency states are kept and no state
-    trajectory is assembled; the measurement stream is bit-identical
-    either way.
+    ``keep_states=True`` the phase and frequency trajectories are written
+    straight into the rows of the returned X; with ``keep_states=False``
+    only the phases are kept, in a buffer of their own. The measurement
+    stream is bit-identical either way.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
@@ -201,8 +216,11 @@ def simulate_ensemble(
     rng = np.random.default_rng(seed)
     r_factor = _psd_factor(model.R)
 
-    phases = np.empty((n, n_steps + 1))
-    freqs = np.empty((n, n_steps + 1)) if keep_states else None
+    if keep_states:
+        X = np.empty((2 * n, n_steps + 1))
+        phases, freqs = X[0::2], X[1::2]
+    else:
+        phases, freqs = np.empty((n, n_steps + 1)), None
     _integrate_clocks(model, rng, x0, phases, freqs)
 
     Z = rng.standard_normal((n_z, n_steps + 1))
@@ -211,12 +229,7 @@ def simulate_ensemble(
         np.subtract(phases[1:, start:stop], phases[0, start:stop], out=block)
         block += mixed
 
-    traj = None
-    if keep_states:
-        X = np.empty((2 * n, n_steps + 1))
-        X[0::2] = phases
-        X[1::2] = freqs
-        traj = StateTrajectory(X=X)
+    traj = StateTrajectory(X=X) if keep_states else None
     record = MeasurementRecord(Ts=ts, Z=Z, origin=f"synthetic(seed={seed})")
     return traj, record
 
@@ -254,48 +267,166 @@ def remove_outliers(
     n_samples = record.Z.shape[1]
     cleaned = record.Z.copy()
     flagged_per_channel = []
+    # second differences and their absolute deviations, reused across channels
+    second = np.empty(max(n_samples - 2, 0))
+    dev = np.empty_like(second)
     for c in range(record.n_z):
         z = record.Z[c]
         if n_samples < 3:
             flagged_per_channel.append(np.empty(0, dtype=int))
             continue
-        second = z[2:] - 2.0 * z[1:-1] + z[:-2]
-        med = np.median(second)
-        mad = np.median(np.abs(second - med))
+        np.multiply(z[1:-1], 2.0, out=dev)
+        np.subtract(z[2:], dev, out=second)
+        second += z[:-2]
+        # each median partitions a copy made in the other buffer
+        dev[:] = second
+        med = np.median(dev, overwrite_input=True)
+        np.subtract(second, med, out=dev)
+        np.abs(dev, out=dev)
+        second[:] = dev
+        mad = np.median(second, overwrite_input=True)
         # violating second difference at index p implicates its centre sample p+1
-        flags = np.flatnonzero(np.abs(second - med) > k * mad) + 1
+        flags = np.flatnonzero(dev > k * mad) + 1
         if len(flags) > 0.5 * n_samples:
             raise ChannelUnusableError(
                 f"channel {c + 1}: {len(flags)} of {n_samples} samples flagged"
             )
         if len(flags):
-            good = np.ones(n_samples, dtype=bool)
-            good[flags] = False
-            cleaned[c, flags] = np.interp(
-                flags, np.flatnonzero(good), z[good]
-            )
+            # samples 0 and N are never flagged, so every flagged run has an
+            # unflagged neighbour on each side, and those neighbours are the
+            # only nodes the interpolation between unflagged samples uses
+            nodes = np.setdiff1d(np.union1d(flags - 1, flags + 1), flags)
+            cleaned[c, flags] = np.interp(flags, nodes, z[nodes])
         flagged_per_channel.append(flags)
     out = MeasurementRecord(Ts=record.Ts, Z=cleaned, origin=record.origin)
     return out, OutlierReport(flagged=tuple(flagged_per_channel), threshold=k)
+
+
+def _csv_workers(tasks: int) -> int:
+    """Pool size for CSV work: one worker per available CPU, at most one per task.
+
+    A daemonic process (a multiprocessing.Pool worker) may not start
+    children, so it does the work itself.
+    """
+    if multiprocessing.current_process().daemon:
+        return 1
+    return min(len(os.sched_getaffinity(0)), tasks)
+
+
+def _format_rows(task: tuple[int, float, np.ndarray]) -> str:
+    """The CSV text of samples start, start+1, ... of one (start, Ts, zt) task.
+
+    zt holds the samples' measurements, one row per sample; the time column
+    is k*Ts for sample k. Rows are formatted _CSV_BLOCK_ROWS at a time.
+    """
+    start, ts, zt = task
+    n_rows, n_z = zt.shape
+    row_fmt = ",".join(["%.17g"] * (n_z + 1)) + "\n"
+    block = np.empty((min(_CSV_BLOCK_ROWS, n_rows), n_z + 1))
+    pieces = []
+    for a in range(0, n_rows, _CSV_BLOCK_ROWS):
+        rows = min(_CSV_BLOCK_ROWS, n_rows - a)
+        np.multiply(np.arange(start + a, start + a + rows), ts, out=block[:rows, 0])
+        block[:rows, 1:] = zt[a : a + rows]
+        pieces.append(row_fmt * rows % tuple(block[:rows].ravel().tolist()))
+    return "".join(pieces)
 
 
 def write_measurements_csv(record: MeasurementRecord, path: str | Path) -> None:
     """Write the record as CSV with header t_s,z1,...,z{n_z}.
 
     Values are printed with 17 significant digits so a write/read cycle
-    reproduces the doubles exactly.
+    reproduces the doubles exactly; the bytes equal those of np.savetxt
+    with fmt="%.17g". The rows are formatted in ranges of
+    _CSV_TASK_BLOCKS * _CSV_BLOCK_ROWS on a process pool with one worker
+    per available CPU, and written in order as each range arrives. With one
+    CPU, or fewer than two ranges, the rows are formatted in this process.
     """
-    n_z = record.n_z
     n_samples = record.Z.shape[1]
-    row_fmt = ",".join(["%.17g"] * (n_z + 1)) + "\n"
-    block = np.empty((min(_CSV_BLOCK_ROWS, n_samples), n_z + 1))
+    task_rows = _CSV_TASK_BLOCKS * _CSV_BLOCK_ROWS
+    tasks = [
+        (start, record.Ts, record.Z[:, start : start + task_rows].T)
+        for start in range(0, n_samples, task_rows)
+    ]
+    workers = _csv_workers(len(tasks))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t_s," + ",".join(f"z{i + 1}" for i in range(n_z)) + "\n")
-        for start in range(0, n_samples, _CSV_BLOCK_ROWS):
-            rows = min(_CSV_BLOCK_ROWS, n_samples - start)
-            np.multiply(np.arange(start, start + rows), record.Ts, out=block[:rows, 0])
-            block[:rows, 1:] = record.Z[:, start : start + rows].T
-            fh.write(row_fmt * rows % tuple(block[:rows].ravel().tolist()))
+        fh.write("t_s," + ",".join(f"z{i + 1}" for i in range(record.n_z)) + "\n")
+        if workers < 2:
+            fh.writelines(map(_format_rows, tasks))
+        else:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                fh.writelines(pool.map(_format_rows, tasks))
+
+
+def _cut_body(path: str | Path, offset: int) -> list[tuple[int, int, int]] | None:
+    """Cut the file from byte offset on into ranges of at most _CSV_PART_BYTES.
+
+    Every range but the last ends at a newline. Returns (offset, size,
+    lines) per range, or None when a line is longer than a range.
+    """
+    parts = []
+    with open(path, "rb") as fh:
+        while True:
+            fh.seek(offset)
+            chunk = fh.read(_CSV_PART_BYTES)
+            last = len(chunk) < _CSV_PART_BYTES
+            size = len(chunk) if last else chunk.rfind(b"\n") + 1
+            if size == 0:
+                return parts if last else None
+            # numpy counts bytes several times faster than bytes.count
+            lines = int(np.count_nonzero(np.frombuffer(chunk, np.uint8, size) == ord("\n")))
+            parts.append((offset, size, lines + (last and not chunk.endswith(b"\n"))))
+            if last:
+                return parts
+            offset += size
+
+
+def _parse_part(task: tuple[str | Path, int, int]) -> np.ndarray:
+    """Pool task: parse one (path, offset, size) byte range as the serial reader does."""
+    path, offset, size = task
+    with open(path, "rb") as fh:
+        fh.seek(offset)
+        raw = fh.read(size)
+    with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8") as text:
+        return np.loadtxt(text, delimiter=",", ndmin=2)
+
+
+def _read_body_parallel(path: str | Path, width: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The time column and Z of the CSV body, parsed on a process pool.
+
+    Returns None where read_measurements_csv must parse serially, and also
+    for a carriage return inside the header line, which text mode would
+    read as a line break.
+    """
+    if _csv_workers(2) < 2:
+        return None
+    with open(path, "rb") as fh:
+        head = fh.readline()
+    if not head.endswith(b"\n") or b"\r" in head.rstrip(b"\r\n"):
+        return None
+    parts = _cut_body(path, len(head))
+    if parts is None or len(parts) < 2:
+        return None
+    rows = sum(lines for _, _, lines in parts)
+    t = np.empty(rows)
+    Z = np.empty((width - 1, rows))
+    start = 0
+    pool = ProcessPoolExecutor(max_workers=_csv_workers(len(parts)))
+    try:
+        tasks = [(path, offset, size) for offset, size, _ in parts]
+        for (_, _, lines), data in zip(parts, pool.map(_parse_part, tasks)):
+            if data.shape != (lines, width):
+                return None
+            t[start : start + lines] = data[:, 0]
+            Z[:, start : start + lines] = data[:, 1:].T
+            start += lines
+    except (ValueError, OSError, BrokenProcessPool):
+        # a part that does not parse, or a pool that cannot run
+        return None
+    finally:
+        # parts not yet started are dropped when the serial reader takes over
+        pool.shutdown(cancel_futures=True)
+    return t, Z
 
 
 def read_measurements_csv(path: str | Path) -> MeasurementRecord:
@@ -303,6 +434,14 @@ def read_measurements_csv(path: str | Path) -> MeasurementRecord:
 
     The time column must be strictly increasing and uniformly spaced
     (missing rows are not allowed); Ts is inferred from the spacing.
+
+    After the header check the body is cut into ranges of about
+    _CSV_PART_BYTES, each ending at a newline, and parsed on a process pool
+    with one worker per available CPU; every value is the double the serial
+    parse gives. The whole body is parsed serially in this process instead
+    with one CPU, a body under two ranges, or when a range fails to parse or
+    holds other than one row per line (blank, comment or malformed lines),
+    so malformed files raise the serial parser's errors.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -312,19 +451,24 @@ def read_measurements_csv(path: str | Path) -> MeasurementRecord:
         for idx, name in enumerate(columns[1:], start=1):
             if name != f"z{idx}":
                 raise ValueError(f"{path}: expected column 'z{idx}', got '{name}'")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if data.shape[0] < 2:
-        raise ValueError(f"{path}: need at least 2 rows, got {data.shape[0]}")
-    if data.shape[1] != len(columns):
-        raise ValueError(f"{path}: row width {data.shape[1]} != header width {len(columns)}")
-    t = data[:, 0]
+        body = _read_body_parallel(path, len(columns))
+        if body is None:
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            if data.shape[0] < 2:
+                raise ValueError(f"{path}: need at least 2 rows, got {data.shape[0]}")
+            if data.shape[1] != len(columns):
+                raise ValueError(
+                    f"{path}: row width {data.shape[1]} != header width {len(columns)}"
+                )
+            body = data[:, 0], data[:, 1:].T
+    t, Z = body
     ts = t[1] - t[0]
     if ts <= 0.0:
         raise ValueError(f"{path}: time column is not strictly increasing")
     expected = t[0] + np.arange(t.size) * ts
     if np.max(np.abs(t - expected)) > 1e-6 * ts:
         raise ValueError(f"{path}: time column is not uniformly spaced by {ts}")
-    return MeasurementRecord(Ts=ts, Z=data[:, 1:].T.copy(), origin=f"ingested({path})")
+    return MeasurementRecord(Ts=ts, Z=np.ascontiguousarray(Z), origin=f"ingested({path})")
 
 
 def derive_run_seed(master_seed: int, run_index: int) -> int:

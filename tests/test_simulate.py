@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 import tracemalloc
 
 import numpy as np
@@ -15,9 +17,10 @@ from chronident import (
     simulate_ensemble,
     write_measurements_csv,
 )
+from chronident import simulate as simulate_module
 from chronident.errors import ChannelUnusableError, InvalidCovarianceError
 from chronident.model import EnsembleModel
-from chronident.simulate import _CSV_BLOCK_ROWS, _MIX_BLOCK, _psd_factor
+from chronident.simulate import _CSV_BLOCK_ROWS, _MIX_BLOCK, _cut_body, _psd_factor
 
 
 def _reference_simulation(model, n_steps, seed, x0):
@@ -110,6 +113,19 @@ class TestSimulateEnsemble:
             tracemalloc.stop()
         assert peak < 2.75 * record.Z.nbytes
 
+    def test_peak_memory_of_states_run(self, maser_model):
+        # the trajectories are written straight into X: no phase or frequency
+        # buffer beside it and no assembly copy; a first short call keeps
+        # one-time lazy imports out of the traced peak
+        simulate_ensemble(maser_model, 10, seed=25)
+        tracemalloc.start()
+        try:
+            _, record = simulate_ensemble(maser_model, 200_000, seed=25, keep_states=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.0 * record.Z.nbytes
+
     def test_state_noise_moments(self, maser_model):
         # reconstruct the noise samples w_k = x_{k+1} - F x_k and compare
         # their moments with mu and Q
@@ -199,7 +215,48 @@ class TestDecimate:
             decimate(record, record.Z.shape[1] + 1)
 
 
+def _reference_remove_outliers(Z, k):
+    """Per-channel formulation with fresh temporaries (the reference)."""
+    n_samples = Z.shape[1]
+    cleaned = Z.copy()
+    flagged = []
+    for z, out in zip(Z, cleaned):
+        second = z[2:] - 2.0 * z[1:-1] + z[:-2]
+        med = np.median(second)
+        mad = np.median(np.abs(second - med))
+        flags = np.flatnonzero(np.abs(second - med) > k * mad) + 1
+        if len(flags):
+            good = np.ones(n_samples, dtype=bool)
+            good[flags] = False
+            out[flags] = np.interp(flags, np.flatnonzero(good), z[good])
+        flagged.append(flags)
+    return cleaned, flagged
+
+
 class TestRemoveOutliers:
+    @pytest.mark.parametrize("n_samples", [4000, 4001])
+    def test_matches_reference_formulation(self, maser_model, n_samples):
+        # reused buffers and the interpolation over the neighbours of the
+        # flagged runs only must not move a single flag or cleaned value; both
+        # parities of the second-difference length (median of an even count
+        # averages two values)
+        _, record = simulate_ensemble(maser_model, n_samples - 1, seed=31, keep_states=False)
+        Z = record.Z.copy()
+        rng = np.random.default_rng(32)
+        for c in range(Z.shape[0]):
+            # the end samples, a run of adjacent spikes, and scattered ones
+            spikes = np.concatenate(
+                [[1, 500, 501, 502, n_samples - 2], rng.choice(n_samples, 12, replace=False)]
+            )
+            Z[c, spikes] += rng.choice([-1.0, 1.0], spikes.size) * 1e-9
+        spiked = MeasurementRecord(Ts=record.Ts, Z=Z)
+        cleaned, report = remove_outliers(spiked, k=5.0)
+        ref_cleaned, ref_flagged = _reference_remove_outliers(Z, 5.0)
+        assert all(len(f) >= 12 for f in ref_flagged)
+        for flags, ref in zip(report.flagged, ref_flagged):
+            assert np.array_equal(flags, ref)
+        assert cleaned.Z.tobytes() == ref_cleaned.tobytes()
+
     def test_clean_record_low_false_positive_rate(self):
         rng = np.random.default_rng(21)
         z = rng.normal(0.0, 1e-17, (20, 10_001))
@@ -288,6 +345,135 @@ class TestMeasurementCsv:
         path.write_text("t_s,z1\n0,1\n")
         with pytest.raises(ValueError):
             read_measurements_csv(path)
+
+
+class TestSplitCsvCodec:
+    """The pooled writer and reader against the serial ones, at small sizes.
+
+    The block, task and part sizes are shrunk so that a record of a few
+    hundred rows spans several tasks; os.sched_getaffinity decides the pool
+    size, and the spy records every pool started.
+    """
+
+    # 64-row blocks, 128-row tasks: 421 rows give 4 tasks, the last partial
+    N_ROWS = 3 * 128 + 37
+
+    @pytest.fixture()
+    def pools(self, monkeypatch):
+        monkeypatch.setattr(simulate_module, "_CSV_BLOCK_ROWS", 64)
+        monkeypatch.setattr(simulate_module, "_CSV_TASK_BLOCKS", 2)
+        monkeypatch.setattr(simulate_module, "_CSV_PART_BYTES", 4096)
+        started = []
+        real = simulate_module.ProcessPoolExecutor
+
+        def spy(max_workers):
+            started.append(max_workers)
+            return real(max_workers=max_workers)
+
+        monkeypatch.setattr(simulate_module, "ProcessPoolExecutor", spy)
+        return started
+
+    @pytest.fixture()
+    def record(self, maser_model):
+        _, record = simulate_ensemble(maser_model, self.N_ROWS - 1, seed=33, keep_states=False)
+        return record
+
+    @staticmethod
+    def _cpus(monkeypatch, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+    @staticmethod
+    def _read_error(path):
+        with pytest.raises(ValueError) as err:
+            read_measurements_csv(path)
+        return str(err.value)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_bytes_and_values_unchanged(self, tmp_path, monkeypatch, pools, record, cpus):
+        self._cpus(monkeypatch, cpus)
+        path = tmp_path / "meas.csv"
+        write_measurements_csv(record, path)
+        ref = tmp_path / "ref.csv"
+        t = np.arange(self.N_ROWS) * record.Ts
+        np.savetxt(
+            ref,
+            np.column_stack([t, record.Z.T]),
+            fmt="%.17g",
+            delimiter=",",
+            header="t_s,z1,z2,z3",
+            comments="",
+        )
+        assert path.read_bytes() == ref.read_bytes()
+        parts = _cut_body(path, len("t_s,z1,z2,z3\n"))
+        assert len(parts) >= 2
+        # ranges end at a newline, so a cut at the part size fell mid-line
+        assert any(size < 4096 for _, size, _ in parts[:-1])
+        back = read_measurements_csv(path)
+        assert back.Ts == record.Ts
+        assert back.Z.tobytes() == record.Z.tobytes()
+        assert pools == ([2, 2] if cpus == 2 else [])
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "bad_row", ["1,2,3,4,5\n", "1,2,oops,4\n"], ids=["wrong_width", "not_a_number"]
+    )
+    def test_malformed_row_raises_serial_error(
+        self, tmp_path, monkeypatch, pools, record, bad_row
+    ):
+        self._cpus(monkeypatch, 1)
+        path = tmp_path / "bad.csv"
+        write_measurements_csv(record, path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines.insert(len(lines) - 20, bad_row)  # in the last part, not the first
+        path.write_text("".join(lines))
+        serial = self._read_error(path)
+        self._cpus(monkeypatch, 2)
+        assert self._read_error(path) == serial
+        assert pools == [2]
+        assert multiprocessing.active_children() == []
+
+    def test_rows_narrower_than_header_raise_serial_error(
+        self, tmp_path, monkeypatch, pools, record
+    ):
+        # every part parses cleanly, but its width is not the header's
+        self._cpus(monkeypatch, 1)
+        path = tmp_path / "narrow.csv"
+        write_measurements_csv(MeasurementRecord(Ts=record.Ts, Z=record.Z[:1]), path)
+        path.write_text(path.read_text().replace("t_s,z1\n", "t_s,z1,z2,z3\n", 1))
+        serial = self._read_error(path)
+        assert "row width 2 != header width 4" in serial
+        self._cpus(monkeypatch, 2)
+        assert self._read_error(path) == serial
+        assert pools == [2]
+        assert multiprocessing.active_children() == []
+
+    def test_daemonic_process_formats_and_parses_alone(
+        self, tmp_path, monkeypatch, pools, record
+    ):
+        # a multiprocessing.Pool worker is daemonic and may not start children
+        self._cpus(monkeypatch, 2)
+        path = tmp_path / "meas.csv"
+        with multiprocessing.Pool(1) as outer:
+            outer.apply(write_measurements_csv, (record, path))
+            back = outer.apply(read_measurements_csv, (path,))
+        assert back.Z.tobytes() == record.Z.tobytes()
+        assert multiprocessing.active_children() == []
+
+    def test_blank_and_comment_lines_read_as_serial(self, tmp_path, monkeypatch, pools, record):
+        self._cpus(monkeypatch, 1)
+        path = tmp_path / "odd.csv"
+        write_measurements_csv(record, path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines.insert(len(lines) - 30, "\n")
+        lines.insert(len(lines) - 10, "# a comment line\n")
+        path.write_text("".join(lines))
+        serial = read_measurements_csv(path)
+        self._cpus(monkeypatch, 2)
+        pooled = read_measurements_csv(path)
+        assert pooled.Ts == serial.Ts == record.Ts
+        assert pooled.Z.tobytes() == serial.Z.tobytes() == record.Z.tobytes()
+        assert pools == [2]
+        assert multiprocessing.active_children() == []
 
 
 class TestRecordValidation:
