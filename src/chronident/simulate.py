@@ -14,8 +14,8 @@ own on top of one another.
 
 Measurement CSVs are formatted and parsed in row ranges on a process pool
 with one worker per available CPU; the file bytes and the parsed doubles
-are those of the serial code, which runs on a single CPU and for small
-files.
+are those of the serial code, which runs on a single CPU, for small files
+and where a pool cannot run.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ from __future__ import annotations
 import io
 import multiprocessing
 import os
+from collections import deque
+from collections.abc import Callable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -45,10 +47,8 @@ __all__ = [
     "derive_run_seed",
 ]
 
-# rows formatted per string operation when writing a measurement CSV
+# rows formatted per string operation (one pool task) when writing a measurement CSV
 _CSV_BLOCK_ROWS = 8192
-# blocks of rows formatted per pool task when writing a measurement CSV
-_CSV_TASK_BLOCKS = 2
 # bytes of CSV body parsed per pool task when reading (cut at a newline)
 _CSV_PART_BYTES = 1 << 20
 
@@ -306,30 +306,64 @@ def _csv_workers(tasks: int) -> int:
     """Pool size for CSV work: one worker per available CPU, at most one per task.
 
     A daemonic process (a multiprocessing.Pool worker) may not start
-    children, so it does the work itself.
+    children, and a platform without os.sched_getaffinity (macOS, Windows)
+    starts processes by spawning them, which needs the caller's main module
+    to be guarded; both do the work themselves.
     """
-    if multiprocessing.current_process().daemon:
+    affinity = getattr(os, "sched_getaffinity", None)
+    if affinity is None or multiprocessing.current_process().daemon:
         return 1
-    return min(len(os.sched_getaffinity(0)), tasks)
+    return min(len(affinity(0)), tasks)
+
+
+def _in_order(func: Callable, tasks: list) -> Iterator:
+    """Yield func(task) for each task in order, computed on a process pool.
+
+    The pool has _csv_workers(len(tasks)) workers and at most two tasks per
+    worker are in flight, so results wait in this process only until the
+    consumer takes them. With one worker, or from the first task whose
+    result the pool cannot deliver because it cannot be built or breaks,
+    the tasks are computed in this process. An exception func raises
+    reaches the consumer (an OSError once the task has run again here).
+    """
+    workers = _csv_workers(len(tasks))
+    done = 0
+    if workers > 1:
+        pool = None
+        try:
+            pool = ProcessPoolExecutor(max_workers=workers)
+            ahead = deque()
+            for task in tasks:
+                if len(ahead) == 2 * workers:
+                    yield ahead.popleft().result()
+                    done += 1
+                ahead.append(pool.submit(func, task))
+            while ahead:
+                yield ahead.popleft().result()
+                done += 1
+            return
+        except (OSError, NotImplementedError, BrokenProcessPool):
+            pass
+        finally:
+            # also when the consumer stops early: queued tasks are dropped
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
+    yield from map(func, tasks[done:])
 
 
 def _format_rows(task: tuple[int, float, np.ndarray]) -> str:
     """The CSV text of samples start, start+1, ... of one (start, Ts, zt) task.
 
     zt holds the samples' measurements, one row per sample; the time column
-    is k*Ts for sample k. Rows are formatted _CSV_BLOCK_ROWS at a time.
+    is k*Ts for sample k.
     """
     start, ts, zt = task
     n_rows, n_z = zt.shape
+    block = np.empty((n_rows, n_z + 1))
+    np.multiply(np.arange(start, start + n_rows), ts, out=block[:, 0])
+    block[:, 1:] = zt
     row_fmt = ",".join(["%.17g"] * (n_z + 1)) + "\n"
-    block = np.empty((min(_CSV_BLOCK_ROWS, n_rows), n_z + 1))
-    pieces = []
-    for a in range(0, n_rows, _CSV_BLOCK_ROWS):
-        rows = min(_CSV_BLOCK_ROWS, n_rows - a)
-        np.multiply(np.arange(start + a, start + a + rows), ts, out=block[:rows, 0])
-        block[:rows, 1:] = zt[a : a + rows]
-        pieces.append(row_fmt * rows % tuple(block[:rows].ravel().tolist()))
-    return "".join(pieces)
+    return row_fmt * n_rows % tuple(block.ravel().tolist())
 
 
 def write_measurements_csv(record: MeasurementRecord, path: str | Path) -> None:
@@ -337,25 +371,20 @@ def write_measurements_csv(record: MeasurementRecord, path: str | Path) -> None:
 
     Values are printed with 17 significant digits so a write/read cycle
     reproduces the doubles exactly; the bytes equal those of np.savetxt
-    with fmt="%.17g". The rows are formatted in ranges of
-    _CSV_TASK_BLOCKS * _CSV_BLOCK_ROWS on a process pool with one worker
-    per available CPU, and written in order as each range arrives. With one
-    CPU, or fewer than two ranges, the rows are formatted in this process.
+    with fmt="%.17g". Blocks of _CSV_BLOCK_ROWS rows are formatted on a
+    process pool with one worker per available CPU and written in order,
+    with at most two blocks per worker formatted ahead of the file. With
+    one CPU or a single block the blocks are formatted in this process, and
+    so are the remaining blocks once a pool cannot start or breaks.
     """
     n_samples = record.Z.shape[1]
-    task_rows = _CSV_TASK_BLOCKS * _CSV_BLOCK_ROWS
     tasks = [
-        (start, record.Ts, record.Z[:, start : start + task_rows].T)
-        for start in range(0, n_samples, task_rows)
+        (start, record.Ts, record.Z[:, start : start + _CSV_BLOCK_ROWS].T)
+        for start in range(0, n_samples, _CSV_BLOCK_ROWS)
     ]
-    workers = _csv_workers(len(tasks))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t_s," + ",".join(f"z{i + 1}" for i in range(record.n_z)) + "\n")
-        if workers < 2:
-            fh.writelines(map(_format_rows, tasks))
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                fh.writelines(pool.map(_format_rows, tasks))
+        fh.writelines(_in_order(_format_rows, tasks))
 
 
 def _cut_body(path: str | Path, offset: int) -> list[tuple[int, int, int]] | None:
@@ -411,21 +440,19 @@ def _read_body_parallel(path: str | Path, width: int) -> tuple[np.ndarray, np.nd
     t = np.empty(rows)
     Z = np.empty((width - 1, rows))
     start = 0
-    pool = ProcessPoolExecutor(max_workers=_csv_workers(len(parts)))
+    parsed = _in_order(_parse_part, [(path, offset, size) for offset, size, _ in parts])
     try:
-        tasks = [(path, offset, size) for offset, size, _ in parts]
-        for (_, _, lines), data in zip(parts, pool.map(_parse_part, tasks)):
+        for (_, _, lines), data in zip(parts, parsed):
             if data.shape != (lines, width):
                 return None
             t[start : start + lines] = data[:, 0]
             Z[:, start : start + lines] = data[:, 1:].T
             start += lines
-    except (ValueError, OSError, BrokenProcessPool):
-        # a part that does not parse, or a pool that cannot run
+    except ValueError:
+        # a part that does not parse: the serial reader raises its error
         return None
     finally:
-        # parts not yet started are dropped when the serial reader takes over
-        pool.shutdown(cancel_futures=True)
+        parsed.close()
     return t, Z
 
 
@@ -441,7 +468,10 @@ def read_measurements_csv(path: str | Path) -> MeasurementRecord:
     parse gives. The whole body is parsed serially in this process instead
     with one CPU, a body under two ranges, or when a range fails to parse or
     holds other than one row per line (blank, comment or malformed lines),
-    so malformed files raise the serial parser's errors.
+    so malformed files raise the serial parser's errors. Such a line is
+    found only when its range is parsed, so a legal file with one near its
+    end is parsed nearly twice and reads slower than serially (about 1.5x
+    with two CPUs).
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()

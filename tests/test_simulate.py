@@ -1,6 +1,8 @@
 import multiprocessing
 import os
 import tracemalloc
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -20,7 +22,13 @@ from chronident import (
 from chronident import simulate as simulate_module
 from chronident.errors import ChannelUnusableError, InvalidCovarianceError
 from chronident.model import EnsembleModel
-from chronident.simulate import _CSV_BLOCK_ROWS, _MIX_BLOCK, _cut_body, _psd_factor
+from chronident.simulate import (
+    _CSV_BLOCK_ROWS,
+    _MIX_BLOCK,
+    _cut_body,
+    _format_rows,
+    _psd_factor,
+)
 
 
 def _reference_simulation(model, n_steps, seed, x0):
@@ -355,13 +363,12 @@ class TestSplitCsvCodec:
     size, and the spy records every pool started.
     """
 
-    # 64-row blocks, 128-row tasks: 421 rows give 4 tasks, the last partial
+    # 128-row blocks: 421 rows give 4 tasks, the last partial
     N_ROWS = 3 * 128 + 37
 
     @pytest.fixture()
     def pools(self, monkeypatch):
-        monkeypatch.setattr(simulate_module, "_CSV_BLOCK_ROWS", 64)
-        monkeypatch.setattr(simulate_module, "_CSV_TASK_BLOCKS", 2)
+        monkeypatch.setattr(simulate_module, "_CSV_BLOCK_ROWS", 128)
         monkeypatch.setattr(simulate_module, "_CSV_PART_BYTES", 4096)
         started = []
         real = simulate_module.ProcessPoolExecutor
@@ -388,13 +395,10 @@ class TestSplitCsvCodec:
             read_measurements_csv(path)
         return str(err.value)
 
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_bytes_and_values_unchanged(self, tmp_path, monkeypatch, pools, record, cpus):
-        self._cpus(monkeypatch, cpus)
-        path = tmp_path / "meas.csv"
-        write_measurements_csv(record, path)
+    @staticmethod
+    def _savetxt_bytes(tmp_path, record):
         ref = tmp_path / "ref.csv"
-        t = np.arange(self.N_ROWS) * record.Ts
+        t = np.arange(record.Z.shape[1]) * record.Ts
         np.savetxt(
             ref,
             np.column_stack([t, record.Z.T]),
@@ -403,7 +407,14 @@ class TestSplitCsvCodec:
             header="t_s,z1,z2,z3",
             comments="",
         )
-        assert path.read_bytes() == ref.read_bytes()
+        return ref.read_bytes()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_bytes_and_values_unchanged(self, tmp_path, monkeypatch, pools, record, cpus):
+        self._cpus(monkeypatch, cpus)
+        path = tmp_path / "meas.csv"
+        write_measurements_csv(record, path)
+        assert path.read_bytes() == self._savetxt_bytes(tmp_path, record)
         parts = _cut_body(path, len("t_s,z1,z2,z3\n"))
         assert len(parts) >= 2
         # ranges end at a newline, so a cut at the part size fell mid-line
@@ -412,6 +423,83 @@ class TestSplitCsvCodec:
         assert back.Ts == record.Ts
         assert back.Z.tobytes() == record.Z.tobytes()
         assert pools == ([2, 2] if cpus == 2 else [])
+        assert multiprocessing.active_children() == []
+
+    def test_without_sched_getaffinity_runs_serially(self, tmp_path, monkeypatch, pools, record):
+        # macOS and Windows have no os.sched_getaffinity
+        monkeypatch.delattr(os, "sched_getaffinity")
+        path = tmp_path / "meas.csv"
+        write_measurements_csv(record, path)
+        assert path.read_bytes() == self._savetxt_bytes(tmp_path, record)
+        back = read_measurements_csv(path)
+        assert back.Ts == record.Ts
+        assert back.Z.tobytes() == record.Z.tobytes()
+        assert pools == []
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "failure", ["build_not_implemented", "build_os_error", "submit_os_error", "broken_pool"]
+    )
+    def test_pool_failure_falls_back_to_serial(self, tmp_path, monkeypatch, pools, record, failure):
+        # 32-row blocks and 4 kB parts: 14 write tasks and 8 read parts, so a
+        # pool that fails on its seventh submission does so after three
+        # results were taken
+        monkeypatch.setattr(simulate_module, "_CSV_BLOCK_ROWS", 32)
+        self._cpus(monkeypatch, 2)
+        real = simulate_module.ProcessPoolExecutor
+
+        class FailingPool:
+            def __init__(self, max_workers):
+                if failure == "build_not_implemented":
+                    raise NotImplementedError("no working sem_open")
+                if failure == "build_os_error":
+                    raise OSError("no /dev/shm")
+                self.pool = real(max_workers=max_workers)
+                self.submits = 0
+
+            def submit(self, fn, task):
+                self.submits += 1
+                if self.submits < 7:
+                    return self.pool.submit(fn, task)
+                if failure == "submit_os_error":
+                    raise OSError("fork: resource temporarily unavailable")
+                broken = Future()
+                broken.set_exception(BrokenProcessPool("a worker died"))
+                return broken
+
+            def shutdown(self, cancel_futures):
+                self.pool.shutdown(cancel_futures=cancel_futures)
+
+        monkeypatch.setattr(simulate_module, "ProcessPoolExecutor", FailingPool)
+        path = tmp_path / "meas.csv"
+        write_measurements_csv(record, path)
+        assert path.read_bytes() == self._savetxt_bytes(tmp_path, record)
+        assert len(_cut_body(path, len("t_s,z1,z2,z3\n"))) > 7
+        back = read_measurements_csv(path)
+        assert back.Ts == record.Ts
+        assert back.Z.tobytes() == record.Z.tobytes()
+        assert multiprocessing.active_children() == []
+
+    def test_at_most_two_tasks_per_worker_in_flight(self, monkeypatch, pools, record):
+        self._cpus(monkeypatch, 2)
+        submits = []
+        spy = simulate_module.ProcessPoolExecutor
+
+        def counting_pool(max_workers):
+            pool = spy(max_workers)
+            real_submit = pool.submit
+            pool.submit = lambda fn, task: (submits.append(task[0]), real_submit(fn, task))[1]
+            return pool
+
+        monkeypatch.setattr(simulate_module, "ProcessPoolExecutor", counting_pool)
+        zt = record.Z.T
+        tasks = [(start, record.Ts, zt[start : start + 32]) for start in range(0, 421, 32)]
+        pieces = []
+        for taken, piece in enumerate(simulate_module._in_order(_format_rows, tasks)):
+            assert len(submits) == min(taken + 4, len(tasks))
+            pieces.append(piece)
+        assert pieces == [_format_rows(task) for task in tasks]
+        assert pools == [2]
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize(
