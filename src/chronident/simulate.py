@@ -12,10 +12,10 @@ compare them), and OpenBLAS runs a product that small on the calling
 thread, so Monte-Carlo pool workers do not start BLAS threads of their
 own on top of one another.
 
-Measurement CSVs are formatted and parsed in row ranges on a process pool
-with one worker per available CPU; the file bytes and the parsed doubles
-are those of the serial code, which runs on a single CPU, for small files
-and where a pool cannot run.
+Measurement CSVs are formatted in row blocks and parsed in byte ranges
+cut at newlines, on a process pool with one worker per available CPU, or
+in this process on one CPU and where no pool can run; the file bytes and
+the parsed doubles are the same either way.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import io
 import multiprocessing
 import os
+import warnings
 from collections import deque
 from collections.abc import Callable, Iterator
 from concurrent.futures import ProcessPoolExecutor
@@ -49,7 +50,7 @@ __all__ = [
 
 # rows formatted per string operation (one pool task) when writing a measurement CSV
 _CSV_BLOCK_ROWS = 8192
-# bytes of CSV body parsed per pool task when reading (cut at a newline)
+# bytes of CSV body parsed per task when reading (cut at a newline)
 _CSV_PART_BYTES = 1 << 20
 
 # columns of draws mixed per matrix product: well below the size at which
@@ -387,117 +388,110 @@ def write_measurements_csv(record: MeasurementRecord, path: str | Path) -> None:
         fh.writelines(_in_order(_format_rows, tasks))
 
 
-def _cut_body(path: str | Path, offset: int) -> list[tuple[int, int, int]] | None:
-    """Cut the file from byte offset on into ranges of at most _CSV_PART_BYTES.
+def _cut_body(path: str | Path, offset: int) -> list[tuple[int, int, int]]:
+    """Cut the file from byte offset on into ranges that end at a newline.
 
-    Every range but the last ends at a newline. Returns (offset, size,
-    lines) per range, or None when a line is longer than a range.
+    A range holds at most _CSV_PART_BYTES bytes, or else one line longer
+    than that; only the last range may lack the final newline. Returns
+    (offset, size, lines) per range.
     """
     parts = []
     with open(path, "rb") as fh:
-        while True:
-            fh.seek(offset)
-            chunk = fh.read(_CSV_PART_BYTES)
-            last = len(chunk) < _CSV_PART_BYTES
-            size = len(chunk) if last else chunk.rfind(b"\n") + 1
-            if size == 0:
-                return parts if last else None
+        fh.seek(offset)
+        while chunk := fh.read(_CSV_PART_BYTES):
+            size = chunk.rfind(b"\n") + 1
+            if len(chunk) < _CSV_PART_BYTES:
+                size = len(chunk)
+            elif size == 0:
+                chunk += fh.readline()
+                size = len(chunk)
             # numpy counts bytes several times faster than bytes.count
             lines = int(np.count_nonzero(np.frombuffer(chunk, np.uint8, size) == ord("\n")))
-            parts.append((offset, size, lines + (last and not chunk.endswith(b"\n"))))
-            if last:
-                return parts
+            parts.append((offset, size, lines + (chunk[size - 1] != ord("\n"))))
             offset += size
+            fh.seek(offset)
+    return parts
 
 
 def _parse_part(task: tuple[str | Path, int, int]) -> np.ndarray:
-    """Pool task: parse one (path, offset, size) byte range as the serial reader does."""
+    """Parse the rows of one (path, offset, size) byte range.
+
+    A line ends at a newline only, as it does for _cut_body. A range that
+    holds no rows (blank or comment lines only) gives shape (0, 1).
+    """
     path, offset, size = task
     with open(path, "rb") as fh:
         fh.seek(offset)
         raw = fh.read(size)
-    with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8") as text:
+    with (
+        io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="\n") as text,
+        warnings.catch_warnings(),
+    ):
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         return np.loadtxt(text, delimiter=",", ndmin=2)
-
-
-def _read_body_parallel(path: str | Path, width: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """The time column and Z of the CSV body, parsed on a process pool.
-
-    Returns None where read_measurements_csv must parse serially, and also
-    for a carriage return inside the header line, which text mode would
-    read as a line break.
-    """
-    if _csv_workers(2) < 2:
-        return None
-    with open(path, "rb") as fh:
-        head = fh.readline()
-    if not head.endswith(b"\n") or b"\r" in head.rstrip(b"\r\n"):
-        return None
-    parts = _cut_body(path, len(head))
-    if parts is None or len(parts) < 2:
-        return None
-    rows = sum(lines for _, _, lines in parts)
-    t = np.empty(rows)
-    Z = np.empty((width - 1, rows))
-    start = 0
-    parsed = _in_order(_parse_part, [(path, offset, size) for offset, size, _ in parts])
-    try:
-        for (_, _, lines), data in zip(parts, parsed):
-            if data.shape != (lines, width):
-                return None
-            t[start : start + lines] = data[:, 0]
-            Z[:, start : start + lines] = data[:, 1:].T
-            start += lines
-    except ValueError:
-        # a part that does not parse: the serial reader raises its error
-        return None
-    finally:
-        parsed.close()
-    return t, Z
 
 
 def read_measurements_csv(path: str | Path) -> MeasurementRecord:
     """Read a measurement CSV written by write_measurements_csv.
 
-    The time column must be strictly increasing and uniformly spaced
-    (missing rows are not allowed); Ts is inferred from the spacing.
+    The header must be t_s,z1,...,z{n_z}. The time column must be strictly
+    increasing and uniformly spaced (missing rows are not allowed); Ts is
+    inferred from the spacing. Blank and '#' comment lines are skipped.
 
-    After the header check the body is cut into ranges of about
-    _CSV_PART_BYTES, each ending at a newline, and parsed on a process pool
-    with one worker per available CPU; every value is the double the serial
-    parse gives. The whole body is parsed serially in this process instead
-    with one CPU, a body under two ranges, or when a range fails to parse or
-    holds other than one row per line (blank, comment or malformed lines),
-    so malformed files raise the serial parser's errors. Such a line is
-    found only when its range is parsed, so a legal file with one near its
-    end is parsed nearly twice and reads slower than serially (about 1.5x
-    with two CPUs).
+    The body is cut into ranges of about _CSV_PART_BYTES that end at a
+    newline, and the ranges are parsed on a process pool with one worker
+    per available CPU, or in this process where there is one CPU or no
+    pool can run; the parsed doubles are the same either way. Lines end
+    at '\\n' or '\\r\\n'. A bare '\\r' is not a line break, so such a file
+    is rejected. Any file that does not parse, has fewer than 2 rows, rows
+    of another width than the header or a non-uniform time column raises
+    ValueError; a range that fails names the path and its file lines.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        columns = [c.strip() for c in header.split(",")]
-        if not columns or columns[0] != "t_s":
-            raise ValueError(f"{path}: first column must be 't_s', got header '{header}'")
-        for idx, name in enumerate(columns[1:], start=1):
-            if name != f"z{idx}":
-                raise ValueError(f"{path}: expected column 'z{idx}', got '{name}'")
-        body = _read_body_parallel(path, len(columns))
-        if body is None:
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-            if data.shape[0] < 2:
-                raise ValueError(f"{path}: need at least 2 rows, got {data.shape[0]}")
-            if data.shape[1] != len(columns):
-                raise ValueError(
-                    f"{path}: row width {data.shape[1]} != header width {len(columns)}"
-                )
-            body = data[:, 0], data[:, 1:].T
-    t, Z = body
+    with open(path, "rb") as fh:
+        head = fh.readline()
+    header = head.decode("utf-8").strip()
+    columns = [c.strip() for c in header.split(",")]
+    if columns[0] != "t_s":
+        raise ValueError(f"{path}: first column must be 't_s', got header '{header}'")
+    for idx, name in enumerate(columns[1:], start=1):
+        if name != f"z{idx}":
+            raise ValueError(f"{path}: expected column 'z{idx}', got '{name}'")
+    width = len(columns)
+    parts = _cut_body(path, len(head))
+    t = np.empty(sum(n for _, _, n in parts))
+    Z = np.empty((width - 1, t.size))
+    rows, line = 0, 2  # the header is line 1
+    parsed = _in_order(_parse_part, [(path, offset, size) for offset, size, _ in parts])
+    try:
+        for _, _, n in parts:
+            try:
+                data = next(parsed)
+                if len(data) and data.shape[1] != width:
+                    raise ValueError(f"row width {data.shape[1]} != header width {width}")
+            except ValueError as err:
+                raise ValueError(f"{path}: lines {line}-{line + n - 1}: {err}") from err
+            line += n
+            if len(data):
+                t[rows : rows + len(data)] = data[:, 0]
+                Z[:, rows : rows + len(data)] = data[:, 1:].T
+                rows += len(data)
+    finally:
+        parsed.close()
+    if rows < 2:
+        raise ValueError(f"{path}: need at least 2 rows, got {rows}")
+    t, Z = t[:rows], Z[:, :rows]
     ts = t[1] - t[0]
     if ts <= 0.0:
         raise ValueError(f"{path}: time column is not strictly increasing")
-    expected = t[0] + np.arange(t.size) * ts
-    if np.max(np.abs(t - expected)) > 1e-6 * ts:
+    # |t - (t[0] + k*ts)| in one buffer, freed with t before Z is checked
+    dev = np.arange(rows, dtype=float)
+    dev *= ts
+    dev += t[0]
+    np.subtract(t, dev, out=dev)
+    np.abs(dev, out=dev)
+    if dev.max() > 1e-6 * ts:
         raise ValueError(f"{path}: time column is not uniformly spaced by {ts}")
+    del t, dev
     return MeasurementRecord(Ts=ts, Z=np.ascontiguousarray(Z), origin=f"ingested({path})")
 
 

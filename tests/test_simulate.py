@@ -1,6 +1,8 @@
 import multiprocessing
 import os
+import re
 import tracemalloc
+import warnings
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 
@@ -354,6 +356,27 @@ class TestMeasurementCsv:
         with pytest.raises(ValueError):
             read_measurements_csv(path)
 
+    def test_peak_memory_of_one_cpu_read(self, tmp_path, monkeypatch, maser_model):
+        # ranges are parsed one at a time into t and Z, and the uniform-time
+        # check works in one buffer; a first small read keeps one-time lazy
+        # imports out of the traced peak
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        _, record = simulate_ensemble(maser_model, 200_000, seed=27, keep_states=False)
+        path = tmp_path / "meas.csv"
+        write_measurements_csv(record, path)
+        small = tmp_path / "small.csv"
+        write_measurements_csv(decimate(record, 1000), small)
+        read_measurements_csv(small)
+        tracemalloc.start()
+        try:
+            back = read_measurements_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.Z.tobytes() == record.Z.tobytes()
+        t_and_z = (record.n_z + 1) * record.Z.shape[1] * 8
+        assert peak < 1.5 * t_and_z
+
 
 class TestSplitCsvCodec:
     """The pooled writer and reader against the serial ones, at small sizes.
@@ -394,6 +417,25 @@ class TestSplitCsvCodec:
         with pytest.raises(ValueError) as err:
             read_measurements_csv(path)
         return str(err.value)
+
+    @staticmethod
+    def _assert_names_line(message, path, line):
+        # "<path>: lines <first>-<last>: ..." for the range holding that file line
+        match = re.match(rf"{re.escape(str(path))}: lines (\d+)-(\d+): ", message)
+        assert match, message
+        assert int(match[1]) <= line <= int(match[2])
+
+    @staticmethod
+    def _loadtxt_calls(monkeypatch):
+        calls = []
+        real = np.loadtxt
+
+        def spy(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", spy)
+        return calls
 
     @staticmethod
     def _savetxt_bytes(tmp_path, record):
@@ -512,9 +554,12 @@ class TestSplitCsvCodec:
         path = tmp_path / "bad.csv"
         write_measurements_csv(record, path)
         lines = path.read_text().splitlines(keepends=True)
-        lines.insert(len(lines) - 20, bad_row)  # in the last part, not the first
+        bad_line = len(lines) - 20 + 1  # in the last part, not the first
+        lines.insert(bad_line - 1, bad_row)
         path.write_text("".join(lines))
         serial = self._read_error(path)
+        self._assert_names_line(serial, path, bad_line)
+        assert not serial.startswith(f"{path}: lines 2-")
         self._cpus(monkeypatch, 2)
         assert self._read_error(path) == serial
         assert pools == [2]
@@ -530,6 +575,7 @@ class TestSplitCsvCodec:
         path.write_text(path.read_text().replace("t_s,z1\n", "t_s,z1,z2,z3\n", 1))
         serial = self._read_error(path)
         assert "row width 2 != header width 4" in serial
+        self._assert_names_line(serial, path, 2)
         self._cpus(monkeypatch, 2)
         assert self._read_error(path) == serial
         assert pools == [2]
@@ -554,14 +600,95 @@ class TestSplitCsvCodec:
         lines = path.read_text().splitlines(keepends=True)
         lines.insert(len(lines) - 30, "\n")
         lines.insert(len(lines) - 10, "# a comment line\n")
-        path.write_text("".join(lines))
+        path.write_text("".join(lines) + "\n")
         serial = read_measurements_csv(path)
         self._cpus(monkeypatch, 2)
+        in_process = self._loadtxt_calls(monkeypatch)
         pooled = read_measurements_csv(path)
         assert pooled.Ts == serial.Ts == record.Ts
         assert pooled.Z.tobytes() == serial.Z.tobytes() == record.Z.tobytes()
+        # the pool parsed every range once; nothing was parsed again here
         assert pools == [2]
+        assert in_process == []
         assert multiprocessing.active_children() == []
+
+    def test_one_cpu_parses_each_range_once(self, tmp_path, monkeypatch, pools, record):
+        self._cpus(monkeypatch, 1)
+        path = tmp_path / "meas.csv"
+        write_measurements_csv(record, path)
+        parts = _cut_body(path, len("t_s,z1,z2,z3\n"))
+        assert len(parts) > 2
+        tasks = []
+        real = simulate_module._parse_part
+        monkeypatch.setattr(
+            simulate_module, "_parse_part", lambda task: (tasks.append(task), real(task))[1]
+        )
+        parsed = self._loadtxt_calls(monkeypatch)
+        back = read_measurements_csv(path)
+        assert back.Z.tobytes() == record.Z.tobytes()
+        assert tasks == [(path, offset, size) for offset, size, _ in parts]
+        assert len(parsed) == len(parts)
+        assert pools == []
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("long_line", ["comment", "row"])
+    def test_line_longer_than_a_range(self, tmp_path, monkeypatch, pools, record, cpus, long_line):
+        self._cpus(monkeypatch, cpus)
+        path = tmp_path / "long.csv"
+        write_measurements_csv(record, path)
+        lines = path.read_text().splitlines(keepends=True)
+        if long_line == "comment":
+            lines.insert(100, "# " + "x" * 10_000 + "\n")
+        else:
+            lines[100] = lines[100][:-1] + " " * 10_000 + "\n"
+        path.write_text("".join(lines))
+        parts = _cut_body(path, len(lines[0]))
+        assert max(size for _, size, _ in parts) > 10_000
+        assert sum(size for _, size, _ in parts) == path.stat().st_size - len(lines[0])
+        assert sum(n for _, _, n in parts) == len(lines) - 1
+        back = read_measurements_csv(path)
+        assert back.Ts == record.Ts
+        assert back.Z.tobytes() == record.Z.tobytes()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_crlf_file_reads_back(self, tmp_path, monkeypatch, pools, record, cpus):
+        self._cpus(monkeypatch, cpus)
+        path = tmp_path / "meas.csv"
+        write_measurements_csv(record, path)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        back = read_measurements_csv(path)
+        assert back.Ts == record.Ts
+        assert back.Z.tobytes() == record.Z.tobytes()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_bare_cr_file_rejected(self, tmp_path, monkeypatch, pools, record, cpus):
+        # a bare carriage return is not a line break
+        self._cpus(monkeypatch, cpus)
+        path = tmp_path / "mac.csv"
+        write_measurements_csv(record, path)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r"))
+        assert str(path) in self._read_error(path)
+        text = path.read_bytes().replace(b"\r", b"\n", 1)  # a valid header line
+        path.write_bytes(text)
+        self._assert_names_line(self._read_error(path), path, 2)
+
+    def test_range_of_comment_lines_warns_nothing(self, tmp_path, monkeypatch, pools, record):
+        self._cpus(monkeypatch, 1)
+        path = tmp_path / "comments.csv"
+        write_measurements_csv(record, path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[200:200] = ["\n", "# a comment line\n"] * 1000
+        path.write_text("".join(lines))
+        raw = path.read_bytes()
+        parts = _cut_body(path, len(lines[0]))
+        assert any(
+            not raw[offset : offset + size].replace(b"# a comment line\n", b"").strip()
+            for offset, size, _ in parts
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back = read_measurements_csv(path)
+        assert back.Z.tobytes() == record.Z.tobytes()
 
 
 class TestRecordValidation:
