@@ -27,7 +27,6 @@ from .ident_acov import (
 from .ident_mdm import (
     MdmSystem,
     build_mdm_system,
-    build_structure_matrices,
     compute_residues,
     estimate_drifts_mdm,
     estimate_mdm,

@@ -177,7 +177,6 @@ def run_monte_carlo(
             raw = list(pool.map(_mc_worker, payloads))
     else:
         raw = [_mc_worker(p) for p in payloads]
-    raw.sort(key=lambda item: item[0])
 
     m_max = options.m_max if options.m_max is not None else n_steps // 2
     taus = log_spaced_grid(int(options.ell), int(m_max), ts).taus
@@ -208,22 +207,19 @@ def run_monte_carlo(
         with np.errstate(divide="ignore", invalid="ignore"):
             rel = np.where(truth != 0.0, (mean - truth) / np.abs(truth), np.nan)
 
+        # (run, clock, tau) AVAR curves of every run, then their bands
+        per_run = clock_avar(
+            thetas[:, :n, None], thetas[:, n : 2 * n, None], thetas[:, 2 * n : 3 * n, None], taus
+        )
+        low, high = np.percentile(per_run, [2.5, 97.5], axis=0)
         curves = {}
         for clk in range(n):
-            q1_runs = thetas[:, clk]
-            q2_runs = thetas[:, n + clk]
-            d_runs = thetas[:, 2 * n + clk]
-            per_run = np.array(
-                [clock_avar(a, b, c, taus) for a, b, c in zip(q1_runs, q2_runs, d_runs)]
-            )
-            truth_curve = clock_avar(truth[clk], truth[n + clk], truth[2 * n + clk], taus)
-            mean_curve = clock_avar(mean[clk], mean[n + clk], mean[2 * n + clk], taus)
             curves[clk + 1] = {
                 "tau_s": taus,
-                "true": truth_curve,
-                "mc_mean": mean_curve,
-                "p2_5": np.percentile(per_run, 2.5, axis=0),
-                "p97_5": np.percentile(per_run, 97.5, axis=0),
+                "true": clock_avar(truth[clk], truth[n + clk], truth[2 * n + clk], taus),
+                "mc_mean": clock_avar(mean[clk], mean[n + clk], mean[2 * n + clk], taus),
+                "p2_5": low[clk],
+                "p97_5": high[clk],
             }
         summaries[method] = {
             "method": method,

@@ -8,9 +8,10 @@ in the state and measurement noises alone:
     Zbar_k = Am Z_k = A E_k,   A = Am [Gamma, I],   E_k = [W_k; V_k].
 
 The residue mean is linear in the drifts and the residue second moment is
-linear in the unique elements of Q and R (via the Kronecker identity
-(A e) kron (A e) = (A kron A)(e kron e)), so both stages reduce to
-least-squares solves of known maps.
+linear in q1, q2 and the unique elements of R, so both stages reduce to
+least-squares solves of known maps. Both maps are built from the column
+blocks of A: the state-noise columns of step l and clock i, and the
+measurement-noise columns of step l and channel i.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .model import (
     clock_noise_cov,
     ensemble_structure,
     params_from_theta_alpha,
-    upper_triangle_pairs,
 )
 from .numerics import left_null_space, weighted_least_squares
 from .report import EstimateReport
@@ -35,7 +35,6 @@ from .simulate import MeasurementRecord, decimate
 __all__ = [
     "MdmSystem",
     "build_mdm_system",
-    "build_structure_matrices",
     "compute_residues",
     "residue_mean_from_drifts",
     "residue_second_moment_from_cov",
@@ -54,15 +53,15 @@ class MdmSystem:
     O          : (L n_z, 2n) stacked observation matrix [H; HF; ...]
     Am         : (n_aO, L n_z) annihilator, Am O = 0
     A          : (n_aO, n_E) residue map Am [Gamma, I]
-    drift_map_pivot / drift_map_rest : residue-mean maps for d^(1) and d^(2..n)
-    theta_map  : (n_aO^2, n(n+3)/2) residue-second-moment map
+    drift_map  : (n_aO, n) residue-mean map of d^(1..n), pivot in column 0
+    theta_map  : (n_aO^2, n(n+3)/2) residue-second-moment map of
+                 [q1 x n, q2 x n, upper triangle of R]
     """
 
     O: np.ndarray
     Am: np.ndarray
     A: np.ndarray
-    drift_map_pivot: np.ndarray
-    drift_map_rest: np.ndarray
+    drift_map: np.ndarray
     theta_map: np.ndarray
     Ts: float
     L: int
@@ -79,33 +78,6 @@ class MdmSystem:
     @property
     def n_noise(self) -> int:
         return self.A.shape[1]
-
-
-def build_structure_matrices(
-    n: int, ts: float
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Basis matrices (B_Q^(i), B_R^(i)) such that Q = sum theta_i B_Q^(i)
-    and R = sum theta_i B_R^(i) for theta = [q1 x n, q2 x n, r upper].
-
-    The q1 entries select the white-FM part of one clock's 2x2 block, the
-    q2 entries the random-walk part, and the r entries place ones at the
-    matching (symmetric) positions of R.
-    """
-    n_z = n - 1
-    B_Q: list[np.ndarray] = []
-    for block in (clock_noise_cov(1.0, 0.0, ts), clock_noise_cov(0.0, 1.0, ts)):
-        for i in range(n):
-            selector = np.zeros((n, n))
-            selector[i, i] = 1.0
-            B_Q.append(np.kron(selector, block))
-    B_R = [np.zeros((n_z, n_z)) for _ in B_Q]
-    for i, j in upper_triangle_pairs(n_z):
-        indicator = np.zeros((n_z, n_z))
-        indicator[i - 1, j - 1] = 1.0
-        indicator[j - 1, i - 1] = 1.0
-        B_Q.append(np.zeros((2 * n, 2 * n)))
-        B_R.append(indicator)
-    return B_Q, B_R
 
 
 def _second_moment(A: np.ndarray, L: int, Q: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -154,25 +126,27 @@ def build_mdm_system(n: int, ts: float, L: int) -> MdmSystem:
         )
     A = Am @ np.hstack([Gamma, np.eye(L * n_z)])
 
-    step_mean = clock_drift_mean(1.0, ts)[:, None]
-    pivot_sel = np.zeros((n, 1))
-    pivot_sel[0, 0] = 1.0
-    rest_sel = np.vstack([np.zeros((1, n - 1)), np.eye(n - 1)])
-    ones_l = np.ones((L - 1, 1))
-    ups_pivot = np.kron(ones_l, np.kron(pivot_sel, step_mean))
-    ups_rest = np.kron(ones_l, np.kron(rest_sel, step_mean))
-    am_gamma = Am @ Gamma
-
-    B_Q, B_R = build_structure_matrices(n, ts)
-    theta_map = np.column_stack([_second_moment(A, L, bq, br) for bq, br in zip(B_Q, B_R)])
+    # A's columns as W blocks (step l, clock i, phase/frequency) and V blocks
+    # (step l, channel i); the noises of different steps, clocks and
+    # channels are uncorrelated apart from R's cross terms. Gw and G sum
+    # the outer products of those columns over the steps, each stored
+    # transposed so that the reshapes give column-major vecs.
+    n_w = (L - 1) * n_x
+    Aw = A[:, :n_w].reshape(-1, L - 1, n, 2)
+    Av = A[:, n_w:].reshape(-1, L, n_z)
+    unit_q = np.stack([clock_noise_cov(1.0, 0.0, ts), clock_noise_cov(0.0, 1.0, ts)])
+    Gw = np.einsum("blic,alid->abicd", Aw, Aw)
+    q_cols = np.einsum("abicd,kcd->abki", Gw, unit_q).reshape(-1, 2 * n)
+    G = np.einsum("bli,alj->abij", Av, Av)
+    i, j = np.triu_indices(n_z)
+    r_cols = (G[:, :, i, j] + (i != j) * G[:, :, j, i]).reshape(-1, i.size)
 
     return MdmSystem(
         O=O,
         Am=Am,
         A=A,
-        drift_map_pivot=am_gamma @ ups_pivot,
-        drift_map_rest=am_gamma @ ups_rest,
-        theta_map=theta_map,
+        drift_map=Aw.sum(axis=1) @ clock_drift_mean(1.0, ts),
+        theta_map=np.hstack([q_cols, r_cols]),
         Ts=float(ts),
         L=L,
         n=n,
@@ -200,7 +174,7 @@ def residue_mean_from_drifts(system: MdmSystem, drifts: np.ndarray) -> np.ndarra
     d = np.asarray(drifts, dtype=float).ravel()
     if d.size != system.n:
         raise ValueError(f"expected {system.n} drifts, got {d.size}")
-    return system.drift_map_pivot[:, 0] * d[0] + system.drift_map_rest @ d[1:]
+    return system.drift_map @ d
 
 
 def residue_second_moment_from_cov(
@@ -215,11 +189,9 @@ def solve_drifts_from_mean(
 ) -> tuple[np.ndarray, dict]:
     """Drifts d^(2..n) from a residue mean, with the pivot drift known."""
     mean = np.asarray(mean, dtype=float).ravel()
-    rhs = mean - system.drift_map_pivot[:, 0] * d1
+    rhs = mean - system.drift_map[:, 0] * d1
     n_rest = system.n - 1
-    x, diag = weighted_least_squares(
-        system.drift_map_rest, rhs, np.ones(mean.size)
-    )
+    x, diag = weighted_least_squares(system.drift_map[:, 1:], rhs, np.ones(mean.size))
     if diag.rank < n_rest:
         raise DriftUnidentifiableError(
             f"drift map rank {diag.rank} < {n_rest}; increase the window L"

@@ -444,8 +444,9 @@ def read_measurements_csv(path: str | Path) -> MeasurementRecord:
     pool can run; the parsed doubles are the same either way. Lines end
     at '\\n' or '\\r\\n'. A bare '\\r' is not a line break, so such a file
     is rejected. Any file that does not parse, has fewer than 2 rows, rows
-    of another width than the header or a non-uniform time column raises
-    ValueError; a range that fails names the path and its file lines.
+    of another width than the header or a non-uniform time column (a NaN
+    time included) raises ValueError; a range that fails names the path
+    and its file lines.
     """
     with open(path, "rb") as fh:
         head = fh.readline()
@@ -479,20 +480,28 @@ def read_measurements_csv(path: str | Path) -> MeasurementRecord:
         parsed.close()
     if rows < 2:
         raise ValueError(f"{path}: need at least 2 rows, got {rows}")
-    t, Z = t[:rows], Z[:, :rows]
+    t = t[:rows]
     ts = t[1] - t[0]
-    if ts <= 0.0:
+    # both checks are written so that a NaN fails them
+    if not ts > 0.0:
         raise ValueError(f"{path}: time column is not strictly increasing")
-    # |t - (t[0] + k*ts)| in one buffer, freed with t before Z is checked
+    # |t - (t[0] + k*ts)| in one buffer, freed with t before Z is compacted
     dev = np.arange(rows, dtype=float)
     dev *= ts
     dev += t[0]
     np.subtract(t, dev, out=dev)
     np.abs(dev, out=dev)
-    if dev.max() > 1e-6 * ts:
+    if not dev.max() <= 1e-6 * ts:
         raise ValueError(f"{path}: time column is not uniformly spaced by {ts}")
     del t, dev
-    return MeasurementRecord(Ts=ts, Z=np.ascontiguousarray(Z), origin=f"ingested({path})")
+    if rows < Z.shape[1]:
+        # skipped lines leave a gap after each channel's rows: move the
+        # channels down to close it, inside Z's own buffer
+        flat = Z.reshape(-1)
+        for c in range(1, width - 1):
+            flat[c * rows : (c + 1) * rows] = Z[c, :rows]
+        Z = flat[: (width - 1) * rows].reshape(width - 1, rows)
+    return MeasurementRecord(Ts=ts, Z=Z, origin=f"ingested({path})")
 
 
 def derive_run_seed(master_seed: int, run_index: int) -> int:

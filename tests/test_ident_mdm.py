@@ -6,7 +6,7 @@ from chronident import (
     EnsembleParams,
     assemble_ensemble,
     build_mdm_system,
-    build_structure_matrices,
+    clock_noise_cov,
     compute_residues,
     ensemble_structure,
     estimate_drifts_mdm,
@@ -73,26 +73,51 @@ class TestBuildSystem:
 
     def test_theta_map_matches_explicit_kron(self):
         # column i equals (A kron A) vec(blockdiag(I kron B_Q, I kron B_R))
-        system = build_mdm_system(3, 2.0, 4)
-        B_Q, B_R = build_structure_matrices(3, 2.0)
-        A = system.A
-        A_kron = np.kron(A, A)
-        L, n_x = system.L, 2 * system.n
-        for col in (0, 3, 7):
-            block = np.zeros((system.n_noise, system.n_noise))
-            block[: (L - 1) * n_x, : (L - 1) * n_x] = np.kron(np.eye(L - 1), B_Q[col])
-            block[(L - 1) * n_x :, (L - 1) * n_x :] = np.kron(np.eye(L), B_R[col])
-            expected = A_kron @ block.reshape(-1, order="F")
-            np.testing.assert_allclose(system.theta_map[:, col], expected, atol=1e-12)
+        # for the basis pair (B_Q, B_R) of parameter i
+        for n, ts, L in ((3, 2.0, 4), (4, 5000.0, 5)):
+            system = build_mdm_system(n, ts, L)
+            n_z, n_x = n - 1, 2 * n
+            pairs = []
+            for unit in (clock_noise_cov(1.0, 0.0, ts), clock_noise_cov(0.0, 1.0, ts)):
+                for i in range(n):
+                    B_Q = np.zeros((n_x, n_x))
+                    B_Q[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = unit
+                    pairs.append((B_Q, np.zeros((n_z, n_z))))
+            for i, j in zip(*np.triu_indices(n_z)):
+                B_R = np.zeros((n_z, n_z))
+                B_R[i, j] = B_R[j, i] = 1.0
+                pairs.append((np.zeros((n_x, n_x)), B_R))
+            assert system.theta_map.shape[1] == len(pairs)
+            A_kron = np.kron(system.A, system.A)
+            for col, (B_Q, B_R) in enumerate(pairs):
+                block = np.zeros((system.n_noise, system.n_noise))
+                block[: (L - 1) * n_x, : (L - 1) * n_x] = np.kron(np.eye(L - 1), B_Q)
+                block[(L - 1) * n_x :, (L - 1) * n_x :] = np.kron(np.eye(L), B_R)
+                expected = A_kron @ block.reshape(-1, order="F")
+                if ts == 2.0:
+                    np.testing.assert_allclose(system.theta_map[:, col], expected, atol=1e-12)
+                else:
+                    # the q2 columns scale with ts^3: compare within each column
+                    err = np.abs(system.theta_map[:, col] - expected).max()
+                    assert err <= 1e-13 * np.abs(expected).max(), (n, col)
+
+    def test_maps_match_model_moments(self):
+        # theta_map and drift_map reproduce the model's own residue moments
+        rng = np.random.default_rng(65)
+        for n in (2, 3, 4, 5):
+            for L, ts in ((3, 0.7), (4, 5.0), (5, 100.0), (7, 5000.0)):
+                params = random_params(rng, n)
+                model = assemble_ensemble(params, ts)
+                system = build_mdm_system(n, ts, L)
+                moment = residue_second_moment_from_cov(system, model.Q, model.R)
+                mapped = system.theta_map @ theta_alpha_from_params(params)
+                assert np.abs(mapped - moment).max() <= 1e-12 * np.abs(moment).max()
+                n_w = (L - 1) * 2 * n
+                mean = system.A[:, :n_w] @ np.tile(model.mu, L - 1)
+                mapped = system.drift_map @ params.drifts()
+                assert np.abs(mapped - mean).max() <= 1e-12 * np.abs(mean).max()
 
     def test_built_from_model_map(self):
-        # the moment map is the model's own second moment of each basis pair
-        system = build_mdm_system(4, 5000.0, 5)
-        B_Q, B_R = build_structure_matrices(4, 5000.0)
-        for col, (bq, br) in enumerate(zip(B_Q, B_R)):
-            np.testing.assert_array_equal(
-                system.theta_map[:, col], residue_second_moment_from_cov(system, bq, br)
-            )
         # the structure-only constructor is the one assemble_ensemble uses
         rng = np.random.default_rng(64)
         for n, ts in ((2, 1.0), (4, 5.0), (5, 5000.0)):
@@ -102,42 +127,6 @@ class TestBuildSystem:
             np.testing.assert_array_equal(H, model.H)
         with pytest.raises(ValueError):
             ensemble_structure(1, 1.0)
-
-
-class TestStructureMatrices:
-    def test_indicator_patterns(self):
-        _, B_R = build_structure_matrices(4, 5000.0)
-        first = B_R[8]  # 2n = 8 entries of B_Q precede the r block
-        np.testing.assert_array_equal(first, np.diag([1.0, 0.0, 0.0]))
-        third = B_R[10]  # r_13
-        expected = np.zeros((3, 3))
-        expected[0, 2] = expected[2, 0] = 1.0
-        np.testing.assert_array_equal(third, expected)
-
-    def test_reconstruction_identity(self, maser_params, maser_model):
-        theta = theta_alpha_from_params(maser_params)
-        B_Q, B_R = build_structure_matrices(4, 5.0)
-        Q = sum(t * b for t, b in zip(theta, B_Q))
-        R = sum(t * b for t, b in zip(theta, B_R))
-        np.testing.assert_allclose(Q, maser_model.Q, atol=0.0)
-        np.testing.assert_allclose(R, maser_model.R, atol=0.0)
-
-    def test_reconstruction_random(self):
-        rng = np.random.default_rng(52)
-        for _ in range(10):
-            n = int(rng.integers(2, 6))
-            params = random_params(rng, n)
-            ts = float(rng.uniform(0.5, 10.0))
-            model = assemble_ensemble(params, ts)
-            theta = theta_alpha_from_params(params)
-            B_Q, B_R = build_structure_matrices(n, ts)
-            assert len(B_Q) == n * (n + 3) // 2
-            np.testing.assert_allclose(
-                sum(t * b for t, b in zip(theta, B_Q)), model.Q, rtol=1e-14, atol=1e-300
-            )
-            np.testing.assert_allclose(
-                sum(t * b for t, b in zip(theta, B_R)), model.R, rtol=1e-14, atol=1e-300
-            )
 
 
 class TestComputeResidues:
@@ -224,7 +213,7 @@ class TestDriftEstimation:
         se_mean = residues.std(axis=1, ddof=1) / np.sqrt(count)
         import numpy.linalg as la
 
-        map_pinv = la.pinv(system.drift_map_rest)
+        map_pinv = la.pinv(system.drift_map[:, 1:])
         se_d = np.sqrt((map_pinv**2) @ se_mean**2)
         assert np.all(np.abs(d_hat) <= 5.0 * se_d * np.sqrt(system.L))
 

@@ -345,10 +345,12 @@ class TestMeasurementCsv:
             read_measurements_csv(path)
 
     def test_nonuniform_spacing_rejected(self, tmp_path):
+        # a NaN time fails the check as well
         path = tmp_path / "bad.csv"
-        path.write_text("t_s,z1\n0,1\n5,2\n11,3\n")
-        with pytest.raises(ValueError, match="uniform"):
-            read_measurements_csv(path)
+        for body in ("0,1\n5,2\n11,3\n", "0,1\n5,2\n10,3\nnan,4\n20,5\n"):
+            path.write_text("t_s,z1\n" + body)
+            with pytest.raises(ValueError, match="uniform"):
+                read_measurements_csv(path)
 
     def test_too_short_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -357,9 +359,10 @@ class TestMeasurementCsv:
             read_measurements_csv(path)
 
     def test_peak_memory_of_one_cpu_read(self, tmp_path, monkeypatch, maser_model):
-        # ranges are parsed one at a time into t and Z, and the uniform-time
-        # check works in one buffer; a first small read keeps one-time lazy
-        # imports out of the traced peak
+        # ranges are parsed one at a time into t and Z, the uniform-time
+        # check works in one buffer, and a skipped blank or comment line is
+        # closed up inside Z; a first small read keeps one-time lazy imports
+        # out of the traced peak
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         _, record = simulate_ensemble(maser_model, 200_000, seed=27, keep_states=False)
         path = tmp_path / "meas.csv"
@@ -367,15 +370,18 @@ class TestMeasurementCsv:
         small = tmp_path / "small.csv"
         write_measurements_csv(decimate(record, 1000), small)
         read_measurements_csv(small)
-        tracemalloc.start()
-        try:
-            back = read_measurements_csv(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert back.Z.tobytes() == record.Z.tobytes()
+        head, body = path.read_bytes().split(b"\n", 1)
         t_and_z = (record.n_z + 1) * record.Z.shape[1] * 8
-        assert peak < 1.5 * t_and_z
+        for text in (body, body + b"\n", b"# a comment line\n" + body):
+            path.write_bytes(head + b"\n" + text)
+            tracemalloc.start()
+            try:
+                back = read_measurements_csv(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert back.Z.tobytes() == record.Z.tobytes()
+            assert peak < 1.5 * t_and_z, text[:20]
 
 
 class TestSplitCsvCodec:
