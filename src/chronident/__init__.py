@@ -17,7 +17,6 @@ from .errors import (
 )
 from .ident_acov import (
     RegressionSystem,
-    ThetaA,
     build_regression,
     estimate_acov_method,
     recover_drifts,
@@ -51,7 +50,6 @@ from .report import EstimateReport, write_report_json
 from .simulate import (
     MeasurementRecord,
     OutlierReport,
-    StateTrajectory,
     decimate,
     derive_run_seed,
     read_measurements_csv,
@@ -66,7 +64,6 @@ from .stability import (
     acov_variance,
     analytic_acov,
     clock_avar,
-    empirical_acov,
     log_spaced_grid,
 )
 

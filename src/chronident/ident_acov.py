@@ -37,7 +37,6 @@ from .simulate import MeasurementRecord
 from .stability import AcovEstimate, acov_grid, log_spaced_grid
 
 __all__ = [
-    "ThetaA",
     "RegressionSystem",
     "theta_a_from_params",
     "build_regression",
@@ -47,45 +46,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ThetaA:
-    """Regression parameter vector [q1 x n, q2 x n, r upper, f upper]."""
-
-    vector: np.ndarray
-    n: int
-
-    def __post_init__(self):
-        vec = np.asarray(self.vector, dtype=float).ravel()
-        if vec.size != self.n * (self.n + 1):
-            raise ValueError(
-                f"theta_a has length {vec.size}, expected {self.n * (self.n + 1)}"
-            )
-        object.__setattr__(self, "vector", vec)
-
-    @property
-    def n_z(self) -> int:
-        return self.n - 1
-
-    def q1_all(self) -> np.ndarray:
-        return self.vector[: self.n].copy()
-
-    def q2_all(self) -> np.ndarray:
-        return self.vector[self.n : 2 * self.n].copy()
-
-    def r_matrix(self) -> np.ndarray:
-        r_upper, _ = np.split(self.vector[2 * self.n :], 2)
-        return upper_to_symmetric(r_upper, self.n_z)
-
-    def f_matrix(self) -> np.ndarray:
-        _, f_upper = np.split(self.vector[2 * self.n :], 2)
-        return upper_to_symmetric(f_upper, self.n_z)
-
-
-def theta_a_from_params(params: EnsembleParams) -> ThetaA:
-    """Pack true ensemble parameters into the theta_a vector."""
+def theta_a_from_params(params: EnsembleParams) -> np.ndarray:
+    """Pack true ensemble parameters into theta_a, [q1 x n, q2 x n, r upper, f upper]."""
     delta = params.drifts()[1:] - params.clocks[0].d
     f_upper = symmetric_to_upper(np.outer(delta, delta))
-    return ThetaA(vector=np.concatenate([theta_alpha_from_params(params), f_upper]), n=params.n)
+    return np.concatenate([theta_alpha_from_params(params), f_upper])
 
 
 @dataclass(frozen=True)
@@ -138,8 +103,8 @@ def build_regression(acov: AcovEstimate, n: int) -> RegressionSystem:
     )
 
 
-def solve_theta_a(system: RegressionSystem) -> tuple[ThetaA, dict]:
-    """Weighted least-squares solve for theta_a.
+def solve_theta_a(system: RegressionSystem) -> tuple[np.ndarray, dict]:
+    """Weighted least-squares solve for theta_a; returns (theta_a, diagnostics).
 
     Requires at least 4 distinct averaging times (the per-channel basis has
     4 functions of tau) and a full-column-rank regression; otherwise an
@@ -167,7 +132,7 @@ def solve_theta_a(system: RegressionSystem) -> tuple[ThetaA, dict]:
         "se": diag.se,
         "clamped": clamp_negative_variances(x, diag.se, n),
     }
-    return ThetaA(vector=x, n=n), diagnostics
+    return x, diagnostics
 
 
 def recover_drifts(
@@ -229,6 +194,8 @@ def estimate_acov_method(
     d1: float = 0.0,
 ) -> EstimateReport:
     """Full ACOV pipeline: grid, ACOV estimates, WLS, drift factorisation."""
+    if not np.isfinite(d1):
+        raise ValueError(f"pivot drift d1 must be finite, got {d1}")
     n_steps = record.n_steps
     if m_max is None:
         m_max = n_steps // 2
@@ -239,19 +206,17 @@ def estimate_acov_method(
     n = record.n_z + 1
     system = build_regression(acov, n)
     theta_a, diagnostics = solve_theta_a(system)
-    drifts, drift_info = recover_drifts(
-        theta_a.f_matrix(), d1=d1, sign_hint=drift_sign_hint(record)
-    )
+    n_alpha = n * (n + 3) // 2
+    f_hat = upper_to_symmetric(theta_a[n_alpha:], n - 1)
+    drifts, drift_info = recover_drifts(f_hat, d1=d1, sign_hint=drift_sign_hint(record))
 
-    diagnostics = dict(diagnostics)
     diagnostics["drift_iterations"] = drift_info["iterations"]
     diagnostics["drift_degenerate"] = drift_info["degenerate"]
     diagnostics["ell"] = len(grid)
     diagnostics["m_max"] = int(grid.m_values[-1])
-    theta_alpha = theta_a.vector[: n * (n + 3) // 2]
     return EstimateReport(
         method="acov",
         ts_seconds=record.Ts,
-        params=params_from_theta_alpha(theta_alpha, np.concatenate([[d1], drifts])),
+        params=params_from_theta_alpha(theta_a[:n_alpha], np.concatenate([[d1], drifts])),
         diagnostics=diagnostics,
     )

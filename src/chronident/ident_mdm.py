@@ -75,10 +75,6 @@ class MdmSystem:
     def n_residue(self) -> int:
         return self.Am.shape[0]
 
-    @property
-    def n_noise(self) -> int:
-        return self.A.shape[1]
-
 
 def _second_moment(A: np.ndarray, L: int, Q: np.ndarray, R: np.ndarray) -> np.ndarray:
     """vec(A blockdiag(I_{L-1} kron Q, I_L kron R) A^T), column-major.
@@ -118,7 +114,7 @@ def build_mdm_system(n: int, ts: float, L: int) -> MdmSystem:
         for c in range(r):
             Gamma[r * n_z : (r + 1) * n_z, c * n_x : (c + 1) * n_x] = hf_powers[r - 1 - c]
 
-    Am = left_null_space(O, tol_rel=1e-10)
+    Am = left_null_space(O)
     if Am.shape[0] == 0:
         raise NoResidueError(
             f"stacked observation matrix has full row rank for L={L}, n={n}; "
@@ -264,6 +260,8 @@ def estimate_mdm(
     ts_target_s must be an integer multiple of the record's Ts; the record
     is decimated to it before the window of L samples is applied.
     """
+    if not np.isfinite(d1):
+        raise ValueError(f"pivot drift d1 must be finite, got {d1}")
     ratio = ts_target_s / record.Ts
     factor = int(round(ratio)) if np.isfinite(ratio) else 0
     if factor < 1 or abs(ratio - factor) > 1e-9 * factor:
@@ -278,7 +276,6 @@ def estimate_mdm(
     drifts, drift_diag = estimate_drifts_mdm(residues, system, d1=d1)
     theta_alpha, diagnostics = estimate_theta_alpha(residues, drifts, system, d1=d1)
 
-    diagnostics = dict(diagnostics)
     diagnostics["drift_residual"] = drift_diag["residual"]
     diagnostics["drift_cond"] = drift_diag["cond"]
     diagnostics["L"] = system.L

@@ -129,10 +129,6 @@ class EnsembleModel:
     def n_z(self) -> int:
         return self.n - 1
 
-    @property
-    def n_x(self) -> int:
-        return 2 * self.n
-
 
 def clock_transition(ts: float) -> np.ndarray:
     """Single-clock transition matrix [[1, ts], [0, 1]].
@@ -177,8 +173,7 @@ def ensemble_structure(n: int, ts: float) -> tuple[np.ndarray, np.ndarray]:
     F = np.kron(np.eye(n), clock_transition(ts))
     H = np.zeros((n - 1, 2 * n))
     H[:, 0] = -1.0
-    for i in range(n - 1):
-        H[i, 2 * (i + 1)] = 1.0
+    H[np.arange(n - 1), np.arange(2, 2 * n, 2)] = 1.0
     return F, H
 
 
@@ -208,9 +203,7 @@ def upper_triangle_pairs(size: int) -> list[tuple[int, int]]:
 
 def symmetric_to_upper(mat: np.ndarray) -> np.ndarray:
     """Row-major upper-triangle elements of a square matrix."""
-    mat = np.asarray(mat, dtype=float)
-    size = mat.shape[0]
-    return np.array([mat[i - 1, j - 1] for i, j in upper_triangle_pairs(size)])
+    return np.asarray(mat, dtype=float)[np.triu_indices(len(mat))]
 
 
 def upper_to_symmetric(vec: np.ndarray, size: int) -> np.ndarray:
@@ -220,9 +213,8 @@ def upper_to_symmetric(vec: np.ndarray, size: int) -> np.ndarray:
     if vec.size != expected:
         raise ValueError(f"expected {expected} upper-triangle elements, got {vec.size}")
     out = np.zeros((size, size))
-    for value, (i, j) in zip(vec, upper_triangle_pairs(size)):
-        out[i - 1, j - 1] = value
-        out[j - 1, i - 1] = value
+    i, j = np.triu_indices(size)
+    out[i, j] = out[j, i] = vec
     return out
 
 

@@ -102,10 +102,10 @@ def weighted_least_squares(
     )
 
 
-def left_null_space(M: np.ndarray, tol_rel: float = 1e-10) -> np.ndarray:
+def left_null_space(M: np.ndarray) -> np.ndarray:
     """Orthonormal rows spanning {v : v^T M = 0}.
 
-    Rank is decided at ``tol_rel * sigma_max``. Returns an array of shape
+    Rank is decided at 1e-10 * sigma_max. Returns an array of shape
     (rows(M) - rank, rows(M)); empty (0, rows) when M has full row rank.
     """
     M = np.asarray(M, dtype=float)
@@ -115,5 +115,5 @@ def left_null_space(M: np.ndarray, tol_rel: float = 1e-10) -> np.ndarray:
     if s.size == 0 or s[0] == 0.0:
         rank = 0
     else:
-        rank = int(np.sum(s > tol_rel * s[0]))
+        rank = int(np.sum(s > 1e-10 * s[0]))
     return U[:, rank:].T.copy()

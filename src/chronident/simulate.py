@@ -38,7 +38,6 @@ from .model import EnsembleModel
 
 __all__ = [
     "MeasurementRecord",
-    "StateTrajectory",
     "OutlierReport",
     "simulate_ensemble",
     "decimate",
@@ -92,13 +91,6 @@ class MeasurementRecord:
 
 
 @dataclass(frozen=True)
-class StateTrajectory:
-    """True ensemble states of a synthetic run, shape (2n, N+1)."""
-
-    X: np.ndarray
-
-
-@dataclass(frozen=True)
 class OutlierReport:
     """Flagged sample indices per channel and the threshold used."""
 
@@ -110,11 +102,11 @@ class OutlierReport:
         return int(sum(len(f) for f in self.flagged))
 
 
-def _psd_factor(M: np.ndarray, tol_rel: float = 1e-12) -> np.ndarray:
+def _psd_factor(M: np.ndarray) -> np.ndarray:
     """Symmetric factor S with S @ S.T = M for a (semi)definite matrix.
 
     Cholesky is used when M is positive definite; otherwise eigenvalues
-    within -tol_rel*trace(M) of zero are clamped to zero and a symmetric
+    within -1e-12*trace(M) of zero are clamped to zero and a symmetric
     eigenfactor is returned. Raises InvalidCovarianceError for eigenvalues
     below the tolerance.
     """
@@ -124,7 +116,7 @@ def _psd_factor(M: np.ndarray, tol_rel: float = 1e-12) -> np.ndarray:
     except np.linalg.LinAlgError:
         pass
     eigvals, eigvecs = np.linalg.eigh(M)
-    tol = tol_rel * max(float(np.trace(M)), 0.0) + np.finfo(float).tiny
+    tol = 1e-12 * max(float(np.trace(M)), 0.0) + np.finfo(float).tiny
     if eigvals.min() < -tol:
         raise InvalidCovarianceError(
             f"covariance has eigenvalue {eigvals.min():.3e} below tolerance -{tol:.3e}"
@@ -189,7 +181,7 @@ def simulate_ensemble(
     seed: int,
     x0: np.ndarray | None = None,
     keep_states: bool = True,
-) -> tuple[StateTrajectory | None, MeasurementRecord]:
+) -> tuple[np.ndarray | None, MeasurementRecord]:
     """Simulate states x_{k+1} = F x_k + w_k and measurements z_k = H x_k + v_k.
 
     w_k is Gaussian with mean model.mu and covariance model.Q (block
@@ -197,11 +189,10 @@ def simulate_ensemble(
     clock's draws are mixed into w_k in their own buffer, which is reused
     for every clock; the measurement noise is drawn straight into Z's
     buffer, mixed there by R's factor and has the phase differences added,
-    block by block. No full-length noise array is kept beside Z. With
-    ``keep_states=True`` the phase and frequency trajectories are written
-    straight into the rows of the returned X; with ``keep_states=False``
-    only the phases are kept, in a buffer of their own. The measurement
-    stream is bit-identical either way.
+    block by block. No full-length noise array is kept beside Z. Returns
+    (X, record): X is the (2n, N+1) state array with ``keep_states=True``
+    (its rows written straight in as the clocks are integrated) and None
+    otherwise (only the phases are kept); Z is bit-identical either way.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
@@ -230,9 +221,8 @@ def simulate_ensemble(
         np.subtract(phases[1:, start:stop], phases[0, start:stop], out=block)
         block += mixed
 
-    traj = StateTrajectory(X=X) if keep_states else None
     record = MeasurementRecord(Ts=ts, Z=Z, origin=f"synthetic(seed={seed})")
-    return traj, record
+    return (X if keep_states else None), record
 
 
 def decimate(record: MeasurementRecord, factor: int) -> MeasurementRecord:
@@ -263,7 +253,7 @@ def remove_outliers(
     Flagged samples are replaced by linear interpolation between the
     nearest unflagged neighbours.
     """
-    if k <= 0.0:
+    if not k > 0.0:
         raise ValueError(f"threshold k must be > 0, got {k}")
     n_samples = record.Z.shape[1]
     cleaned = record.Z.copy()
@@ -413,22 +403,43 @@ def _cut_body(path: str | Path, offset: int) -> list[tuple[int, int, int]]:
     return parts
 
 
-def _parse_part(task: tuple[str | Path, int, int]) -> np.ndarray:
-    """Parse the rows of one (path, offset, size) byte range.
-
-    A line ends at a newline only, as it does for _cut_body. A range that
-    holds no rows (blank or comment lines only) gives shape (0, 1).
-    """
-    path, offset, size = task
+def _read_range(path: str | Path, offset: int, size: int) -> bytes:
     with open(path, "rb") as fh:
         fh.seek(offset)
-        raw = fh.read(size)
+        return fh.read(size)
+
+
+def _parse_part(task: tuple[str | Path, int, int]) -> np.ndarray:
+    """Parse the rows of one (path, offset, size) byte range."""
+    return _parse_rows(_read_range(*task))
+
+
+def _parse_rows(raw: bytes) -> np.ndarray:
+    """Parse CSV rows from bytes.
+
+    A line ends at a newline only, as it does for _cut_body. Bytes that
+    hold no rows (blank or comment lines only) give shape (0, 1).
+    """
     with (
         io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="\n") as text,
         warnings.catch_warnings(),
     ):
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         return np.loadtxt(text, delimiter=",", ndmin=2)
+
+
+def _first_bad_line(raw: bytes, width: int) -> tuple[int, str]:
+    """Index among raw's lines of the first one that fails to parse on its
+    own or has another width than the header (a range that fails has one),
+    and the reason, without loadtxt's row count."""
+    for index, line in enumerate(raw.split(b"\n")):
+        try:
+            row = _parse_rows(line)
+        except ValueError as err:
+            return index, str(err).split(" at row ")[0]
+        if len(row) and row.shape[1] != width:
+            return index, f"row width {row.shape[1]} != header width {width}"
+    raise AssertionError("every line parses on its own")
 
 
 def read_measurements_csv(path: str | Path) -> MeasurementRecord:
@@ -445,8 +456,8 @@ def read_measurements_csv(path: str | Path) -> MeasurementRecord:
     at '\\n' or '\\r\\n'. A bare '\\r' is not a line break, so such a file
     is rejected. Any file that does not parse, has fewer than 2 rows, rows
     of another width than the header or a non-uniform time column (a NaN
-    time included) raises ValueError; a range that fails names the path
-    and its file lines.
+    time included) raises ValueError; a range that fails is parsed again
+    line by line, and the error names the path and its first bad file line.
     """
     with open(path, "rb") as fh:
         head = fh.readline()
@@ -464,13 +475,15 @@ def read_measurements_csv(path: str | Path) -> MeasurementRecord:
     rows, line = 0, 2  # the header is line 1
     parsed = _in_order(_parse_part, [(path, offset, size) for offset, size, _ in parts])
     try:
-        for _, _, n in parts:
+        for offset, size, n in parts:
             try:
                 data = next(parsed)
-                if len(data) and data.shape[1] != width:
-                    raise ValueError(f"row width {data.shape[1]} != header width {width}")
-            except ValueError as err:
-                raise ValueError(f"{path}: lines {line}-{line + n - 1}: {err}") from err
+                bad = len(data) and data.shape[1] != width
+            except ValueError:
+                bad = True
+            if bad:
+                index, reason = _first_bad_line(_read_range(path, offset, size), width)
+                raise ValueError(f"{path}: line {line + index}: {reason}")
             line += n
             if len(data):
                 t[rows : rows + len(data)] = data[:, 0]

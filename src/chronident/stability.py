@@ -24,7 +24,6 @@ __all__ = [
     "TauGrid",
     "AcovEstimate",
     "log_spaced_grid",
-    "empirical_acov",
     "analytic_acov",
     "clock_avar",
     "acov_variance",
@@ -76,18 +75,6 @@ def log_spaced_grid(ell: int, m_max: int, ts: float) -> TauGrid:
     raw = np.round(np.exp(np.linspace(0.0, np.log(m_max), ell)))
     m = np.unique(raw.astype(np.int64))
     return TauGrid(m_values=m, Ts=ts, truncated=len(m) < ell)
-
-
-def empirical_acov(record: MeasurementRecord, i: int, j: int, m: int) -> float:
-    """Overlapping Allan covariance of channels i and j (1-based) at m steps."""
-    n = record.n_steps
-    if not 1 <= i <= record.n_z or not 1 <= j <= record.n_z:
-        raise ValueError(f"channel pair ({i}, {j}) out of range 1..{record.n_z}")
-    if not 1 <= m <= n // 2:
-        raise ValueError(f"m={m} outside 1..floor(N/2)={n // 2}")
-    tau = m * record.Ts
-    G = _second_difference_grams(record.Z, [m])[0]
-    return float(G[i - 1, j - 1] / (2.0 * tau**2 * (n - 2 * m + 1)))
 
 
 def analytic_acov(params: EnsembleParams, i: int, j: int, tau: float) -> float:
@@ -158,8 +145,7 @@ def _second_difference_grams(Z: np.ndarray, m_values) -> np.ndarray:
     order of the inner products differs. Each block's products are summed
     by einsum's own loop, not by BLAS: OpenBLAS may split each block's
     syrk over threads of its own, and Monte-Carlo pool workers already
-    occupy every core. G[i, j] and G[j, i] come out of the same loop, so
-    each Gram matrix is exactly symmetric.
+    occupy every core.
     """
     n_z = Z.shape[0]
     d = np.empty((n_z, _BLOCK))
@@ -195,7 +181,7 @@ def acov_grid(record: MeasurementRecord, grid: TauGrid) -> AcovEstimate:
     if abs(grid.Ts - record.Ts) > 1e-9 * record.Ts:
         raise ValueError(f"grid Ts={grid.Ts} does not match record Ts={record.Ts}")
     pairs = upper_triangle_pairs(record.n_z)
-    rows, cols = (np.array(pairs) - 1).T
+    rows, cols = np.triu_indices(record.n_z)
     sigma2 = np.empty((len(pairs), len(grid)))
     var = np.empty_like(sigma2)
     grams = _second_difference_grams(record.Z, grid.m_values)

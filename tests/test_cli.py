@@ -165,6 +165,22 @@ class TestEstimateCommand:
         )
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--method", "acov", "--d1", "nan"],
+            ["--method", "mdm", "--d1", "nan"],
+            ["--method", "acov", "--d1", "inf"],
+            ["--method", "mdm", "--d1", "inf"],
+            ["--method", "acov", "--outlier-k", "nan"],
+        ],
+    )
+    def test_non_finite_option_is_invalid_input(self, measurement_path, tmp_path, flags):
+        out = tmp_path / "report.json"
+        code = main(["estimate", str(measurement_path), *flags, "--out", str(out)])
+        assert code == EXIT_INVALID_INPUT
+        assert not out.exists()
+
     def test_too_short_file_exit_code(self, tmp_path):
         path = tmp_path / "short.csv"
         path.write_text("t_s,z1\n0,1.0\n5,2.0\n")

@@ -15,8 +15,12 @@ from chronident import (
     weighted_least_squares,
 )
 from chronident.errors import UnidentifiableError
-from chronident.ident_acov import ThetaA, drift_sign_hint
-from chronident.model import clamp_negative_variances, upper_triangle_pairs
+from chronident.ident_acov import drift_sign_hint
+from chronident.model import (
+    clamp_negative_variances,
+    upper_to_symmetric,
+    upper_triangle_pairs,
+)
 from chronident.stability import (
     AcovEstimate,
     acov_grid,
@@ -49,12 +53,12 @@ YEAR_STEPS = 6_312_000
 class TestThetaA:
     def test_layout_round_trip(self, maser_params):
         ta = theta_a_from_params(maser_params)
-        assert ta.vector.shape == (20,)
-        np.testing.assert_array_equal(ta.q1_all(), [1e-27, 1.5e-27, 5e-27, 7e-27])
-        np.testing.assert_array_equal(ta.q2_all(), [1e-36, 2e-35, 1.5e-35, 2.5e-35])
-        np.testing.assert_array_equal(ta.r_matrix(), maser_params.R)
+        assert ta.shape == (20,)
+        np.testing.assert_array_equal(ta[:4], [1e-27, 1.5e-27, 5e-27, 7e-27])
+        np.testing.assert_array_equal(ta[4:8], [1e-36, 2e-35, 1.5e-35, 2.5e-35])
+        np.testing.assert_array_equal(upper_to_symmetric(ta[8:14], 3), maser_params.R)
         delta = np.array([8e-21, 7.5e-21, 3e-21])
-        np.testing.assert_allclose(ta.f_matrix(), np.outer(delta, delta))
+        np.testing.assert_allclose(upper_to_symmetric(ta[14:], 3), np.outer(delta, delta))
 
     def test_names_match_layout(self):
         # every variance-like entry is clamped, and named by its position
@@ -68,10 +72,6 @@ class TestThetaA:
         positive = x > 0.0
         assert positive[[8, 11, 13, 14, 17, 19]].all()  # r_11, r_22, r_33, f_11, ...
         assert not positive[[9, 10, 12, 15, 16, 18]].any()  # r_12, r_13, r_23, f_12, ...
-
-    def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError):
-            ThetaA(vector=np.zeros(19), n=4)
 
 
 class TestBuildRegression:
@@ -87,7 +87,7 @@ class TestBuildRegression:
         est = analytic_estimate(maser_params, YEAR_GRID, YEAR_STEPS)
         system = build_regression(est, 4)
         ta = theta_a_from_params(maser_params)
-        rel = np.linalg.norm(system.z_a - system.Phi @ ta.vector) / np.linalg.norm(
+        rel = np.linalg.norm(system.z_a - system.Phi @ ta) / np.linalg.norm(
             system.z_a
         )
         assert rel <= 1e-12
@@ -121,7 +121,7 @@ class TestSolveThetaA:
             system = build_regression(analytic_estimate(params, grid, 10_000), params.n)
             ta_hat, diag = solve_theta_a(system)
             ta_true = theta_a_from_params(params)
-            err = np.abs(ta_hat.vector - ta_true.vector) / np.abs(ta_true.vector).max()
+            err = np.abs(ta_hat - ta_true) / np.abs(ta_true).max()
             assert err.max() < 1e-10
             assert diag["clamped"] == []
 
@@ -132,7 +132,7 @@ class TestSolveThetaA:
         )
         ta_hat, _ = solve_theta_a(system)
         ta_true = theta_a_from_params(maser_params)
-        rel = np.abs(ta_hat.vector - ta_true.vector) / np.abs(ta_true.vector)
+        rel = np.abs(ta_hat - ta_true) / np.abs(ta_true)
         r_entries = range(8, 14)  # [q1 x 4, q2 x 4, r upper, f upper]
         for k, e in enumerate(rel):
             limit = 1e-7 if k in r_entries else 1e-8
@@ -179,21 +179,21 @@ class TestSolveThetaA:
             analytic_estimate(maser_params, YEAR_GRID, YEAR_STEPS), 4
         )
         ta_true = theta_a_from_params(maser_params)
-        bad = ta_true.vector.copy()
+        bad = ta_true.copy()
         bad[8] = -bad[8]  # flip r_11 negative
         system_bad = type(system)(
             z_a=system.Phi @ bad, Phi=system.Phi, w=system.w, taus=system.taus, n=4
         )
         ta_hat, diag = solve_theta_a(system_bad)
         assert "r_11" in diag["clamped"]
-        assert ta_hat.vector[8] > 0.0
+        assert ta_hat[8] > 0.0
 
     def test_single_run_estimate_quality(self, maser_model, maser_params):
         _, record = simulate_ensemble(maser_model, 200_000, seed=1, keep_states=False)
         grid = log_spaced_grid(20, 100_000, 5.0)
         system = build_regression(acov_grid(record, grid), 4)
         ta_hat, _ = solve_theta_a(system)
-        assert abs(ta_hat.q1_all()[1] - 1.5e-27) / 1.5e-27 < 0.15
+        assert abs(ta_hat[1] - 1.5e-27) / 1.5e-27 < 0.15
 
     def test_optimality_beats_truth_on_data(self, maser_model, maser_params):
         # the solved parameters cannot have a larger weighted residual than
@@ -203,7 +203,7 @@ class TestSolveThetaA:
         ta_hat, diag = solve_theta_a(system)
         sqrt_w = np.sqrt(system.w)
         resid_truth = np.linalg.norm(
-            sqrt_w * (system.z_a - system.Phi @ theta_a_from_params(maser_params).vector)
+            sqrt_w * (system.z_a - system.Phi @ theta_a_from_params(maser_params))
         )
         assert diag["residual"] <= resid_truth + 1e-12
 
@@ -221,13 +221,13 @@ class TestSolveThetaA:
         ta_orig, _ = solve_theta_a(sys_orig)
         ta_perm, _ = solve_theta_a(sys_perm)
         np.testing.assert_allclose(
-            ta_perm.q1_all()[1:],
-            ta_orig.q1_all()[1:][chan_perm],
+            ta_perm[1:4],
+            ta_orig[1:4][chan_perm],
             rtol=1e-8,
         )
         np.testing.assert_allclose(
-            ta_perm.r_matrix(),
-            ta_orig.r_matrix()[np.ix_(chan_perm, chan_perm)],
+            upper_to_symmetric(ta_perm[8:14], 3),
+            upper_to_symmetric(ta_orig[8:14], 3)[np.ix_(chan_perm, chan_perm)],
             rtol=1e-5,
         )
 
@@ -357,11 +357,11 @@ class TestExactPipelineInvariant:
             ta_hat, _ = solve_theta_a(system)
             delta_true = params.drifts()[1:] - params.clocks[0].d
             d_hat, _ = recover_drifts(
-                ta_hat.f_matrix(), d1=params.clocks[0].d, sign_hint=np.sign(delta_true)
+                upper_to_symmetric(ta_hat[n * (n + 3) // 2 :], n - 1),
+                d1=params.clocks[0].d,
+                sign_hint=np.sign(delta_true),
             )
-            theta_hat = np.concatenate(
-                [ta_hat.q1_all(), ta_hat.q2_all(), [params.clocks[0].d], d_hat]
-            )
+            theta_hat = np.concatenate([ta_hat[: 2 * n], [params.clocks[0].d], d_hat])
             theta_true = np.concatenate(
                 [
                     [c.q1 for c in params.clocks],
@@ -377,11 +377,13 @@ class TestExactPipelineInvariant:
             analytic_estimate(maser_params, YEAR_GRID, YEAR_STEPS), 4
         )
         ta_hat, _ = solve_theta_a(system)
-        d_hat, _ = recover_drifts(ta_hat.f_matrix(), d1=0.0, sign_hint=np.ones(3))
+        d_hat, _ = recover_drifts(
+            upper_to_symmetric(ta_hat[14:], 3), d1=0.0, sign_hint=np.ones(3)
+        )
         np.testing.assert_allclose(d_hat, [8e-21, 7.5e-21, 3e-21], rtol=1e-8)
         np.testing.assert_allclose(
-            ta_hat.q1_all(), [1e-27, 1.5e-27, 5e-27, 7e-27], rtol=1e-8
+            ta_hat[:4], [1e-27, 1.5e-27, 5e-27, 7e-27], rtol=1e-8
         )
         np.testing.assert_allclose(
-            ta_hat.q2_all(), [1e-36, 2e-35, 1.5e-35, 2.5e-35], rtol=1e-8
+            ta_hat[4:8], [1e-36, 2e-35, 1.5e-35, 2.5e-35], rtol=1e-8
         )

@@ -90,7 +90,7 @@ class TestBuildSystem:
             assert system.theta_map.shape[1] == len(pairs)
             A_kron = np.kron(system.A, system.A)
             for col, (B_Q, B_R) in enumerate(pairs):
-                block = np.zeros((system.n_noise, system.n_noise))
+                block = np.zeros((system.A.shape[1], system.A.shape[1]))
                 block[: (L - 1) * n_x, : (L - 1) * n_x] = np.kron(np.eye(L - 1), B_Q)
                 block[(L - 1) * n_x :, (L - 1) * n_x :] = np.kron(np.eye(L), B_R)
                 expected = A_kron @ block.reshape(-1, order="F")
