@@ -193,14 +193,14 @@ def run_monte_carlo(
                 failed.append({"run": run_idx, "error": entry["error"]})
         thetas = np.asarray(thetas, dtype=float)
         n_ok = thetas.shape[0]
+        summary = summaries[method] = {
+            "method": method,
+            "runs_requested": runs,
+            "runs_succeeded": n_ok,
+            "failed_runs": failed,
+            "master_seed": master_seed,
+        }
         if n_ok == 0:
-            summaries[method] = {
-                "method": method,
-                "runs_requested": runs,
-                "runs_succeeded": 0,
-                "failed_runs": failed,
-                "master_seed": master_seed,
-            }
             continue
         mean = thetas.mean(axis=0)
         std = thetas.std(axis=0, ddof=1) if n_ok > 1 else None
@@ -221,23 +221,18 @@ def run_monte_carlo(
                 "p2_5": low[clk],
                 "p97_5": high[clk],
             }
-        summaries[method] = {
-            "method": method,
-            "runs_requested": runs,
-            "runs_succeeded": n_ok,
-            "failed_runs": failed,
-            "master_seed": master_seed,
-            "n": n,
-            "n_steps": int(n_steps),
-            "ts_seconds": ts,
-            "parameter_names": theta_names(n),
-            "truth": truth.tolist(),
-            "mean": mean.tolist(),
-            "std": None if std is None else std.tolist(),
-            "rel_error": [None if not np.isfinite(v) else float(v) for v in rel],
-            "tau_s": taus.tolist(),
-            "curves": curves,
-        }
+        summary.update(
+            n=n,
+            n_steps=int(n_steps),
+            ts_seconds=ts,
+            parameter_names=theta_names(n),
+            truth=truth.tolist(),
+            mean=mean.tolist(),
+            std=None if std is None else std.tolist(),
+            rel_error=[None if not np.isfinite(v) else float(v) for v in rel],
+            tau_s=taus.tolist(),
+            curves=curves,
+        )
     return summaries
 
 
@@ -280,6 +275,9 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
         f"montecarlo ({opts.method}): {summary['runs_succeeded']}/{args.runs} runs "
         f"-> {args.out}"
     )
+    if summary["runs_succeeded"] == 0:
+        print(f"error: {summary['failed_runs'][0]['error']}", file=sys.stderr)
+        return EXIT_INVALID_INPUT
     return EXIT_OK
 
 

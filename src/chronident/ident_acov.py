@@ -5,10 +5,10 @@ enter through pairwise products. Estimation is therefore split in two:
 
 1. a weighted linear regression over the stacked ACOV estimates for the
    noise intensities, measurement covariances and the drift products
-   f_ij = (d_{i+1} - d_1)(d_{j+1} - d_1);
-2. a rank-one factorisation of the symmetric matrix of f estimates (its
-   leading eigenpair) to recover the drifts themselves, with the pivot
-   drift supplied by the caller.
+   f_ij = (d_{i+1} - d_1)(d_{j+1} - d_1), solved once more with weights
+   from its own fitted ACOVs (the f_ij are nuisance parameters);
+2. a least-squares quadratic fit of each channel's phase for the drifts,
+   with the pivot drift supplied by the caller.
 
 The regression vector theta_a is [q1 x n, q2 x n, r upper, f upper], with
 both upper triangles in the row-major order of ``upper_triangle_pairs``;
@@ -17,7 +17,7 @@ its first n(n+3)/2 entries are the MDM parameter vector theta_alpha.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,13 +28,12 @@ from .model import (
     params_from_theta_alpha,
     symmetric_to_upper,
     theta_alpha_from_params,
-    upper_to_symmetric,
     upper_triangle_pairs,
 )
 from .numerics import weighted_least_squares
 from .report import EstimateReport
 from .simulate import MeasurementRecord
-from .stability import AcovEstimate, acov_grid, log_spaced_grid
+from .stability import _BLOCK, AcovEstimate, acov_grid, acov_variance, log_spaced_grid
 
 __all__ = [
     "RegressionSystem",
@@ -112,12 +111,10 @@ def solve_theta_a(system: RegressionSystem) -> tuple[np.ndarray, dict]:
     the variance-like entries (q1, q2, r_ii, f_ii) are clamped to
     1e-3 times their standard error and reported in ``clamped``.
     """
-    n = system.n
     n_cols = system.Phi.shape[1]
-    if len(np.unique(system.taus)) < 4:
-        raise UnidentifiableError(
-            f"need >= 4 distinct averaging times, got {len(np.unique(system.taus))}"
-        )
+    distinct = len(np.unique(system.taus))
+    if distinct < 4:
+        raise UnidentifiableError(f"need >= 4 distinct averaging times, got {distinct}")
     x, diag = weighted_least_squares(system.Phi, system.z_a, system.w)
     if diag.rank < n_cols:
         raise UnidentifiableError(
@@ -130,7 +127,7 @@ def solve_theta_a(system: RegressionSystem) -> tuple[np.ndarray, dict]:
         "cond": diag.condition_number,
         "rank": diag.rank,
         "se": diag.se,
-        "clamped": clamp_negative_variances(x, diag.se, n),
+        "clamped": clamp_negative_variances(x, diag.se, system.n),
     }
     return x, diagnostics
 
@@ -177,14 +174,19 @@ def recover_drifts(
     return d1 + delta, info
 
 
-def drift_sign_hint(record: MeasurementRecord) -> np.ndarray:
-    """Mean second difference per channel; estimates (d^(i+1)-d^(1)) Ts^2.
+def fit_drifts(record: MeasurementRecord, d1: float = 0.0) -> np.ndarray:
+    """Drifts d^(2..n): d1 plus twice each channel's least-squares t^2 coefficient.
 
-    The sum of the S - 2 second differences of S samples telescopes to the
-    last first difference minus the first one.
+    That is the projection on u^2 - (S^2-1)/12, of squared norm S(S^2-1)(S^2-4)/180,
+    at the centred sample index u, summed in _BLOCK-column einsums (no BLAS).
     """
     Z = record.Z
-    return ((Z[:, -1] - Z[:, -2]) - (Z[:, 1] - Z[:, 0])) / (Z.shape[1] - 2)
+    S = Z.shape[1]
+    proj = np.zeros(record.n_z)
+    for start in range(0, S, _BLOCK):
+        u = np.arange(start, min(start + _BLOCK, S)) - 0.5 * (S - 1)
+        proj += np.einsum("ik,k->i", Z[:, start : start + _BLOCK], u * u - (S * S - 1) / 12.0)
+    return d1 + 360.0 * proj / (S * (S * S - 1.0) * (S * S - 4.0) * record.Ts**2)
 
 
 def estimate_acov_method(
@@ -193,7 +195,7 @@ def estimate_acov_method(
     m_max: int | None = None,
     d1: float = 0.0,
 ) -> EstimateReport:
-    """Full ACOV pipeline: grid, ACOV estimates, WLS, drift factorisation."""
+    """Full ACOV pipeline: grid, ACOV estimates, reweighted WLS, drift fit."""
     if not np.isfinite(d1):
         raise ValueError(f"pivot drift d1 must be finite, got {d1}")
     n_steps = record.n_steps
@@ -202,21 +204,21 @@ def estimate_acov_method(
     if m_max < 1:
         raise ValueError(f"record too short for ACOV estimation (N={n_steps})")
     grid = log_spaced_grid(ell, m_max, record.Ts)
-    acov = acov_grid(record, grid)
     n = record.n_z + 1
-    system = build_regression(acov, n)
-    theta_a, diagnostics = solve_theta_a(system)
+    system = build_regression(acov_grid(record, grid), n)
+    theta_a, _ = solve_theta_a(system)
+    # reweight from the fitted ACOVs; the clamps keep their diagonal >= 0
+    rows, cols = np.triu_indices(n - 1)
+    fitted = np.empty((len(grid), n - 1, n - 1))
+    fitted[:, rows, cols] = fitted[:, cols, rows] = (system.Phi @ theta_a).reshape(-1, len(grid)).T
+    var = acov_variance(fitted, n_steps, grid.m_values)[:, rows, cols].T
+    theta_a, diagnostics = solve_theta_a(replace(system, w=1.0 / var.ravel()))
+    diagnostics.update(ell=len(grid), m_max=int(grid.m_values[-1]))
     n_alpha = n * (n + 3) // 2
-    f_hat = upper_to_symmetric(theta_a[n_alpha:], n - 1)
-    drifts, drift_info = recover_drifts(f_hat, d1=d1, sign_hint=drift_sign_hint(record))
-
-    diagnostics["drift_iterations"] = drift_info["iterations"]
-    diagnostics["drift_degenerate"] = drift_info["degenerate"]
-    diagnostics["ell"] = len(grid)
-    diagnostics["m_max"] = int(grid.m_values[-1])
+    drifts = np.concatenate([[d1], fit_drifts(record, d1)])
     return EstimateReport(
         method="acov",
         ts_seconds=record.Ts,
-        params=params_from_theta_alpha(theta_a[:n_alpha], np.concatenate([[d1], drifts])),
+        params=params_from_theta_alpha(theta_a[:n_alpha], drifts),
         diagnostics=diagnostics,
     )

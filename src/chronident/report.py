@@ -33,10 +33,9 @@ class EstimateReport:
     validated: an estimated R may be indefinite). ``diagnostics`` always
     carries ``residual`` (residual norm of the main solve), ``cond`` and
     ``clamped`` (names of entries raised to the positive floor). The
-    ``acov`` method adds ``se``, ``rank``, ``drift_iterations``,
-    ``drift_degenerate``, ``ell`` and ``m_max``; the ``mdm`` method adds
-    ``se_approx``, ``drift_residual``, ``drift_cond``, ``L``,
-    ``ts_target_s`` and ``n_residue_dim``.
+    ``acov`` method adds ``se``, ``rank``, ``ell`` and ``m_max``; the
+    ``mdm`` method adds ``se_approx``, ``drift_residual``, ``drift_cond``,
+    ``L``, ``ts_target_s`` and ``n_residue_dim``.
     """
 
     method: str

@@ -31,7 +31,6 @@ __all__ = [
     "write_acov_csv",
 ]
 
-# absolute floor so weights stay finite even for identically zero channels
 _VAR_FLOOR_ABS = 1e-100
 
 # columns of second differences formed at a time: (n_z, block) float64
@@ -105,20 +104,23 @@ def clock_avar(q1: float, q2: float, d: float, tau):
 
 
 def acov_variance(
-    sigma2_hat: float | np.ndarray, n_steps: int, m: int
+    sigma2: float | np.ndarray, n_steps: int, m: int | np.ndarray
 ) -> float | np.ndarray:
-    """Approximate variance of an ACOV estimate, 2|sigma2|/nu with nu = N/m.
+    """Wishart variance (s_ii s_jj + s_ij^2)/nu of ACOV matrices s, nu = N/m.
 
-    nu is the conservative random-walk choice of effective degrees of
-    freedom. Cross covariances can be negative, hence the absolute value,
-    and a strictly positive floor keeps downstream weights finite.
-    Elementwise for an array of estimates at one m.
+    ``sigma2`` is one n_z x n_z matrix at averaging factor m, or a stack of
+    them with one m each. A scalar is one AVAR, whose variance is the
+    chi-square 2 s^2/nu (NIST SP 1065); nu = N/m is the conservative
+    random-walk choice of degrees of freedom. The absolute floor keeps the
+    weights of an all-zero channel finite.
     """
-    if n_steps < 2 * m:
-        raise ValueError(f"need N >= 2m, got N={n_steps}, m={m}")
-    nu = n_steps / m
-    mag = np.abs(sigma2_hat)
-    return np.maximum(2.0 * mag / nu, 1e-3 * mag / nu + _VAR_FLOOR_ABS)
+    m = np.asarray(m)
+    if n_steps < 2 * m.max():
+        raise ValueError(f"need N >= 2m, got N={n_steps}, m={m.max()}")
+    s = np.asarray(sigma2, dtype=float)
+    d = np.diagonal(s, axis1=-2, axis2=-1) if s.ndim >= 2 else s[None]
+    wishart = d[..., :, None] * d[..., None, :] + s**2
+    return (wishart * (m[..., None, None] / n_steps)).reshape(s.shape) + _VAR_FLOOR_ABS
 
 
 @dataclass(frozen=True)
@@ -182,16 +184,13 @@ def acov_grid(record: MeasurementRecord, grid: TauGrid) -> AcovEstimate:
         raise ValueError(f"grid Ts={grid.Ts} does not match record Ts={record.Ts}")
     pairs = upper_triangle_pairs(record.n_z)
     rows, cols = np.triu_indices(record.n_z)
-    sigma2 = np.empty((len(pairs), len(grid)))
-    var = np.empty_like(sigma2)
     grams = _second_difference_grams(record.Z, grid.m_values)
-    for p, (G, m) in enumerate(zip(grams, grid.m_values)):
+    for G, m in zip(grams, grid.m_values):
         tau = m * record.Ts
         G /= 2.0 * tau**2 * (n - 2 * m + 1)
-        sigma2[:, p] = G[rows, cols]
-        var[:, p] = acov_variance(sigma2[:, p], n, int(m))
+    var = acov_variance(grams, n, grid.m_values)
     return AcovEstimate(
-        grid=grid, pairs=tuple(pairs), sigma2=sigma2, var=var, n_steps=n
+        grid=grid, pairs=tuple(pairs), sigma2=grams[:, rows, cols].T, var=var[:, rows, cols].T, n_steps=n
     )
 
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -334,6 +335,19 @@ class TestMonteCarloCommand:
         )["acov"]
         assert summary["runs_succeeded"] == 0
         assert len(summary["failed_runs"]) == 2
+
+    def test_every_run_failing_is_invalid_input(self, tmp_path, capsys):
+        # an option every run rejects exits as invalid input, as estimate does
+        config = Path(__file__).resolve().parent.parent / "scenarios" / "ahm_four_clock_quick.json"
+        out_dir = tmp_path / "mc"
+        code = main(
+            ["montecarlo", "--config", str(config), "--runs", "2", "--d1", "nan", "--out", str(out_dir)]
+        )
+        assert code == EXIT_INVALID_INPUT
+        summary = json.loads((out_dir / "mc_summary.json").read_text())
+        assert summary["runs_succeeded"] == 0
+        assert len(summary["failed_runs"]) == 2
+        assert "d1 must be finite" in capsys.readouterr().err
 
 
 class TestParserContract:

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,10 @@ from chronident import (
     analytic_acov,
     assemble_ensemble,
     build_regression,
+    derive_run_seed,
     estimate_acov_method,
+    load_ensemble_config,
+    pack_theta,
     recover_drifts,
     simulate_ensemble,
     solve_theta_a,
@@ -15,13 +20,14 @@ from chronident import (
     weighted_least_squares,
 )
 from chronident.errors import UnidentifiableError
-from chronident.ident_acov import drift_sign_hint
+from chronident.ident_acov import fit_drifts
 from chronident.model import (
     clamp_negative_variances,
     upper_to_symmetric,
     upper_triangle_pairs,
 )
 from chronident.stability import (
+    _BLOCK,
     AcovEstimate,
     acov_grid,
     acov_variance,
@@ -46,8 +52,31 @@ def analytic_estimate(params, grid, n_steps):
     return AcovEstimate(grid=grid, pairs=tuple(pairs), sigma2=sigma2, var=var, n_steps=n_steps)
 
 
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 YEAR_GRID = log_spaced_grid(20, 3_150_000, 5.0)
 YEAR_STEPS = 6_312_000
+
+
+def drift_floor(params, n_steps, ts):
+    """Relative drift error set by random-walk FM alone, sqrt((q2_1 + q2_i)/T)/|delta_i|."""
+    q2 = np.array([c.q2 for c in params.clocks])
+    delta = params.drifts()[1:] - params.clocks[0].d
+    return np.sqrt((q2[0] + q2[1:]) / (n_steps * ts)) / np.abs(delta)
+
+
+@pytest.fixture(scope="module")
+def quick_study():
+    """200 ACOV runs of the quick scenario: (params, N, Ts, thetas, reported se)."""
+    params, ts, extras = load_ensemble_config(SCENARIOS / "ahm_four_clock_quick.json")
+    n_steps = int(extras["n_steps"])
+    model = assemble_ensemble(params, ts)
+    thetas, ses = [], []
+    for run in range(200):
+        _, record = simulate_ensemble(model, n_steps, derive_run_seed(7, run), keep_states=False)
+        report = estimate_acov_method(record, ell=extras["estimation"]["ell"])
+        thetas.append(report.theta)
+        ses.append(report.diagnostics["se"])
+    return params, n_steps, ts, np.array(thetas), np.array(ses)
 
 
 class TestThetaA:
@@ -300,8 +329,7 @@ class TestEstimateAcovMethod:
         true_q1 = np.array([c.q1 for c in maser_params.clocks])
         assert np.all(np.abs(q1 - true_q1) / true_q1 < 0.15)
         assert set(report.diagnostics) == {
-            "residual", "cond", "clamped", "se", "rank", "drift_iterations",
-            "drift_degenerate", "ell", "m_max",
+            "residual", "cond", "clamped", "se", "rank", "ell", "m_max",
         }
         assert report.diagnostics["ell"] == 20
 
@@ -311,23 +339,40 @@ class TestEstimateAcovMethod:
         rep2 = estimate_acov_method(record, ell=12)
         assert rep1.to_json_dict() == rep2.to_json_dict()
 
-    def test_drift_sign_hint_estimates_delta(self):
+    def test_fit_drifts_recovers_noise_free_delta(self):
+        # noise-free drifts only, long enough to span three einsum blocks
         model = assemble_ensemble(
             EnsembleParams(
-                clocks=(ClockParams(0.0, 0.0, 0.0), ClockParams(0.0, 0.0, 6e-21)),
-                R=np.zeros((1, 1)),
+                clocks=(
+                    ClockParams(0.0, 0.0, 1e-21),
+                    ClockParams(0.0, 0.0, 6e-21),
+                    ClockParams(0.0, 0.0, -2e-21),
+                ),
+                R=np.zeros((2, 2)),
             ),
             5.0,
         )
-        _, record = simulate_ensemble(model, 100, seed=0)
-        hint = drift_sign_hint(record)
-        np.testing.assert_allclose(hint, [6e-21 * 25.0], rtol=1e-9)
+        _, record = simulate_ensemble(model, 2 * _BLOCK + 123, seed=0, keep_states=False)
+        np.testing.assert_allclose(fit_drifts(record), [5e-21, -3e-21], rtol=1e-9)
 
-    def test_drift_sign_hint_is_mean_second_difference(self, maser_model):
-        _, record = simulate_ensemble(maser_model, 20_000, seed=25, keep_states=False)
-        Z = record.Z
-        explicit = (Z[:, 2:] - 2.0 * Z[:, 1:-1] + Z[:, :-2]).mean(axis=1)
-        np.testing.assert_allclose(drift_sign_hint(record), explicit, rtol=1e-9)
+    def test_fit_drifts_adds_pivot_drift(self, maser_model):
+        # equals a one-shot least-squares quadratic fit, plus d1
+        _, record = simulate_ensemble(maser_model, 2 * _BLOCK + 123, seed=25, keep_states=False)
+        t = record.Ts * np.arange(record.Z.shape[1])
+        reference = np.array([2.0 * np.polyfit(t, z, 2)[0] for z in record.Z])
+        np.testing.assert_allclose(fit_drifts(record, d1=2e-21), reference + 2e-21, rtol=1e-9)
+
+    def test_drifts_near_truth_at_630k_seed_1000(self):
+        # the fault that factorised drifts behind a clamped f_ii showed:
+        # 3.8e-27, 2.7e-27 and 1.3e-15 against 8e-21, 7.5e-21 and 3e-21
+        params, ts, _ = load_ensemble_config(SCENARIOS / "ahm_four_clock.json")
+        _, record = simulate_ensemble(
+            assemble_ensemble(params, ts), 630_000, seed=1000, keep_states=False
+        )
+        report = estimate_acov_method(record, ell=20)
+        error = np.abs(report.params.drifts()[1:] - params.drifts()[1:])
+        delta = np.abs(params.drifts()[1:] - params.drifts()[0])
+        assert np.all(error <= 3.0 * drift_floor(params, 630_000, ts) * delta), error
 
     def test_record_too_short_rejected(self, maser_model):
         _, record = simulate_ensemble(maser_model, 1, seed=0)
@@ -387,3 +432,19 @@ class TestExactPipelineInvariant:
         np.testing.assert_allclose(
             ta_hat[4:8], [1e-36, 2e-35, 1.5e-35, 2.5e-35], rtol=1e-8
         )
+
+
+class TestQuickScaleCalibration:
+    def test_q1_standard_errors_match_spread(self, quick_study):
+        _, _, _, thetas, ses = quick_study
+        ratio = np.median(ses[:, :4], axis=0) / thetas[:, :4].std(axis=0, ddof=1)
+        assert np.all((ratio >= 0.5) & (ratio <= 2.0)), ratio
+
+    def test_drift_rms_near_random_walk_floor(self, quick_study):
+        params, n_steps, ts, thetas, _ = quick_study
+        truth = pack_theta(params)
+        n = params.n
+        drifts = thetas[:, 2 * n + 1 : 3 * n]
+        delta = np.abs(truth[2 * n + 1 : 3 * n] - truth[2 * n])
+        rel_rms = np.sqrt(np.mean((drifts - truth[2 * n + 1 : 3 * n]) ** 2, axis=0)) / delta
+        assert np.all(rel_rms <= 2.0 * drift_floor(params, n_steps, ts)), rel_rms

@@ -171,9 +171,10 @@ class TestAnalyticAcov:
 
 class TestAcovVariance:
     def test_reference_value(self):
+        # chi-square variance 2 sigma^4 / nu with nu = N/m
         var = acov_variance(2.5e-30, 6_312_000, 200)
-        np.testing.assert_allclose(var, 2.0 * 2.5e-30 / (6_312_000 / 200))
-        np.testing.assert_allclose(var, 1.584e-34, rtol=1e-3)
+        np.testing.assert_allclose(var, 2.0 * (2.5e-30) ** 2 * 200 / 6_312_000)
+        np.testing.assert_allclose(var, 3.961e-64, rtol=1e-3)
 
     def test_zero_estimate_gets_positive_floor(self):
         assert acov_variance(0.0, 1000, 10) > 0.0
@@ -256,13 +257,18 @@ class TestAcovGrid:
                 assert np.max(np.abs(est.sigma2[:, p] - ref)) <= 1e-12 * np.max(np.abs(G))
 
     def test_variances_follow_scalar_formula(self, maser_model):
+        # Wishart form (s_ii s_jj + s_ij^2) m/N, the scalar 2 s^2 m/N on the diagonal
         _, record = simulate_ensemble(maser_model, 5000, seed=23, keep_states=False)
         grid = log_spaced_grid(6, 2500, 5.0)
         est = acov_grid(record, grid)
-        for row in range(len(est.pairs)):
+        row_of = {pair: row for row, pair in enumerate(est.pairs)}
+        for row, (i, j) in enumerate(est.pairs):
             for p, m in enumerate(grid.m_values):
-                expected = acov_variance(float(est.sigma2[row, p]), 5000, int(m))
-                assert est.var[row, p] == expected
+                s_ii, s_jj, s_ij = (est.sigma2[row_of[k], p] for k in [(i, i), (j, j), (i, j)])
+                expected = (s_ii * s_jj + s_ij**2) * (m / 5000) + 1e-100
+                np.testing.assert_allclose(est.var[row, p], expected, rtol=1e-15)
+                if i == j:
+                    assert est.var[row, p] == acov_variance(float(s_ii), 5000, int(m))
 
     def test_peak_memory_below_record_size(self, maser_model):
         # no full-length second-difference temporaries
