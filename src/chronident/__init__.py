@@ -27,7 +27,6 @@ from .ident_mdm import (
     MdmSystem,
     build_mdm_system,
     compute_residues,
-    estimate_drifts_mdm,
     estimate_mdm,
     estimate_theta_alpha,
 )
@@ -50,7 +49,6 @@ from .report import EstimateReport, write_report_json
 from .simulate import (
     MeasurementRecord,
     OutlierReport,
-    decimate,
     derive_run_seed,
     read_measurements_csv,
     remove_outliers,

@@ -167,6 +167,12 @@ def run_monte_carlo(
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
+    # the estimators' own checks, made once before any run is simulated
+    d1, k = float(options.d1), options.outlier_k
+    if not np.isfinite(d1):
+        raise ValueError(f"pivot drift d1 must be finite, got {d1}")
+    if k is not None and not float(k) > 0.0:
+        raise ValueError(f"threshold k must be > 0, got {float(k)}")
     n = params.n
     payloads = [
         (i, derive_run_seed(master_seed, i), params, ts, int(n_steps), options, list(methods))

@@ -30,7 +30,7 @@ from .model import (
 )
 from .numerics import left_null_space, weighted_least_squares
 from .report import EstimateReport
-from .simulate import MeasurementRecord, decimate
+from .simulate import MeasurementRecord
 
 __all__ = [
     "MdmSystem",
@@ -39,7 +39,6 @@ __all__ = [
     "residue_mean_from_drifts",
     "residue_second_moment_from_cov",
     "solve_drifts_from_mean",
-    "estimate_drifts_mdm",
     "solve_theta_alpha_from_moment",
     "estimate_theta_alpha",
     "estimate_mdm",
@@ -150,18 +149,29 @@ def build_mdm_system(n: int, ts: float, L: int) -> MdmSystem:
 
 
 def compute_residues(record: MeasurementRecord, system: MdmSystem) -> np.ndarray:
-    """Residues Zbar_k = Am [z_k; ...; z_{k+L-1}], shape (n_aO, N-L+2)."""
+    """Residues Zbar_k = Am [z_k; ...; z_{k+L-1}] of the record at system.Ts.
+
+    system.Ts must be an integer multiple f of the record's Ts; the windows
+    are cut from the strided view Z[:, ::f] without copying the record.
+    With M = ceil((N+1)/f) samples at system.Ts the shape is (n_aO, M-L+1).
+    """
     if record.n_z != system.n_z:
         raise ValueError(
             f"record has {record.n_z} channels, system expects {system.n_z}"
         )
-    if abs(record.Ts - system.Ts) > 1e-9 * system.Ts:
-        raise ValueError(f"record Ts={record.Ts} does not match system Ts={system.Ts}")
-    samples = record.Z.shape[1]
-    if samples < system.L:
-        raise ValueError(f"record has {samples} samples, need at least L={system.L}")
-    count = samples - system.L + 1
-    stacked = np.vstack([record.Z[:, r : r + count] for r in range(system.L)])
+    ratio = system.Ts / record.Ts
+    f = int(round(ratio))
+    if f < 1 or abs(ratio - f) > 1e-9 * f:
+        raise ValueError(
+            f"MDM Ts={system.Ts} is not an integer multiple of record Ts={record.Ts}"
+        )
+    Z = record.Z[:, ::f]
+    if Z.shape[1] < system.L:
+        raise ValueError(
+            f"record has {Z.shape[1]} samples at Ts={system.Ts}, need at least L={system.L}"
+        )
+    count = Z.shape[1] - system.L + 1
+    stacked = np.vstack([Z[:, r : r + count] for r in range(system.L)])
     return system.Am @ stacked
 
 
@@ -193,13 +203,6 @@ def solve_drifts_from_mean(
             f"drift map rank {diag.rank} < {n_rest}; increase the window L"
         )
     return x, {"residual": diag.residual_norm, "cond": diag.condition_number}
-
-
-def estimate_drifts_mdm(
-    residues: np.ndarray, system: MdmSystem, d1: float = 0.0
-) -> tuple[np.ndarray, dict]:
-    """Drifts from the sample mean of the residues."""
-    return solve_drifts_from_mean(residues.mean(axis=1), system, d1=d1)
 
 
 def solve_theta_alpha_from_moment(
@@ -255,31 +258,24 @@ def estimate_mdm(
     ts_target_s: float = 5000.0,
     d1: float = 0.0,
 ) -> EstimateReport:
-    """Full MDM pipeline: resample, build system, residues, drifts, noise.
+    """Full MDM pipeline: build the system at ts_target_s, then residues,
+    drifts from their mean and noise from their drift-corrected moments.
 
-    ts_target_s must be an integer multiple of the record's Ts; the record
-    is decimated to it before the window of L samples is applied.
+    ts_target_s must be an integer multiple of the record's Ts, and the
+    record must hold at least L samples at that period; compute_residues
+    takes every (ts_target_s / Ts)-th sample through a strided view.
     """
     if not np.isfinite(d1):
         raise ValueError(f"pivot drift d1 must be finite, got {d1}")
-    ratio = ts_target_s / record.Ts
-    factor = int(round(ratio)) if np.isfinite(ratio) else 0
-    if factor < 1 or abs(ratio - factor) > 1e-9 * factor:
-        raise ValueError(
-            f"ts_target_s={ts_target_s} is not an integer multiple of "
-            f"record Ts={record.Ts}"
-        )
-    resampled = decimate(record, factor) if factor > 1 else record
-
-    system = build_mdm_system(record.n_z + 1, resampled.Ts, L)
-    residues = compute_residues(resampled, system)
-    drifts, drift_diag = estimate_drifts_mdm(residues, system, d1=d1)
+    system = build_mdm_system(record.n_z + 1, ts_target_s, L)
+    residues = compute_residues(record, system)
+    drifts, drift_diag = solve_drifts_from_mean(residues.mean(axis=1), system, d1)
     theta_alpha, diagnostics = estimate_theta_alpha(residues, drifts, system, d1=d1)
 
     diagnostics["drift_residual"] = drift_diag["residual"]
     diagnostics["drift_cond"] = drift_diag["cond"]
     diagnostics["L"] = system.L
-    diagnostics["ts_target_s"] = resampled.Ts
+    diagnostics["ts_target_s"] = system.Ts
     diagnostics["n_residue_dim"] = system.n_residue
     return EstimateReport(
         method="mdm",

@@ -108,17 +108,16 @@ class EnsembleParams:
 
 @dataclass(frozen=True)
 class EnsembleModel:
-    """Assembled state-space matrices for an n-clock ensemble.
+    """Noise matrices of an n-clock ensemble sampled every Ts seconds.
 
-    F  : (2n, 2n) state transition, I_n kron [[1, Ts], [0, 1]]
-    H  : (n_z, 2n) differential phase measurement matrix
     Q  : (2n, 2n) block-diagonal state-noise covariance
     mu : (2n,) state-noise mean (drift contribution)
     R  : (n_z, n_z) measurement-noise covariance
+
+    The transition F and measurement matrix H do not depend on the
+    parameters; ensemble_structure(n, Ts) builds them.
     """
 
-    F: np.ndarray
-    H: np.ndarray
     Q: np.ndarray
     mu: np.ndarray
     R: np.ndarray
@@ -178,17 +177,16 @@ def ensemble_structure(n: int, ts: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def assemble_ensemble(params: EnsembleParams, ts: float) -> EnsembleModel:
-    """Build the full ensemble model at sampling period ts."""
+    """Build the ensemble's noise matrices at sampling period ts."""
     params.validate()
     n = params.n
-    F, H = ensemble_structure(n, ts)
     Q = np.zeros((2 * n, 2 * n))
     mu = np.zeros(2 * n)
     for i, clk in enumerate(params.clocks):
         Q[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = clock_noise_cov(clk.q1, clk.q2, ts)
         mu[2 * i : 2 * i + 2] = clock_drift_mean(clk.d, ts)
 
-    return EnsembleModel(F=F, H=H, Q=Q, mu=mu, R=params.R.copy(), Ts=float(ts), n=n)
+    return EnsembleModel(Q=Q, mu=mu, R=params.R.copy(), Ts=float(ts), n=n)
 
 
 def theta_length(n: int) -> int:

@@ -1,16 +1,16 @@
 """Trajectory simulation, measurement generation and log preprocessing.
 
-The state recursion is evaluated per clock with cumulative sums (the
-transition matrix is block diagonal with unit-triangular blocks), which is
-what makes year-long records practical. The random draw order is fixed:
-one (2, N) standard-normal block per clock in clock order, then one
-(n_z, N+1) block for the measurement noise, so identical inputs always
-produce bit-identical records. Each block of draws is mixed by its
-covariance factor in place, _MIX_BLOCK columns per matrix product. The
-blocked products equal the one-shot product bit for bit (the tests
-compare them), and OpenBLAS runs a product that small on the calling
-thread, so Monte-Carlo pool workers do not start BLAS threads of their
-own on top of one another.
+The state recursion starts at x_0 = 0 and is evaluated per clock with
+cumulative sums (the transition matrix is block diagonal with
+unit-triangular blocks), which is what makes year-long records
+practical. The random draw order is fixed: one (2, N) standard-normal
+block per clock in clock order, then one (n_z, N+1) block for the
+measurement noise, so identical inputs always produce bit-identical
+records. Each block of draws is mixed by its covariance factor in place,
+_MIX_BLOCK columns per matrix product. The blocked products equal the
+one-shot product bit for bit (the tests compare them), and OpenBLAS runs
+a product that small on the calling thread, so Monte-Carlo pool workers
+do not start BLAS threads of their own on top of one another.
 
 Measurement CSVs are formatted in row blocks and parsed in byte ranges
 cut at newlines, on a process pool with one worker per available CPU, or
@@ -40,7 +40,6 @@ __all__ = [
     "MeasurementRecord",
     "OutlierReport",
     "simulate_ensemble",
-    "decimate",
     "remove_outliers",
     "write_measurements_csv",
     "read_measurements_csv",
@@ -66,7 +65,6 @@ class MeasurementRecord:
 
     Ts: float
     Z: np.ndarray
-    origin: str = "unknown"
 
     def __post_init__(self):
         Z = np.asarray(self.Z, dtype=float)
@@ -92,10 +90,9 @@ class MeasurementRecord:
 
 @dataclass(frozen=True)
 class OutlierReport:
-    """Flagged sample indices per channel and the threshold used."""
+    """Flagged sample indices, one array per channel."""
 
     flagged: tuple[np.ndarray, ...]
-    threshold: float
 
     @property
     def total(self) -> int:
@@ -139,11 +136,10 @@ def _mixed_blocks(factor: np.ndarray, draws: np.ndarray):
 def _integrate_clocks(
     model: EnsembleModel,
     rng: np.random.Generator,
-    x0: np.ndarray,
     phases: np.ndarray,
     freqs: np.ndarray | None,
 ) -> None:
-    """Fill phases (and freqs, if given) with each clock's state trajectory.
+    """Fill phases (and freqs, if given) with each clock's trajectory from zero.
 
     Clock i draws one (2, N) standard-normal block and turns it in place,
     block by block, into w = Q_i^(1/2) draws + mu_i. Frequency is the
@@ -162,15 +158,13 @@ def _integrate_clocks(
         rng.standard_normal(out=w)
         for _, block, mixed in _mixed_blocks(q_factor, w):
             np.add(mixed, mu, out=block)
-        x2[0] = x0[2 * i + 1]
+        x2[0] = 0.0
         np.cumsum(w[1], out=x2[1:])
-        x2[1:] += x0[2 * i + 1]
-        phases[i, 0] = x0[2 * i]
+        phases[i, 0] = 0.0
         step = w[1]
         np.multiply(x2[:-1], ts, out=step)
         step += w[0]
         np.cumsum(step, out=phases[i, 1:])
-        phases[i, 1:] += x0[2 * i]
         if freqs is not None:
             freqs[i] = x2
 
@@ -179,10 +173,9 @@ def simulate_ensemble(
     model: EnsembleModel,
     n_steps: int,
     seed: int,
-    x0: np.ndarray | None = None,
     keep_states: bool = True,
 ) -> tuple[np.ndarray | None, MeasurementRecord]:
-    """Simulate states x_{k+1} = F x_k + w_k and measurements z_k = H x_k + v_k.
+    """Simulate x_{k+1} = F x_k + w_k from x_0 = 0 and z_k = H x_k + v_k.
 
     w_k is Gaussian with mean model.mu and covariance model.Q (block
     diagonal), v_k is zero-mean Gaussian with covariance model.R. Each
@@ -198,12 +191,6 @@ def simulate_ensemble(
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     n = model.n
     n_z = model.n_z
-    if x0 is None:
-        x0 = np.zeros(2 * n)
-    x0 = np.asarray(x0, dtype=float).ravel()
-    if x0.size != 2 * n:
-        raise ValueError(f"x0 has length {x0.size}, expected {2 * n}")
-
     ts = model.Ts
     rng = np.random.default_rng(seed)
     r_factor = _psd_factor(model.R)
@@ -213,7 +200,7 @@ def simulate_ensemble(
         phases, freqs = X[0::2], X[1::2]
     else:
         phases, freqs = np.empty((n, n_steps + 1)), None
-    _integrate_clocks(model, rng, x0, phases, freqs)
+    _integrate_clocks(model, rng, phases, freqs)
 
     Z = rng.standard_normal((n_z, n_steps + 1))
     for start, block, mixed in _mixed_blocks(r_factor, Z):
@@ -221,25 +208,7 @@ def simulate_ensemble(
         np.subtract(phases[1:, start:stop], phases[0, start:stop], out=block)
         block += mixed
 
-    record = MeasurementRecord(Ts=ts, Z=Z, origin=f"synthetic(seed={seed})")
-    return (X if keep_states else None), record
-
-
-def decimate(record: MeasurementRecord, factor: int) -> MeasurementRecord:
-    """Keep every factor-th sample starting at index 0; Ts scales by factor.
-
-    Phase samples are point samples, so no averaging is applied.
-    """
-    if int(factor) != factor or factor < 1:
-        raise ValueError(f"decimation factor must be a positive integer, got {factor}")
-    factor = int(factor)
-    if record.Z.shape[1] < factor:
-        raise ValueError(
-            f"record with {record.Z.shape[1]} samples cannot be decimated by {factor}"
-        )
-    return MeasurementRecord(
-        Ts=record.Ts * factor, Z=record.Z[:, ::factor].copy(), origin=record.origin
-    )
+    return (X if keep_states else None), MeasurementRecord(Ts=ts, Z=Z)
 
 
 def remove_outliers(
@@ -289,8 +258,7 @@ def remove_outliers(
             nodes = np.setdiff1d(np.union1d(flags - 1, flags + 1), flags)
             cleaned[c, flags] = np.interp(flags, nodes, z[nodes])
         flagged_per_channel.append(flags)
-    out = MeasurementRecord(Ts=record.Ts, Z=cleaned, origin=record.origin)
-    return out, OutlierReport(flagged=tuple(flagged_per_channel), threshold=k)
+    return MeasurementRecord(Ts=record.Ts, Z=cleaned), OutlierReport(tuple(flagged_per_channel))
 
 
 def _csv_workers(tasks: int) -> int:
@@ -514,7 +482,7 @@ def read_measurements_csv(path: str | Path) -> MeasurementRecord:
         for c in range(1, width - 1):
             flat[c * rows : (c + 1) * rows] = Z[c, :rows]
         Z = flat[: (width - 1) * rows].reshape(width - 1, rows)
-    return MeasurementRecord(Ts=ts, Z=Z, origin=f"ingested({path})")
+    return MeasurementRecord(Ts=ts, Z=Z)
 
 
 def derive_run_seed(master_seed: int, run_index: int) -> int:

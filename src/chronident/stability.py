@@ -45,7 +45,6 @@ class TauGrid:
 
     m_values: np.ndarray
     Ts: float
-    truncated: bool = False
 
     def __post_init__(self):
         m = np.asarray(self.m_values, dtype=np.int64)
@@ -64,8 +63,8 @@ class TauGrid:
 def log_spaced_grid(ell: int, m_max: int, ts: float) -> TauGrid:
     """ell log-evenly spaced integer averaging factors in [1, m_max].
 
-    Rounding can merge neighbours; duplicates are dropped and the grid is
-    marked ``truncated`` when fewer than ell distinct values remain.
+    Rounding can merge neighbours; duplicates are dropped, so the grid may
+    hold fewer than ell values.
     """
     if ell < 2:
         raise ValueError(f"ell must be >= 2, got {ell}")
@@ -73,7 +72,7 @@ def log_spaced_grid(ell: int, m_max: int, ts: float) -> TauGrid:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
     raw = np.round(np.exp(np.linspace(0.0, np.log(m_max), ell)))
     m = np.unique(raw.astype(np.int64))
-    return TauGrid(m_values=m, Ts=ts, truncated=len(m) < ell)
+    return TauGrid(m_values=m, Ts=ts)
 
 
 def analytic_acov(params: EnsembleParams, i: int, j: int, tau: float) -> float:
@@ -135,7 +134,6 @@ class AcovEstimate:
     pairs: tuple[tuple[int, int], ...]
     sigma2: np.ndarray
     var: np.ndarray
-    n_steps: int
 
 
 def _second_difference_grams(Z: np.ndarray, m_values) -> np.ndarray:
@@ -190,7 +188,7 @@ def acov_grid(record: MeasurementRecord, grid: TauGrid) -> AcovEstimate:
         G /= 2.0 * tau**2 * (n - 2 * m + 1)
     var = acov_variance(grams, n, grid.m_values)
     return AcovEstimate(
-        grid=grid, pairs=tuple(pairs), sigma2=grams[:, rows, cols].T, var=var[:, rows, cols].T, n_steps=n
+        grid=grid, pairs=tuple(pairs), sigma2=grams[:, rows, cols].T, var=var[:, rows, cols].T
     )
 
 

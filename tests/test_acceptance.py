@@ -90,7 +90,7 @@ def test_criterion_1_structural_exactness(maser_params):
             for row in sigma2
         ]
     )
-    est = AcovEstimate(grid=grid, pairs=tuple(pairs), sigma2=sigma2, var=var, n_steps=FULL_STEPS)
+    est = AcovEstimate(grid=grid, pairs=tuple(pairs), sigma2=sigma2, var=var)
     system = build_regression(est, 4)
     theta = theta_a_from_params(maser_params)
     rel = np.linalg.norm(system.z_a - system.Phi @ theta) / np.linalg.norm(system.z_a)

@@ -188,6 +188,14 @@ class TestEstimateCommand:
         code = main(["estimate", str(path), "--method", "acov"])
         assert code == EXIT_INVALID_INPUT
 
+    def test_mdm_record_shorter_than_window_exit_code(self, tmp_path, maser_model):
+        # 40 samples at 5 s hold 4 at 50 s, one fewer than L = 5
+        _, record = simulate_ensemble(maser_model, 39, seed=4, keep_states=False)
+        path = tmp_path / "short.csv"
+        write_measurements_csv(record, path)
+        flags = ["--method", "mdm", "--L", "5", "--ts-target", "50"]
+        assert main(["estimate", str(path), *flags]) == EXIT_INVALID_INPUT
+
     def test_unidentifiable_exit_code(self, tmp_path):
         params = EnsembleParams(
             clocks=(ClockParams(1e-27, 1e-35), ClockParams(1e-27, 1e-35)),
@@ -337,17 +345,47 @@ class TestMonteCarloCommand:
         assert len(summary["failed_runs"]) == 2
 
     def test_every_run_failing_is_invalid_input(self, tmp_path, capsys):
-        # an option every run rejects exits as invalid input, as estimate does
-        config = Path(__file__).resolve().parent.parent / "scenarios" / "ahm_four_clock_quick.json"
-        out_dir = tmp_path / "mc"
-        code = main(
-            ["montecarlo", "--config", str(config), "--runs", "2", "--d1", "nan", "--out", str(out_dir)]
+        # a 2-clock scenario fails only once simulated: every run is
+        # unidentifiable, the summary is written and the study exits 2
+        params = EnsembleParams(
+            clocks=(ClockParams(1e-27, 1e-35), ClockParams(1e-27, 1e-35)),
+            R=np.array([[1e-35]]),
         )
+        config = tmp_path / "pair.json"
+        dump_ensemble_config(params, 5.0, config, n_steps=2000, estimation={"ell": 10})
+        out_dir = tmp_path / "mc"
+        code = main(["montecarlo", "--config", str(config), "--runs", "2", "--out", str(out_dir)])
         assert code == EXIT_INVALID_INPUT
         summary = json.loads((out_dir / "mc_summary.json").read_text())
         assert summary["runs_succeeded"] == 0
         assert len(summary["failed_runs"]) == 2
-        assert "d1 must be finite" in capsys.readouterr().err
+        assert "UnidentifiableError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, estimation, message",
+        [
+            (["--d1", "nan"], {}, "d1 must be finite"),
+            ([], {"outlier_k": 0}, "k must be > 0"),
+        ],
+        ids=["d1", "outlier_k"],
+    )
+    def test_bad_option_fails_before_simulating(
+        self, tmp_path, capsys, monkeypatch, maser_params, flags, estimation, message
+    ):
+        calls = []
+        monkeypatch.setattr(
+            "chronident.cli.simulate_ensemble", lambda *args, **kwargs: calls.append(args)
+        )
+        config = tmp_path / "scenario.json"
+        dump_ensemble_config(maser_params, 5.0, config, n_steps=20_000, estimation=estimation)
+        out_dir = tmp_path / "mc"
+        code = main(
+            ["montecarlo", "--config", str(config), "--runs", "2", *flags, "--out", str(out_dir)]
+        )
+        assert code == EXIT_INVALID_INPUT
+        assert calls == []
+        assert not out_dir.exists()
+        assert message in capsys.readouterr().err
 
 
 class TestParserContract:

@@ -49,7 +49,7 @@ def analytic_estimate(params, grid, n_steps):
             for row in sigma2
         ]
     )
-    return AcovEstimate(grid=grid, pairs=tuple(pairs), sigma2=sigma2, var=var, n_steps=n_steps)
+    return AcovEstimate(grid=grid, pairs=tuple(pairs), sigma2=sigma2, var=var)
 
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"

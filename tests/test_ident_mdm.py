@@ -4,12 +4,12 @@ import pytest
 from chronident import (
     ClockParams,
     EnsembleParams,
+    MeasurementRecord,
     assemble_ensemble,
     build_mdm_system,
     clock_noise_cov,
     compute_residues,
     ensemble_structure,
-    estimate_drifts_mdm,
     estimate_mdm,
     estimate_theta_alpha,
     simulate_ensemble,
@@ -118,32 +118,37 @@ class TestBuildSystem:
                 assert np.abs(mapped - mean).max() <= 1e-12 * np.abs(mean).max()
 
     def test_built_from_model_map(self):
-        # the structure-only constructor is the one assemble_ensemble uses
-        rng = np.random.default_rng(64)
-        for n, ts in ((2, 1.0), (4, 5.0), (5, 5000.0)):
-            model = assemble_ensemble(random_params(rng, n), ts)
+        # O stacks H F^l of the structure-only model map
+        for n, ts, L in ((2, 1.0, 4), (4, 5.0, 5), (5, 5000.0, 3)):
             F, H = ensemble_structure(n, ts)
-            np.testing.assert_array_equal(F, model.F)
-            np.testing.assert_array_equal(H, model.H)
+            expected = np.vstack([H @ np.linalg.matrix_power(F, l) for l in range(L)])
+            O = build_mdm_system(n, ts, L).O
+            np.testing.assert_allclose(O, expected, rtol=1e-15, atol=0.0)
         with pytest.raises(ValueError):
             ensemble_structure(1, 1.0)
 
 
 class TestComputeResidues:
     def test_state_annihilation_noiseless(self):
-        # noise-free, drift-free evolution from a random initial state
-        params = EnsembleParams(
-            clocks=tuple(ClockParams(0.0, 0.0, 0.0) for _ in range(4)),
-            R=np.zeros((3, 3)),
-        )
-        model = assemble_ensemble(params, 1000.0)
-        system = build_mdm_system(model.n, model.Ts, 5)
-        rng = np.random.default_rng(53)
-        x0 = rng.normal(scale=1e-6, size=8)
-        _, record = simulate_ensemble(model, 200, seed=0, x0=x0)
-        residues = compute_residues(record, system)
+        # noise-free, drift-free evolution z_k = H F^k x0 from a random state
+        F, H = ensemble_structure(4, 1000.0)
+        states = [np.random.default_rng(53).normal(scale=1e-6, size=8)]
+        for _ in range(200):
+            states.append(F @ states[-1])
+        record = MeasurementRecord(Ts=1000.0, Z=H @ np.column_stack(states))
+        residues = compute_residues(record, build_mdm_system(4, 1000.0, 5))
         scale = np.abs(record.Z).max()
         assert np.abs(residues).max() <= 1e-10 * scale
+
+    def test_strided_residues_match_sliced_record(self, maser_model):
+        # at f = 1000 the windows come from every 1000th sample, offset 0,
+        # exactly as from a record sliced to those samples beforehand
+        _, record = simulate_ensemble(maser_model, 20_500, seed=3, keep_states=False)
+        system = build_mdm_system(4, 5000.0, 5)
+        sliced = MeasurementRecord(Ts=5000.0, Z=record.Z[:, ::1000].copy())
+        residues = compute_residues(record, system)
+        assert residues.shape == (system.n_residue, 21 - 5 + 1)
+        assert residues.tobytes() == compute_residues(sliced, system).tobytes()
 
     def test_residue_count(self, maser_model):
         system = build_mdm_system(4, 5.0, 5)
@@ -171,8 +176,6 @@ class TestComputeResidues:
     def test_record_shorter_than_window_rejected(self):
         system = build_mdm_system(4, 1.0, 5)
         record_z = np.zeros((3, 4))
-        from chronident import MeasurementRecord
-
         with pytest.raises(ValueError):
             compute_residues(MeasurementRecord(Ts=1.0, Z=record_z), system)
 
@@ -207,7 +210,7 @@ class TestDriftEstimation:
         system = build_mdm_system(model.n, model.Ts, 5)
         _, record = simulate_ensemble(model, 20_000, seed=57)
         residues = compute_residues(record, system)
-        d_hat, _ = estimate_drifts_mdm(residues, system, d1=0.0)
+        d_hat, _ = solve_drifts_from_mean(residues.mean(axis=1), system, d1=0.0)
         # rough standard error of the residue mean, ignoring overlap correlation
         count = residues.shape[1]
         se_mean = residues.std(axis=1, ddof=1) / np.sqrt(count)
@@ -316,6 +319,34 @@ class TestEstimateMdm:
         _, record = simulate_ensemble(maser_model, 100, seed=0)
         with pytest.raises(ValueError, match="multiple"):
             estimate_mdm(record, L=3, ts_target_s=7.5)
+
+    def test_record_shorter_than_window_at_target_rejected(self, maser_model):
+        # 40 samples at 5 s hold 4 at 50 s, one fewer than L = 5; 41 hold 5
+        _, record = simulate_ensemble(maser_model, 40, seed=0, keep_states=False)
+        short = MeasurementRecord(Ts=5.0, Z=record.Z[:, :40])
+        with pytest.raises(ValueError, match="need at least L=5"):
+            estimate_mdm(short, L=5, ts_target_s=50.0)
+        assert estimate_mdm(record, L=5, ts_target_s=50.0).method == "mdm"
+
+    def test_drift_correction_of_moments(self):
+        # drifts of 3 and -2 dominate the raw residue moments: without the
+        # residue-mean correction the pivot q1 comes out 25x too large and
+        # the others are clamped
+        params = EnsembleParams(
+            clocks=(
+                ClockParams(1.0, 1e-4, 0.0),
+                ClockParams(2.0, 2e-4, 3.0),
+                ClockParams(1.5, 1e-4, -2.0),
+            ),
+            R=np.array([[0.5, 0.2], [0.2, 0.4]]),
+        )
+        model = assemble_ensemble(params, 1.0)
+        for seed in range(3):
+            _, record = simulate_ensemble(model, 20_000, seed=seed, keep_states=False)
+            report = estimate_mdm(record, L=5, ts_target_s=1.0)
+            q1 = [clk.q1 for clk in report.params.clocks]
+            np.testing.assert_allclose(q1, [1.0, 2.0, 1.5], rtol=0.5)
+            np.testing.assert_allclose(report.params.drifts(), [0.0, 3.0, -2.0], atol=1e-3)
 
     def test_two_clock_pipeline_unidentifiable(self):
         # drifts are identifiable for n=2 but the noise split is not, so the

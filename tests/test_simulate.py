@@ -13,7 +13,6 @@ from chronident import (
     EnsembleParams,
     MeasurementRecord,
     assemble_ensemble,
-    decimate,
     derive_run_seed,
     read_measurements_csv,
     remove_outliers,
@@ -22,7 +21,7 @@ from chronident import (
 )
 from chronident import simulate as simulate_module
 from chronident.errors import ChannelUnusableError, InvalidCovarianceError
-from chronident.model import EnsembleModel
+from chronident.model import EnsembleModel, ensemble_structure
 from chronident.simulate import (
     _CSV_BLOCK_ROWS,
     _MIX_BLOCK,
@@ -32,8 +31,9 @@ from chronident.simulate import (
 )
 
 
-def _reference_simulation(model, n_steps, seed, x0):
-    """One-shot formulation with fresh per-clock arrays (the reference)."""
+def _reference_simulation(model, n_steps, seed):
+    """One-shot formulation with fresh per-clock arrays from the zero state
+    (the reference)."""
     n = model.n
     rng = np.random.default_rng(seed)
     r_factor = _psd_factor(model.R)
@@ -41,13 +41,10 @@ def _reference_simulation(model, n_steps, seed, x0):
     for i in range(n):
         q_factor = _psd_factor(model.Q[2 * i : 2 * i + 2, 2 * i : 2 * i + 2])
         w = model.mu[2 * i : 2 * i + 2, None] + q_factor @ rng.standard_normal((2, n_steps))
-        x2 = np.empty(n_steps + 1)
-        x2[0] = x0[2 * i + 1]
+        x2 = np.zeros(n_steps + 1)
         np.cumsum(w[1], out=x2[1:])
-        x2[1:] += x0[2 * i + 1]
-        X[2 * i, 0] = x0[2 * i]
+        X[2 * i, 0] = 0.0
         np.cumsum(model.Ts * x2[:-1] + w[0], out=X[2 * i, 1:])
-        X[2 * i, 1:] += x0[2 * i]
         X[2 * i + 1] = x2
     v = r_factor @ rng.standard_normal((model.n_z, n_steps + 1))
     return X, X[2::2] - X[0] + v
@@ -94,12 +91,9 @@ class TestSimulateEnsemble:
     def _assert_matches_reference(model, n_steps):
         # reused buffers and blocked mixing must not change a single draw or rounding
         assert np.any(model.mu != 0.0)
-        x0 = np.array([1e-9, 2e-13, -3e-9, 1e-12, 5e-10, -4e-13, 2e-9, 7e-13])
-        X_ref, Z_ref = _reference_simulation(model, n_steps, 21, x0)
-        X, rec = simulate_ensemble(model, n_steps, seed=21, x0=x0)
-        no_X, rec_lean = simulate_ensemble(
-            model, n_steps, seed=21, x0=x0, keep_states=False
-        )
+        X_ref, Z_ref = _reference_simulation(model, n_steps, 21)
+        X, rec = simulate_ensemble(model, n_steps, seed=21)
+        no_X, rec_lean = simulate_ensemble(model, n_steps, seed=21, keep_states=False)
         assert no_X is None
         assert np.array_equal(X, X_ref)
         assert np.array_equal(rec.Z, Z_ref)
@@ -140,7 +134,8 @@ class TestSimulateEnsemble:
         # their moments with mu and Q
         n_steps = 100_000
         X, _ = simulate_ensemble(maser_model, n_steps, seed=11)
-        w = X[:, 1:] - maser_model.F @ X[:, :-1]
+        F, _ = ensemble_structure(maser_model.n, maser_model.Ts)
+        w = X[:, 1:] - F @ X[:, :-1]
         mean = w.mean(axis=1)
         se = np.sqrt(np.diag(maser_model.Q) / n_steps)
         assert np.all(np.abs(mean - maser_model.mu) <= 5.0 * se + 1e-300)
@@ -148,24 +143,13 @@ class TestSimulateEnsemble:
         err = np.linalg.norm(cov - maser_model.Q) / np.linalg.norm(maser_model.Q)
         assert err < 0.05
 
-    def test_common_mode_phase_invariance(self, maser_model):
-        x0 = np.zeros(8)
-        offset = x0 + np.kron(np.ones(4), [1e-9, 0.0])
-        _, rec1 = simulate_ensemble(maser_model, 400, seed=5, x0=x0)
-        _, rec2 = simulate_ensemble(maser_model, 400, seed=5, x0=offset)
-        np.testing.assert_allclose(rec1.Z, rec2.Z, rtol=0.0, atol=1e-22)
-
     def test_invalid_arguments(self, maser_model):
         with pytest.raises(ValueError):
             simulate_ensemble(maser_model, 0, seed=0)
-        with pytest.raises(ValueError):
-            simulate_ensemble(maser_model, 10, seed=0, x0=np.zeros(3))
 
     def test_indefinite_r_rejected(self):
         model = _noise_free_model(3, 1.0)
         bad = EnsembleModel(
-            F=model.F,
-            H=model.H,
             Q=model.Q,
             mu=model.mu,
             R=np.array([[1.0, 2.0], [2.0, 1.0]]),
@@ -193,35 +177,6 @@ class TestPsdFactor:
     def test_zero_matrix(self):
         S = _psd_factor(np.zeros((2, 2)))
         np.testing.assert_array_equal(S @ S.T, np.zeros((2, 2)))
-
-
-class TestDecimate:
-    @pytest.fixture()
-    def record(self, maser_model):
-        _, rec = simulate_ensemble(maser_model, 1200, seed=3)
-        return rec
-
-    def test_identity(self, record):
-        out = decimate(record, 1)
-        assert np.array_equal(out.Z, record.Z)
-        assert out.Ts == record.Ts
-
-    def test_period_and_indices(self, record):
-        out = decimate(record, 1000)
-        assert out.Ts == 5000.0
-        assert out.Z.shape[1] == record.Z.shape[1] // 1000 + 1
-        np.testing.assert_array_equal(out.Z, record.Z[:, ::1000])
-
-    def test_composition(self, record):
-        np.testing.assert_array_equal(
-            decimate(decimate(record, 3), 4).Z, decimate(record, 12).Z
-        )
-
-    def test_invalid_factor(self, record):
-        with pytest.raises(ValueError):
-            decimate(record, 0)
-        with pytest.raises(ValueError):
-            decimate(record, record.Z.shape[1] + 1)
 
 
 def _reference_remove_outliers(Z, k):
@@ -369,7 +324,7 @@ class TestMeasurementCsv:
         path = tmp_path / "meas.csv"
         write_measurements_csv(record, path)
         small = tmp_path / "small.csv"
-        write_measurements_csv(decimate(record, 1000), small)
+        write_measurements_csv(MeasurementRecord(Ts=record.Ts, Z=record.Z[:, ::1000]), small)
         read_measurements_csv(small)
         head, body = path.read_bytes().split(b"\n", 1)
         t_and_z = (record.n_z + 1) * record.Z.shape[1] * 8
