@@ -196,9 +196,11 @@ def run_monte_carlo(
             if entry["error"] is None:
                 thetas.append(entry["theta"])
             else:
+                log.warning("run %d (%s) failed: %s", run_idx, method, entry["error"])
                 failed.append({"run": run_idx, "error": entry["error"]})
         thetas = np.asarray(thetas, dtype=float)
         n_ok = thetas.shape[0]
+        log.info("%s: %d/%d runs succeeded", method, n_ok, runs)
         summary = summaries[method] = {
             "method": method,
             "runs_requested": runs,

@@ -5,12 +5,17 @@ cumulative sums (the transition matrix is block diagonal with
 unit-triangular blocks), which is what makes year-long records
 practical. The random draw order is fixed: one (2, N) standard-normal
 block per clock in clock order, then one (n_z, N+1) block for the
-measurement noise, so identical inputs always produce bit-identical
-records. Each block of draws is mixed by its covariance factor in place,
-_MIX_BLOCK columns per matrix product. The blocked products equal the
-one-shot product bit for bit (the tests compare them), and OpenBLAS runs
-a product that small on the calling thread, so Monte-Carlo pool workers
-do not start BLAS threads of their own on top of one another.
+measurement noise, each filled in C order, so identical inputs always
+produce bit-identical records. A block's leading rows are drawn whole
+into full-length rows (the clock's phase row, the held noise rows); its
+last row is drawn _MIX_BLOCK columns at a time beside a copy of them,
+mixed by the covariance factor in one matrix product and integrated or
+added to Z before the next columns are drawn. The blocked products and
+the carried cumulative sums equal the one-shot ones bit for bit (the
+tests compare them), and OpenBLAS runs a product that small on the
+calling thread, so Monte-Carlo pool workers do not start BLAS threads
+of their own on top of one another. A run without states holds at most
+max(n, 2 n_z - 1) full-length rows, a run with states 2n + n_z.
 
 Measurement CSVs are formatted in row blocks and parsed in byte ranges
 cut at newlines, on a process pool with one worker per available CPU, or
@@ -25,7 +30,7 @@ import multiprocessing
 import os
 import warnings
 from collections import deque
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -121,52 +126,69 @@ def _psd_factor(M: np.ndarray) -> np.ndarray:
     return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
 
 
-def _mixed_blocks(factor: np.ndarray, draws: np.ndarray):
-    """Yield (start, block, factor @ block) over _MIX_BLOCK-column blocks of draws.
+def _mixed_blocks(
+    factor: np.ndarray, rng: np.random.Generator, held: np.ndarray, scratch: np.ndarray
+):
+    """Yield (start, block, factor @ block) over _MIX_BLOCK-column blocks of a draw.
 
-    The product lives in one buffer reused for every block, so the caller
-    writes what it needs into the block before asking for the next one.
+    The draw is one (k, width) standard-normal fill in C order, width =
+    held.shape[1]: its first k-1 rows are drawn whole into held, then its
+    last row is drawn a block at a time into a (k, b) block of scratch[0]
+    beside a copy of held's columns; the product goes to scratch[1].
+    scratch, at least (2, k, min(_MIX_BLOCK, width)), is reused for every
+    block, so the caller uses the block and the product, and may overwrite
+    held's columns of the block, before asking for the next one.
     """
-    product = np.empty((factor.shape[0], min(_MIX_BLOCK, draws.shape[1])))
-    for start in range(0, draws.shape[1], _MIX_BLOCK):
-        block = draws[:, start : start + _MIX_BLOCK]
-        yield start, block, np.matmul(factor, block, out=product[:, : block.shape[1]])
+    rng.standard_normal(out=held)
+    rows, width = held.shape[0] + 1, held.shape[1]
+    for start in range(0, width, _MIX_BLOCK):
+        cols = min(_MIX_BLOCK, width - start)
+        block = scratch[0, :rows, :cols]
+        block[:-1] = held[:, start : start + cols]
+        rng.standard_normal(out=block[-1])
+        yield start, block, np.matmul(factor, block, out=scratch[1, : factor.shape[0], :cols])
 
 
 def _integrate_clocks(
     model: EnsembleModel,
     rng: np.random.Generator,
-    phases: np.ndarray,
-    freqs: np.ndarray | None,
+    phases: Sequence[np.ndarray],
+    freqs: Sequence[np.ndarray] | None,
+    scratch: np.ndarray,
 ) -> None:
-    """Fill phases (and freqs, if given) with each clock's trajectory from zero.
+    """Fill phases[i] (and freqs[i], if given) with clock i's trajectory from zero.
 
-    Clock i draws one (2, N) standard-normal block and turns it in place,
-    block by block, into w = Q_i^(1/2) draws + mu_i. Frequency is the
-    cumulative sum of w[1]; w[1] is then overwritten by the phase step
-    x2 * Ts + w[0], whose cumulative sum is the phase. The draw and
-    frequency buffers are released on return, before the measurement
-    noise is drawn.
+    Clock i draws one (2, N) standard-normal block: w[0] straight into
+    phases[i][1:], then w[1] block by block. Each block becomes
+    w = Q_i^(1/2) draws + mu_i; the cumulative sum of w[1], carried over
+    from the previous block, is the frequency, and the cumulative sum of
+    the phase steps x2 * Ts + w[0], carried the same way, is the phase.
+    Sequential sums carried from block to block equal one sum over the
+    whole row bit for bit. scratch is _mixed_blocks' buffer.
     """
-    n_steps = phases.shape[1] - 1
     ts = model.Ts
-    w = np.empty((2, n_steps))
-    x2 = np.empty(n_steps + 1)
-    for i in range(model.n):
+    for i, phase in enumerate(phases):
         q_factor = _psd_factor(model.Q[2 * i : 2 * i + 2, 2 * i : 2 * i + 2])
         mu = model.mu[2 * i : 2 * i + 2, None]
-        rng.standard_normal(out=w)
-        for _, block, mixed in _mixed_blocks(q_factor, w):
-            np.add(mixed, mu, out=block)
-        x2[0] = 0.0
-        np.cumsum(w[1], out=x2[1:])
-        phases[i, 0] = 0.0
-        step = w[1]
-        np.multiply(x2[:-1], ts, out=step)
-        step += w[0]
-        np.cumsum(step, out=phases[i, 1:])
+        phase[0] = 0.0
         if freqs is not None:
-            freqs[i] = x2
+            freqs[i][0] = 0.0
+        x2 = 0.0  # frequency before the block's first step
+        for start, block, mixed in _mixed_blocks(q_factor, rng, phase[None, 1:], scratch):
+            stop = start + block.shape[1]
+            np.add(mixed, mu, out=block)
+            w0, w1 = block
+            steps = phase[1 + start : 1 + stop]
+            steps[0] = x2 * ts
+            w1[0] += x2
+            np.cumsum(w1, out=w1)
+            np.multiply(w1[:-1], ts, out=steps[1:])
+            steps += w0
+            steps[0] += phase[start]
+            np.cumsum(steps, out=steps)
+            if freqs is not None:
+                freqs[i][1 + start : 1 + stop] = w1
+            x2 = w1[-1]
 
 
 def simulate_ensemble(
@@ -178,37 +200,64 @@ def simulate_ensemble(
     """Simulate x_{k+1} = F x_k + w_k from x_0 = 0 and z_k = H x_k + v_k.
 
     w_k is Gaussian with mean model.mu and covariance model.Q (block
-    diagonal), v_k is zero-mean Gaussian with covariance model.R. Each
-    clock's draws are mixed into w_k in their own buffer, which is reused
-    for every clock; the measurement noise is drawn straight into Z's
-    buffer, mixed there by R's factor and has the phase differences added,
-    block by block. No full-length noise array is kept beside Z. Returns
-    (X, record): X is the (2n, N+1) state array with ``keep_states=True``
-    (its rows written straight in as the clocks are integrated) and None
-    otherwise (only the phases are kept); Z is bit-identical either way.
+    diagonal), v_k is zero-mean Gaussian with covariance model.R. The draw
+    order is that of one (2, N) block per clock in clock order, then one
+    (n_z, N+1) block for the measurement noise, each filled in C order;
+    each block's last row is drawn _MIX_BLOCK columns at a time and mixed
+    beside its other rows, so no full-length draw or noise array is kept.
+    Returns (X, record): X is the (2n, N+1) state array with
+    ``keep_states=True`` (its rows written straight in as the clocks are
+    integrated) and None otherwise; Z is bit-identical either way.
+
+    Full-length rows held at the peak: with ``keep_states=False`` the
+    clocks integrate straight into Z's rows and one pivot row, which is
+    subtracted and freed before the first n_z-1 noise rows are drawn, so
+    max(n, 2 n_z - 1) rows; with ``keep_states=True`` 2n + n_z (X, then Z,
+    whose own first rows hold those noise rows).
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     n = model.n
     n_z = model.n_z
-    ts = model.Ts
     rng = np.random.default_rng(seed)
     r_factor = _psd_factor(model.R)
+    # one scratch for every clock and the noise: a fresh one per clock costs
+    # more page faults than a short record's arithmetic
+    scratch = np.empty((2, max(2, n_z), min(_MIX_BLOCK, n_steps + 1)))
 
     if keep_states:
         X = np.empty((2 * n, n_steps + 1))
-        phases, freqs = X[0::2], X[1::2]
+        _integrate_clocks(model, rng, X[0::2], X[1::2], scratch)
+        Z = np.empty((n_z, n_steps + 1))
+        held = Z[:-1]
     else:
-        phases, freqs = np.empty((n, n_steps + 1)), None
-    _integrate_clocks(model, rng, phases, freqs)
-
-    Z = rng.standard_normal((n_z, n_steps + 1))
-    for start, block, mixed in _mixed_blocks(r_factor, Z):
+        Z = np.empty((n_z, n_steps + 1))
+        pivot = np.empty(n_steps + 1)
+        _integrate_clocks(model, rng, [pivot, *Z], None, scratch)
+        np.subtract(Z, pivot, out=Z)
+        del pivot
+        held = np.empty((n_z - 1, n_steps + 1))
+    for start, block, mixed in _mixed_blocks(r_factor, rng, held, scratch):
         stop = start + block.shape[1]
-        np.subtract(phases[1:, start:stop], phases[0, start:stop], out=block)
-        block += mixed
+        if keep_states:
+            np.subtract(X[2::2, start:stop], X[0, start:stop], out=Z[:, start:stop])
+        Z[:, start:stop] += mixed
+    # the held rows and the scratch go before the record's check makes its mask of Z
+    del held, scratch, block, mixed
 
-    return (X if keep_states else None), MeasurementRecord(Ts=ts, Z=Z)
+    return (X if keep_states else None), MeasurementRecord(Ts=model.Ts, Z=Z)
+
+
+def _second_difference(z: np.ndarray, out: np.ndarray, med: float | None = None) -> np.ndarray:
+    """Write z's second differences (z[2:] - 2 z[1:-1]) + z[:-2] into out and
+    return it; with med given, write their absolute deviations from med."""
+    np.multiply(z[1:-1], 2.0, out=out)
+    np.subtract(z[2:], out, out=out)
+    out += z[:-2]
+    if med is not None:
+        out -= med
+        np.abs(out, out=out)
+    return out
 
 
 def remove_outliers(
@@ -227,26 +276,18 @@ def remove_outliers(
     n_samples = record.Z.shape[1]
     cleaned = record.Z.copy()
     flagged_per_channel = []
-    # second differences and their absolute deviations, reused across channels
-    second = np.empty(max(n_samples - 2, 0))
-    dev = np.empty_like(second)
+    # one buffer for every channel; each median partitions it, so the second
+    # differences are formed again from z for the next use
+    buf = np.empty(max(n_samples - 2, 0))
     for c in range(record.n_z):
         z = record.Z[c]
         if n_samples < 3:
             flagged_per_channel.append(np.empty(0, dtype=int))
             continue
-        np.multiply(z[1:-1], 2.0, out=dev)
-        np.subtract(z[2:], dev, out=second)
-        second += z[:-2]
-        # each median partitions a copy made in the other buffer
-        dev[:] = second
-        med = np.median(dev, overwrite_input=True)
-        np.subtract(second, med, out=dev)
-        np.abs(dev, out=dev)
-        second[:] = dev
-        mad = np.median(second, overwrite_input=True)
+        med = np.median(_second_difference(z, buf), overwrite_input=True)
+        mad = np.median(_second_difference(z, buf, med), overwrite_input=True)
         # violating second difference at index p implicates its centre sample p+1
-        flags = np.flatnonzero(dev > k * mad) + 1
+        flags = np.flatnonzero(_second_difference(z, buf, med) > k * mad) + 1
         if len(flags) > 0.5 * n_samples:
             raise ChannelUnusableError(
                 f"channel {c + 1}: {len(flags)} of {n_samples} samples flagged"
@@ -258,6 +299,8 @@ def remove_outliers(
             nodes = np.setdiff1d(np.union1d(flags - 1, flags + 1), flags)
             cleaned[c, flags] = np.interp(flags, nodes, z[nodes])
         flagged_per_channel.append(flags)
+    # freed before the record's check makes its mask of cleaned
+    del buf
     return MeasurementRecord(Ts=record.Ts, Z=cleaned), OutlierReport(tuple(flagged_per_channel))
 
 

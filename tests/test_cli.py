@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -330,18 +331,28 @@ class TestMonteCarloCommand:
         idx = names.index("q1_clk2")
         assert abs(mean[idx] - 1.5e-27) / 1.5e-27 < 0.15
 
-    def test_failed_runs_recorded(self, tmp_path):
-        # a 2-clock scenario is structurally unidentifiable: every run fails
+    def test_failed_runs_recorded(self, tmp_path, caplog):
+        # a 2-clock scenario is structurally unidentifiable: every run fails,
+        # each failure is logged at warning level and each method's count
+        # at info level
         params = EnsembleParams(
             clocks=(ClockParams(1e-27, 1e-35), ClockParams(1e-27, 1e-35)),
             R=np.array([[1e-35]]),
         )
         opts = EstimationOptions(method="acov", ell=10)
-        summary = run_monte_carlo(
-            params, 5.0, 2000, opts, ["acov"], runs=2, master_seed=1
-        )["acov"]
+        with caplog.at_level(logging.INFO, logger="chronident"):
+            summary = run_monte_carlo(
+                params, 5.0, 2000, opts, ["acov"], runs=2, master_seed=1
+            )["acov"]
         assert summary["runs_succeeded"] == 0
-        assert len(summary["failed_runs"]) == 2
+        assert [f["run"] for f in summary["failed_runs"]] == [0, 1]
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        infos = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+        assert warnings == [
+            f"run {f['run']} (acov) failed: {f['error']}" for f in summary["failed_runs"]
+        ]
+        assert all("UnidentifiableError" in w for w in warnings)
+        assert infos == ["acov: 0/2 runs succeeded"]
 
     def test_every_run_failing_is_invalid_input(self, tmp_path, capsys):
         # a 2-clock scenario fails only once simulated: every run is
