@@ -7,15 +7,18 @@ practical. The random draw order is fixed: one (2, N) standard-normal
 block per clock in clock order, then one (n_z, N+1) block for the
 measurement noise, each filled in C order, so identical inputs always
 produce bit-identical records. A block's leading rows are drawn whole
-into full-length rows (the clock's phase row, the held noise rows); its
-last row is drawn _MIX_BLOCK columns at a time beside a copy of them,
-mixed by the covariance factor in one matrix product and integrated or
-added to Z before the next columns are drawn. The blocked products and
-the carried cumulative sums equal the one-shot ones bit for bit (the
-tests compare them), and OpenBLAS runs a product that small on the
-calling thread, so Monte-Carlo pool workers do not start BLAS threads
-of their own on top of one another. A run without states holds at most
-max(n, 2 n_z - 1) full-length rows, a run with states 2n + n_z.
+into the full-length rows that have room for them (a clock's phase row;
+the noise's first row in the spent pivot row, or its first n_z - 1 rows
+in Z with states); any other leading row is regenerated block by block
+from a copy of the generator taken at the row's start, so the draw order
+is unchanged. The last row is drawn _MIX_BLOCK columns at a time beside
+the leading rows' columns, mixed by the covariance factor in one matrix
+product and integrated or added to Z before the next columns are drawn.
+The blocked products and the carried cumulative sums equal the one-shot
+ones bit for bit (the tests compare them), and OpenBLAS runs a product
+that small on the calling thread, so Monte-Carlo pool workers do not
+start BLAS threads of their own on top of one another. A run without
+states holds at most n full-length rows, a run with states 2n + n_z.
 
 Measurement CSVs are formatted in row blocks and parsed in byte ranges
 cut at newlines, on a process pool with one worker per available CPU, or
@@ -25,6 +28,7 @@ the parsed doubles are the same either way.
 
 from __future__ import annotations
 
+import copy
 import io
 import multiprocessing
 import os
@@ -79,7 +83,8 @@ class MeasurementRecord:
             raise ValueError("a record needs at least 2 samples (N >= 1)")
         if self.Ts <= 0.0 or not np.isfinite(self.Ts):
             raise ValueError(f"Ts must be finite and > 0, got {self.Ts}")
-        if not np.isfinite(Z).all():
+        # min and max carry any NaN and reach any inf without a mask of Z
+        if not (np.isfinite(Z.min()) and np.isfinite(Z.max())):
             raise ValueError("measurements contain non-finite values")
         object.__setattr__(self, "Z", Z)
 
@@ -131,22 +136,33 @@ def _mixed_blocks(
 ):
     """Yield (start, block, factor @ block) over _MIX_BLOCK-column blocks of a draw.
 
-    The draw is one (k, width) standard-normal fill in C order, width =
-    held.shape[1]: its first k-1 rows are drawn whole into held, then its
-    last row is drawn a block at a time into a (k, b) block of scratch[0]
-    beside a copy of held's columns; the product goes to scratch[1].
+    The draw is one (k, width) standard-normal fill in C order, k =
+    factor.shape[0] and width = held.shape[1]. Its first held.shape[0] rows
+    are drawn whole into held. Each further row but the last is regenerated
+    a block at a time from a copy of rng taken at the row's start, after
+    which rng steps past the row by drawing it once more in _MIX_BLOCK
+    pieces that are thrown away. Then every (k, b) block of scratch[0] gets
+    held's columns, the regenerated rows' next columns and the last row's
+    next draws from rng, in that order; the product goes to scratch[1].
     scratch, at least (2, k, min(_MIX_BLOCK, width)), is reused for every
     block, so the caller uses the block and the product, and may overwrite
     held's columns of the block, before asking for the next one.
     """
     rng.standard_normal(out=held)
-    rows, width = held.shape[0] + 1, held.shape[1]
+    rows, n_held, width = factor.shape[0], held.shape[0], held.shape[1]
+    regenerated = []
+    for _ in range(rows - 1 - n_held):
+        regenerated.append(copy.deepcopy(rng))
+        for start in range(0, width, _MIX_BLOCK):
+            rng.standard_normal(out=scratch[0, 0, : min(_MIX_BLOCK, width - start)])
     for start in range(0, width, _MIX_BLOCK):
         cols = min(_MIX_BLOCK, width - start)
         block = scratch[0, :rows, :cols]
-        block[:-1] = held[:, start : start + cols]
+        block[:n_held] = held[:, start : start + cols]
+        for row, row_rng in zip(block[n_held:-1], regenerated):
+            row_rng.standard_normal(out=row)
         rng.standard_normal(out=block[-1])
-        yield start, block, np.matmul(factor, block, out=scratch[1, : factor.shape[0], :cols])
+        yield start, block, np.matmul(factor, block, out=scratch[1, :rows, :cols])
 
 
 def _integrate_clocks(
@@ -209,11 +225,13 @@ def simulate_ensemble(
     ``keep_states=True`` (its rows written straight in as the clocks are
     integrated) and None otherwise; Z is bit-identical either way.
 
-    Full-length rows held at the peak: with ``keep_states=False`` the
-    clocks integrate straight into Z's rows and one pivot row, which is
-    subtracted and freed before the first n_z-1 noise rows are drawn, so
-    max(n, 2 n_z - 1) rows; with ``keep_states=True`` 2n + n_z (X, then Z,
-    whose own first rows hold those noise rows).
+    Full-length rows held at the peak: with ``keep_states=False`` n, as
+    the clocks integrate straight into Z's rows and one pivot row, which
+    is subtracted from Z and then holds noise row 0; noise rows 1..n_z-2
+    are regenerated block by block from generator copies, at the cost of
+    max(n_z - 2, 0) more rows of draws. With ``keep_states=True`` 2n + n_z
+    (X, then Z, whose own first n_z - 1 rows hold the leading noise rows,
+    so nothing is regenerated).
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
@@ -232,18 +250,16 @@ def simulate_ensemble(
         held = Z[:-1]
     else:
         Z = np.empty((n_z, n_steps + 1))
-        pivot = np.empty(n_steps + 1)
-        _integrate_clocks(model, rng, [pivot, *Z], None, scratch)
+        pivot = np.empty((1, n_steps + 1))
+        _integrate_clocks(model, rng, [pivot[0], *Z], None, scratch)
         np.subtract(Z, pivot, out=Z)
-        del pivot
-        held = np.empty((n_z - 1, n_steps + 1))
+        # the spent pivot row holds noise row 0 (no row for n_z = 1)
+        held = pivot[: n_z - 1]
     for start, block, mixed in _mixed_blocks(r_factor, rng, held, scratch):
         stop = start + block.shape[1]
         if keep_states:
             np.subtract(X[2::2, start:stop], X[0, start:stop], out=Z[:, start:stop])
         Z[:, start:stop] += mixed
-    # the held rows and the scratch go before the record's check makes its mask of Z
-    del held, scratch, block, mixed
 
     return (X if keep_states else None), MeasurementRecord(Ts=model.Ts, Z=Z)
 
@@ -299,8 +315,6 @@ def remove_outliers(
             nodes = np.setdiff1d(np.union1d(flags - 1, flags + 1), flags)
             cleaned[c, flags] = np.interp(flags, nodes, z[nodes])
         flagged_per_channel.append(flags)
-    # freed before the record's check makes its mask of cleaned
-    del buf
     return MeasurementRecord(Ts=record.Ts, Z=cleaned), OutlierReport(tuple(flagged_per_channel))
 
 
