@@ -6,19 +6,22 @@ unit-triangular blocks), which is what makes year-long records
 practical. The random draw order is fixed: one (2, N) standard-normal
 block per clock in clock order, then one (n_z, N+1) block for the
 measurement noise, each filled in C order, so identical inputs always
-produce bit-identical records. A block's leading rows are drawn whole
-into the full-length rows that have room for them (a clock's phase row;
-the noise's first row in the spent pivot row, or its first n_z - 1 rows
-in Z with states); any other leading row is regenerated block by block
-from a copy of the generator taken at the row's start, so the draw order
-is unchanged. The last row is drawn _MIX_BLOCK columns at a time beside
-the leading rows' columns, mixed by the covariance factor in one matrix
-product and integrated or added to Z before the next columns are drawn.
-The blocked products and the carried cumulative sums equal the one-shot
-ones bit for bit (the tests compare them), and OpenBLAS runs a product
-that small on the calling thread, so Monte-Carlo pool workers do not
-start BLAS threads of their own on top of one another. A run without
-states holds at most n full-length rows, a run with states 2n + n_z.
+produce bit-identical records.
+
+The model is linear in its noise, so each row of draws is added to the
+record on its own, _MIX_BLOCK columns at a time as it is drawn: row r of
+clock i, scaled by column r of the clock's covariance factor F (plus
+the drift mean mu on r = 1), gives the phase steps F[0, r] n + Ts times
+its frequency share, a cumulative sum of F[1, r] n carried from block to
+block and shifted one step. Z's channels hold steps until their clock
+is done (the pivot's steps are subtracted from every channel), then one
+cumulative sum makes them phases; measurement row j adds R's factor
+column S[:, j] times its draws. Exact zeros of the factors are skipped.
+Carried sums equal one sum over the whole row bit for bit (the tests
+compare them with a one-shot form), and the values equal the mixing of
+the same draws in one matrix product to rounding. No row is held or
+drawn twice: a run without states holds Z and two block-sized buffers,
+a run with states X beside them.
 
 Measurement CSVs are formatted in row blocks and parsed in byte ranges
 cut at newlines, on a process pool with one worker per available CPU, or
@@ -28,13 +31,12 @@ the parsed doubles are the same either way.
 
 from __future__ import annotations
 
-import copy
 import io
 import multiprocessing
 import os
 import warnings
 from collections import deque
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -60,8 +62,8 @@ _CSV_BLOCK_ROWS = 8192
 # bytes of CSV body parsed per task when reading (cut at a newline)
 _CSV_PART_BYTES = 1 << 20
 
-# columns of draws mixed per matrix product: well below the size at which
-# OpenBLAS splits a product over threads
+# columns of a row of draws added to the record at a time: the two
+# block-sized buffers stay in cache
 _MIX_BLOCK = 16_384
 
 
@@ -131,82 +133,6 @@ def _psd_factor(M: np.ndarray) -> np.ndarray:
     return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
 
 
-def _mixed_blocks(
-    factor: np.ndarray, rng: np.random.Generator, held: np.ndarray, scratch: np.ndarray
-):
-    """Yield (start, block, factor @ block) over _MIX_BLOCK-column blocks of a draw.
-
-    The draw is one (k, width) standard-normal fill in C order, k =
-    factor.shape[0] and width = held.shape[1]. Its first held.shape[0] rows
-    are drawn whole into held. Each further row but the last is regenerated
-    a block at a time from a copy of rng taken at the row's start, after
-    which rng steps past the row by drawing it once more in _MIX_BLOCK
-    pieces that are thrown away. Then every (k, b) block of scratch[0] gets
-    held's columns, the regenerated rows' next columns and the last row's
-    next draws from rng, in that order; the product goes to scratch[1].
-    scratch, at least (2, k, min(_MIX_BLOCK, width)), is reused for every
-    block, so the caller uses the block and the product, and may overwrite
-    held's columns of the block, before asking for the next one.
-    """
-    rng.standard_normal(out=held)
-    rows, n_held, width = factor.shape[0], held.shape[0], held.shape[1]
-    regenerated = []
-    for _ in range(rows - 1 - n_held):
-        regenerated.append(copy.deepcopy(rng))
-        for start in range(0, width, _MIX_BLOCK):
-            rng.standard_normal(out=scratch[0, 0, : min(_MIX_BLOCK, width - start)])
-    for start in range(0, width, _MIX_BLOCK):
-        cols = min(_MIX_BLOCK, width - start)
-        block = scratch[0, :rows, :cols]
-        block[:n_held] = held[:, start : start + cols]
-        for row, row_rng in zip(block[n_held:-1], regenerated):
-            row_rng.standard_normal(out=row)
-        rng.standard_normal(out=block[-1])
-        yield start, block, np.matmul(factor, block, out=scratch[1, :rows, :cols])
-
-
-def _integrate_clocks(
-    model: EnsembleModel,
-    rng: np.random.Generator,
-    phases: Sequence[np.ndarray],
-    freqs: Sequence[np.ndarray] | None,
-    scratch: np.ndarray,
-) -> None:
-    """Fill phases[i] (and freqs[i], if given) with clock i's trajectory from zero.
-
-    Clock i draws one (2, N) standard-normal block: w[0] straight into
-    phases[i][1:], then w[1] block by block. Each block becomes
-    w = Q_i^(1/2) draws + mu_i; the cumulative sum of w[1], carried over
-    from the previous block, is the frequency, and the cumulative sum of
-    the phase steps x2 * Ts + w[0], carried the same way, is the phase.
-    Sequential sums carried from block to block equal one sum over the
-    whole row bit for bit. scratch is _mixed_blocks' buffer.
-    """
-    ts = model.Ts
-    for i, phase in enumerate(phases):
-        q_factor = _psd_factor(model.Q[2 * i : 2 * i + 2, 2 * i : 2 * i + 2])
-        mu = model.mu[2 * i : 2 * i + 2, None]
-        phase[0] = 0.0
-        if freqs is not None:
-            freqs[i][0] = 0.0
-        x2 = 0.0  # frequency before the block's first step
-        for start, block, mixed in _mixed_blocks(q_factor, rng, phase[None, 1:], scratch):
-            stop = start + block.shape[1]
-            np.add(mixed, mu, out=block)
-            w0, w1 = block
-            steps = phase[1 + start : 1 + stop]
-            steps[0] = x2 * ts
-            w1[0] += x2
-            np.cumsum(w1, out=w1)
-            np.multiply(w1[:-1], ts, out=steps[1:])
-            steps += w0
-            steps[0] += phase[start]
-            np.cumsum(steps, out=steps)
-            if freqs is not None:
-                freqs[i][1 + start : 1 + stop] = w1
-            x2 = w1[-1]
-
-
 def simulate_ensemble(
     model: EnsembleModel,
     n_steps: int,
@@ -218,50 +144,78 @@ def simulate_ensemble(
     w_k is Gaussian with mean model.mu and covariance model.Q (block
     diagonal), v_k is zero-mean Gaussian with covariance model.R. The draw
     order is that of one (2, N) block per clock in clock order, then one
-    (n_z, N+1) block for the measurement noise, each filled in C order;
-    each block's last row is drawn _MIX_BLOCK columns at a time and mixed
-    beside its other rows, so no full-length draw or noise array is kept.
-    Returns (X, record): X is the (2n, N+1) state array with
-    ``keep_states=True`` (its rows written straight in as the clocks are
-    integrated) and None otherwise; Z is bit-identical either way.
-
-    Full-length rows held at the peak: with ``keep_states=False`` n, as
-    the clocks integrate straight into Z's rows and one pivot row, which
-    is subtracted from Z and then holds noise row 0; noise rows 1..n_z-2
-    are regenerated block by block from generator copies, at the cost of
-    max(n_z - 2, 0) more rows of draws. With ``keep_states=True`` 2n + n_z
-    (X, then Z, whose own first n_z - 1 rows hold the leading noise rows,
-    so nothing is regenerated).
+    (n_z, N+1) block for the measurement noise, each filled in C order:
+    2nN + n_z(N+1) normals, each drawn once. Each row is drawn _MIX_BLOCK
+    columns at a time and added to the record at once (see the module
+    docstring), so no row of draws, noise or pivot phase is held or drawn
+    again: a run holds Z, X with ``keep_states=True``, and two block-sized
+    buffers. Returns (X, record): X is the (2n, N+1) state array with
+    ``keep_states=True`` and None otherwise; Z is bit-identical either
+    way, and equals the previous release's mixing of the same draws to
+    rounding.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    n = model.n
-    n_z = model.n_z
+    ts = model.Ts
     rng = np.random.default_rng(seed)
     r_factor = _psd_factor(model.R)
-    # one scratch for every clock and the noise: a fresh one per clock costs
-    # more page faults than a short record's arithmetic
-    scratch = np.empty((2, max(2, n_z), min(_MIX_BLOCK, n_steps + 1)))
+    Z = np.zeros((model.n_z, n_steps + 1))
+    X = np.zeros((2 * model.n, n_steps + 1)) if keep_states else None
+    draws = np.empty(min(_MIX_BLOCK, n_steps + 1))
+    sums = np.empty(draws.size + 1)
 
-    if keep_states:
-        X = np.empty((2 * n, n_steps + 1))
-        _integrate_clocks(model, rng, X[0::2], X[1::2], scratch)
-        Z = np.empty((n_z, n_steps + 1))
-        held = Z[:-1]
-    else:
-        Z = np.empty((n_z, n_steps + 1))
-        pivot = np.empty((1, n_steps + 1))
-        _integrate_clocks(model, rng, [pivot[0], *Z], None, scratch)
-        np.subtract(Z, pivot, out=Z)
-        # the spent pivot row holds noise row 0 (no row for n_z = 1)
-        held = pivot[: n_z - 1]
-    for start, block, mixed in _mixed_blocks(r_factor, rng, held, scratch):
-        stop = start + block.shape[1]
-        if keep_states:
-            np.subtract(X[2::2, start:stop], X[0, start:stop], out=Z[:, start:stop])
-        Z[:, start:stop] += mixed
+    for i in range(model.n):
+        q_factor = _psd_factor(model.Q[2 * i : 2 * i + 2, 2 * i : 2 * i + 2])
+        for r in range(2):
+            f0, f1 = q_factor[:, r]
+            m0, m1 = model.mu[2 * i : 2 * i + 2] if r else (0.0, 0.0)
+            freq = 0.0  # this row's share of the frequency before the block
+            for start in range(0, n_steps, _MIX_BLOCK):
+                g = draws[: min(_MIX_BLOCK, n_steps - start)]
+                rng.standard_normal(out=g)
+                if not (f0 or f1 or m0 or m1):
+                    continue
+                cols = slice(1 + start, 1 + start + g.size)
+                # the row's frequency share before each step and after the last
+                shares = sums[: g.size + 1]
+                shares[0] = freq
+                np.multiply(g, f1, out=shares[1:])
+                if m1:
+                    shares[1:] += m1
+                np.cumsum(shares, out=shares)
+                freq = shares[-1]
+                if X is not None:
+                    X[2 * i + 1, cols] += shares[1:]
+                before = shares[:-1]
+                before *= ts
+                # g = the phase steps: f0 * draw + m0 + Ts * frequency before
+                if f0:
+                    g *= f0
+                    if m0:
+                        g += m0
+                    g += before
+                else:
+                    np.add(before, m0, out=g)
+                if i == 0:
+                    Z[:, cols] -= g
+                else:
+                    Z[i - 1, cols] += g
+                if X is not None:
+                    X[2 * i, cols] += g
+        # clock i's steps are all in: they become phases by one running sum
+        if i:
+            np.cumsum(Z[i - 1], out=Z[i - 1])
+        if X is not None:
+            np.cumsum(X[2 * i], out=X[2 * i])
 
-    return (X if keep_states else None), MeasurementRecord(Ts=model.Ts, Z=Z)
+    for j in range(model.n_z):
+        for start in range(0, n_steps + 1, _MIX_BLOCK):
+            v = draws[: min(_MIX_BLOCK, n_steps + 1 - start)]
+            rng.standard_normal(out=v)
+            for c in np.flatnonzero(r_factor[:, j]):
+                Z[c, start : start + v.size] += np.multiply(v, r_factor[c, j], out=sums[: v.size])
+
+    return X, MeasurementRecord(Ts=model.Ts, Z=Z)
 
 
 def _second_difference(z: np.ndarray, out: np.ndarray, med: float | None = None) -> np.ndarray:

@@ -33,8 +33,41 @@ from conftest import random_params
 
 
 def _reference_simulation(model, n_steps, seed):
-    """One-shot formulation with fresh per-clock arrays from the zero state
-    (the reference)."""
+    """One-shot form of the simulator's superposition (the reference): whole
+    rows of the same draws in the same order, with the same zero skips."""
+    ts = model.Ts
+    rng = np.random.default_rng(seed)
+    X = np.zeros((2 * model.n, n_steps + 1))
+    Z = np.zeros((model.n_z, n_steps + 1))
+    for i in range(model.n):
+        q_factor = _psd_factor(model.Q[2 * i : 2 * i + 2, 2 * i : 2 * i + 2])
+        for r, g in enumerate(rng.standard_normal((2, n_steps))):
+            f0, f1 = q_factor[:, r]
+            m0, m1 = model.mu[2 * i : 2 * i + 2] if r else (0.0, 0.0)
+            if not (f0 or f1 or m0 or m1):
+                continue
+            freq = np.cumsum(f1 * g + m1 if m1 else f1 * g)
+            X[2 * i + 1, 1:] += freq
+            before = ts * np.concatenate(([0.0], freq[:-1]))
+            steps = ((f0 * g + m0 if m0 else f0 * g) if f0 else m0) + before
+            if i == 0:
+                Z[:, 1:] -= steps
+            else:
+                Z[i - 1, 1:] += steps
+            X[2 * i, 1:] += steps
+        if i:
+            Z[i - 1] = np.cumsum(Z[i - 1])
+        X[2 * i] = np.cumsum(X[2 * i])
+    r_factor = _psd_factor(model.R)
+    for j, v in enumerate(rng.standard_normal((model.n_z, n_steps + 1))):
+        for c in np.flatnonzero(r_factor[:, j]):
+            Z[c] += r_factor[c, j] * v
+    return X, Z
+
+
+def _mixing_reference(model, n_steps, seed):
+    """The same draws mixed by each clock's and the noise's covariance factor
+    in one product, the formulation of the previous release."""
     n = model.n
     rng = np.random.default_rng(seed)
     r_factor = _psd_factor(model.R)
@@ -90,7 +123,9 @@ class TestSimulateEnsemble:
 
     @staticmethod
     def _assert_matches_reference(model, n_steps):
-        # reused buffers and blocked mixing must not change a single draw or rounding
+        # blocked draws, carried sums and reused buffers must not change a
+        # single draw or rounding of the one-shot superposition, which in
+        # turn equals the mixing formulation to rounding
         assert np.any(model.mu != 0.0)
         X_ref, Z_ref = _reference_simulation(model, n_steps, 21)
         X, rec = simulate_ensemble(model, n_steps, seed=21)
@@ -99,14 +134,15 @@ class TestSimulateEnsemble:
         assert np.array_equal(X, X_ref)
         assert np.array_equal(rec.Z, Z_ref)
         assert np.array_equal(rec_lean.Z, Z_ref)
+        _, Z_mixed = _mixing_reference(model, n_steps, 21)
+        for Z in (rec.Z, rec_lean.Z):
+            assert np.abs(Z - Z_mixed).max() <= 1e-12 * np.abs(Z_mixed).max()
 
     def test_bit_identical_to_reference_formulation(self, maser_model):
         self._assert_matches_reference(maser_model, 3000)
 
     def test_bit_identical_across_mix_blocks(self, maser_model, maser_params):
-        # three mixing blocks, the last one partial; the lean noise draw
-        # regenerates one leading row at n = 4, none at n = 3 (the pivot row
-        # holds the only one) and three at n = 6
+        # three blocks, the last one partial, at n = 4, 3 and 6
         three = EnsembleParams(clocks=maser_params.clocks[:3], R=maser_params.R[:2, :2])
         six = random_params(np.random.default_rng(6), 6, balanced=False)
         for model in (maser_model, assemble_ensemble(three, 5.0), assemble_ensemble(six, 5.0)):
@@ -119,12 +155,12 @@ class TestSimulateEnsemble:
         self._assert_matches_reference(maser_model, n_steps)
 
     def test_bit_identical_with_one_channel(self, maser_params):
-        # n = 2: the noise is a single streamed row and no row is held
+        # n = 2: one channel, the pivot's steps and clock 1's on one row
         params = EnsembleParams(clocks=maser_params.clocks[:2], R=maser_params.R[:1, :1])
         self._assert_matches_reference(assemble_ensemble(params, 5.0), _MIX_BLOCK + 7)
 
     def test_bit_identical_with_singular_r(self, maser_params):
-        # a singular PSD R is mixed by its eigenfactor, not a Cholesky factor
+        # a singular PSD R is applied by its eigenfactor, not a Cholesky factor
         channel = np.array([3.0, 2.9, 3.1]) * 1e-17
         R = np.outer(channel, channel)
         with pytest.raises(np.linalg.LinAlgError):
@@ -132,17 +168,44 @@ class TestSimulateEnsemble:
         params = EnsembleParams(clocks=maser_params.clocks, R=R)
         self._assert_matches_reference(assemble_ensemble(params, 5.0), _MIX_BLOCK + 7)
 
+    @pytest.mark.parametrize("keep_states", [False, True])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_draw_layout(self, n, keep_states):
+        # with no clock noise or drift and R = I, Z is the measurement block
+        # itself: the one drawn after one (2n, N) block of clock draws
+        model = assemble_ensemble(
+            EnsembleParams(clocks=(ClockParams(q1=0.0, q2=0.0, d=0.0),) * n, R=np.eye(n - 1)),
+            5.0,
+        )
+        for n_steps in (5, _MIX_BLOCK + 3):
+            rng = np.random.default_rng(14)
+            rng.standard_normal((2 * n, n_steps))
+            expected = rng.standard_normal((n - 1, n_steps + 1))
+            _, record = simulate_ensemble(model, n_steps, seed=14, keep_states=keep_states)
+            assert np.array_equal(record.Z, expected)
+
+    def test_many_small_blocks(self, maser_model, monkeypatch):
+        # carried sums over blocks of 7 columns, a last partial one included,
+        # equal the default single block bit for bit
+        _, lean = simulate_ensemble(maser_model, 3000, seed=15, keep_states=False)
+        X, states = simulate_ensemble(maser_model, 3000, seed=15)
+        monkeypatch.setattr(simulate_module, "_MIX_BLOCK", 7)
+        _, small_lean = simulate_ensemble(maser_model, 3000, seed=15, keep_states=False)
+        small_X, small_states = simulate_ensemble(maser_model, 3000, seed=15)
+        assert np.array_equal(small_lean.Z, lean.Z)
+        assert np.array_equal(small_states.Z, states.Z)
+        assert np.array_equal(small_X, X)
+
     def test_peak_memory_of_lean_run(self, maser_model):
-        # Z and the pivot phase while integrating, then Z and the pivot row
-        # reused for noise row 0: no full-length draw, frequency or noise
-        # array beyond them
+        # each row of draws is added to Z a block at a time as it is drawn:
+        # Z and two block-sized buffers, no full-length row beside Z
         tracemalloc.start()
         try:
             _, record = simulate_ensemble(maser_model, 200_000, seed=25, keep_states=False)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.6 * record.Z.nbytes
+        assert peak < 1.15 * record.Z.nbytes
 
     def test_peak_memory_of_states_run(self, maser_model):
         # the trajectories are written straight into X: no phase or frequency
