@@ -79,11 +79,22 @@ def _options_from(extras: dict, args: argparse.Namespace) -> EstimationOptions:
     return opts
 
 
+def _filter_outliers(record: MeasurementRecord, k: float | None) -> MeasurementRecord:
+    """The record with its spikes masked by remove_outliers, or as it is for k None."""
+    if k is None:
+        return record
+    record, outliers = remove_outliers(record, k=float(k))
+    log.info(
+        "outlier filter flagged %d samples (per channel: %s)",
+        outliers.total,
+        ", ".join(str(len(f)) for f in outliers.flagged),
+    )
+    return record
+
+
 def run_estimation(record: MeasurementRecord, opts: EstimationOptions) -> EstimateReport:
     """Apply optional preprocessing, then the selected method."""
-    if opts.outlier_k is not None:
-        record, outliers = remove_outliers(record, k=float(opts.outlier_k))
-        log.info("outlier filter flagged %d samples", outliers.total)
+    record = _filter_outliers(record, opts.outlier_k)
     if opts.method == "acov":
         return estimate_acov_method(
             record, ell=int(opts.ell), m_max=opts.m_max, d1=float(opts.d1)
@@ -128,20 +139,26 @@ def cmd_avar(args: argparse.Namespace) -> int:
     grid = log_spaced_grid(args.ell if args.ell is not None else 20, m_max, record.Ts)
     est = acov_grid(record, grid)
     write_acov_csv(est, args.out)
-    print(f"wrote {len(est.pairs) * len(grid)} ACOV values -> {args.out}")
+    print(f"wrote {len(est.pairs) * len(est.grid)} ACOV values -> {args.out}")
     return EXIT_OK
 
 
 def _mc_worker(payload: tuple) -> tuple[int, dict]:
-    """Simulate one run and estimate with every requested method."""
+    """Simulate one run, mask its outliers once if asked, and estimate with
+    every requested method."""
     run_idx, seed, params, ts, n_steps, options, methods = payload
     _, record = simulate_ensemble(
         assemble_ensemble(params, ts), n_steps, seed, keep_states=False
     )
+    try:
+        record = _filter_outliers(record, options.outlier_k)
+    except Exception as exc:  # every method's run fails alike
+        error = f"{type(exc).__name__}: {exc}"
+        return run_idx, {method: {"theta": None, "error": error} for method in methods}
     results: dict = {}
     for method in methods:
         try:
-            report = run_estimation(record, replace(options, method=method))
+            report = run_estimation(record, replace(options, method=method, outlier_k=None))
             results[method] = {"theta": report.theta.tolist(), "error": None}
         except Exception as exc:  # recorded, excluded from stats
             results[method] = {"theta": None, "error": f"{type(exc).__name__}: {exc}"}

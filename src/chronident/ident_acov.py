@@ -10,6 +10,10 @@ enter through pairwise products. Estimation is therefore split in two:
 2. a least-squares quadratic fit of each channel's phase for the drifts,
    with the pivot drift supplied by the caller.
 
+A masked record (``MeasurementRecord.valid``) enters both steps through
+its valid samples only, and its report carries ``valid_fraction`` and
+the averaging factors ``dropped_m`` left without a valid column.
+
 The regression vector theta_a is [q1 x n, q2 x n, r upper, f upper], with
 both upper triangles in the row-major order of ``upper_triangle_pairs``;
 its first n(n+3)/2 entries are the MDM parameter vector theta_alpha.
@@ -33,7 +37,7 @@ from .model import (
 from .numerics import weighted_least_squares
 from .report import EstimateReport
 from .simulate import MeasurementRecord
-from .stability import _BLOCK, AcovEstimate, acov_grid, acov_variance, log_spaced_grid
+from .stability import _BLOCK, AcovEstimate, acov_grid, log_spaced_grid, pair_acov_variance
 
 __all__ = [
     "RegressionSystem",
@@ -177,16 +181,46 @@ def recover_drifts(
 def fit_drifts(record: MeasurementRecord, d1: float = 0.0) -> np.ndarray:
     """Drifts d^(2..n): d1 plus twice each channel's least-squares t^2 coefficient.
 
-    That is the projection on u^2 - (S^2-1)/12, of squared norm S(S^2-1)(S^2-4)/180,
-    at the centred sample index u, summed in _BLOCK-column einsums (no BLAS).
+    Without a mask that is the projection on u^2 - (S^2-1)/12, of squared
+    norm S(S^2-1)(S^2-4)/180, at the centred sample index u. With a mask
+    each channel's 3 x 3 normal equations in 1, v, v^2 (v = u scaled to
+    [-1, 1]) are accumulated over its valid samples. Both are summed in
+    _BLOCK-column einsums (no BLAS).
     """
-    Z = record.Z
+    Z, valid = record.Z, record.valid
     S = Z.shape[1]
-    proj = np.zeros(record.n_z)
+    if valid is None:
+        proj = np.zeros(record.n_z)
+        for start in range(0, S, _BLOCK):
+            u = np.arange(start, min(start + _BLOCK, S)) - 0.5 * (S - 1)
+            proj += np.einsum("ik,k->i", Z[:, start : start + _BLOCK], u * u - (S * S - 1) / 12.0)
+        return d1 + 360.0 * proj / (S * (S * S - 1.0) * (S * S - 4.0) * record.Ts**2)
+
+    half = 0.5 * (S - 1)
+    moments = np.zeros((record.n_z, 5))  # sums of w v^p, p = 0..4
+    rhs = np.zeros((record.n_z, 3))  # sums of w z v^p, p = 0..2
+    weight = np.empty((record.n_z, min(_BLOCK, S)))
+    weighted = np.empty_like(weight)
+    powers = np.ones((5, weight.shape[1]))
     for start in range(0, S, _BLOCK):
-        u = np.arange(start, min(start + _BLOCK, S)) - 0.5 * (S - 1)
-        proj += np.einsum("ik,k->i", Z[:, start : start + _BLOCK], u * u - (S * S - 1) / 12.0)
-    return d1 + 360.0 * proj / (S * (S * S - 1.0) * (S * S - 4.0) * record.Ts**2)
+        v = (np.arange(start, min(start + _BLOCK, S)) - half) / half
+        powers = powers[:, : v.size]
+        for p in range(1, 5):
+            np.multiply(powers[p - 1], v, out=powers[p])
+        wb = weight[:, : v.size]
+        np.copyto(wb, valid[:, start : start + v.size])
+        moments += np.einsum("ik,pk->ip", wb, powers)
+        zw = np.multiply(Z[:, start : start + v.size], wb, out=weighted[:, : v.size])
+        rhs += np.einsum("ik,pk->ip", zw, powers[:3])
+    short = np.flatnonzero(moments[:, 0] < 3)
+    if short.size:
+        raise UnidentifiableError(
+            f"channel {short[0] + 1} has {int(moments[short[0], 0])} valid samples; "
+            "a quadratic drift fit needs 3"
+        )
+    normal = moments[:, np.arange(3)[:, None] + np.arange(3)]
+    coef = np.linalg.solve(normal, rhs[..., None])[..., 0]
+    return d1 + 2.0 * coef[:, 2] / (half * record.Ts) ** 2
 
 
 def estimate_acov_method(
@@ -203,17 +237,18 @@ def estimate_acov_method(
         m_max = n_steps // 2
     if m_max < 1:
         raise ValueError(f"record too short for ACOV estimation (N={n_steps})")
-    grid = log_spaced_grid(ell, m_max, record.Ts)
     n = record.n_z + 1
-    system = build_regression(acov_grid(record, grid), n)
+    acov = acov_grid(record, log_spaced_grid(ell, m_max, record.Ts))
+    grid = acov.grid
+    system = build_regression(acov, n)
     theta_a, _ = solve_theta_a(system)
     # reweight from the fitted ACOVs; the clamps keep their diagonal >= 0
-    rows, cols = np.triu_indices(n - 1)
-    fitted = np.empty((len(grid), n - 1, n - 1))
-    fitted[:, rows, cols] = fitted[:, cols, rows] = (system.Phi @ theta_a).reshape(-1, len(grid)).T
-    var = acov_variance(fitted, n_steps, grid.m_values)[:, rows, cols].T
+    fitted = (system.Phi @ theta_a).reshape(-1, len(grid))
+    var = pair_acov_variance(fitted, acov, n_steps)
     theta_a, diagnostics = solve_theta_a(replace(system, w=1.0 / var.ravel()))
     diagnostics.update(ell=len(grid), m_max=int(grid.m_values[-1]))
+    if record.valid is not None:
+        diagnostics.update(valid_fraction=record.valid_fraction, dropped_m=list(acov.dropped_m))
     n_alpha = n * (n + 3) // 2
     drifts = np.concatenate([[d1], fit_drifts(record, d1)])
     return EstimateReport(

@@ -12,6 +12,9 @@ linear in q1, q2 and the unique elements of R, so both stages reduce to
 least-squares solves of known maps. Both maps are built from the column
 blocks of A: the state-noise columns of step l and clock i, and the
 measurement-noise columns of step l and channel i.
+
+A masked record (``MeasurementRecord.valid``) keeps only the windows whose
+L samples at the MDM period are valid on every channel.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DriftUnidentifiableError, NoResidueError, UnidentifiableError
 from .model import (
@@ -153,7 +157,9 @@ def compute_residues(record: MeasurementRecord, system: MdmSystem) -> np.ndarray
 
     system.Ts must be an integer multiple f of the record's Ts; the windows
     are cut from the strided view Z[:, ::f] without copying the record.
-    With M = ceil((N+1)/f) samples at system.Ts the shape is (n_aO, M-L+1).
+    With M = ceil((N+1)/f) samples at system.Ts the shape is (n_aO, M-L+1),
+    less the windows that hold a sample the record's mask marks invalid on
+    some channel; NoResidueError when no window is left.
     """
     if record.n_z != system.n_z:
         raise ValueError(
@@ -172,7 +178,16 @@ def compute_residues(record: MeasurementRecord, system: MdmSystem) -> np.ndarray
         )
     count = Z.shape[1] - system.L + 1
     stacked = np.vstack([Z[:, r : r + count] for r in range(system.L)])
-    return system.Am @ stacked
+    residues = system.Am @ stacked
+    if record.valid is None:
+        return residues
+    sample_ok = record.valid[:, ::f].all(axis=0)
+    keep = sliding_window_view(sample_ok, system.L).all(axis=1)
+    if not keep.any():
+        raise NoResidueError(
+            f"no window of L={system.L} samples at Ts={system.Ts} is valid on every channel"
+        )
+    return residues[:, keep]
 
 
 def residue_mean_from_drifts(system: MdmSystem, drifts: np.ndarray) -> np.ndarray:
@@ -277,6 +292,8 @@ def estimate_mdm(
     diagnostics["L"] = system.L
     diagnostics["ts_target_s"] = system.Ts
     diagnostics["n_residue_dim"] = system.n_residue
+    if record.valid is not None:
+        diagnostics["valid_fraction"] = record.valid_fraction
     return EstimateReport(
         method="mdm",
         ts_seconds=record.Ts,

@@ -35,7 +35,10 @@ class EstimateReport:
     ``clamped`` (names of entries raised to the positive floor). The
     ``acov`` method adds ``se``, ``rank``, ``ell`` and ``m_max``; the
     ``mdm`` method adds ``se_approx``, ``drift_residual``, ``drift_cond``,
-    ``L``, ``ts_target_s`` and ``n_residue_dim``.
+    ``L``, ``ts_target_s`` and ``n_residue_dim``. Both add
+    ``valid_fraction`` (valid samples per channel) for a masked record,
+    and ``acov`` then adds ``dropped_m`` (averaging factors of its grid
+    that some channel pair had no valid second difference for).
     """
 
     method: str

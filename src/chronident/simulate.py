@@ -23,6 +23,13 @@ the same draws in one matrix product to rounding. No row is held or
 drawn twice: a run without states holds Z and two block-sized buffers,
 a run with states X beside them.
 
+A record may carry a boolean validity mask of Z's shape. remove_outliers
+flags spikes from the second differences of each channel and returns a
+record that shares the caller's Z and masks the flagged samples. Nothing
+is interpolated: a filled-in sample would lack its white FM and bias the
+AVAR low, while a masked one is left out of every estimate. The filter
+holds one scratch row and the mask (Z/n_z plus Z/8 bytes), not a copy of Z.
+
 Measurement CSVs are formatted in row blocks and parsed in byte ranges
 cut at newlines, on a process pool with one worker per available CPU, or
 in this process on one CPU and where no pool can run; the file bytes and
@@ -72,10 +79,15 @@ class MeasurementRecord:
     """Differential phase measurements, one row per channel.
 
     Z has shape (n_z, N+1); column k is the measurement at time k*Ts.
+    ``valid`` is None (every sample valid) or a boolean mask of Z's shape;
+    the estimators leave out every second difference, drift-fit sample and
+    MDM window that holds a sample marked False. Z must be finite even
+    where it is masked.
     """
 
     Ts: float
     Z: np.ndarray
+    valid: np.ndarray | None = None
 
     def __post_init__(self):
         Z = np.asarray(self.Z, dtype=float)
@@ -89,6 +101,14 @@ class MeasurementRecord:
         if not (np.isfinite(Z.min()) and np.isfinite(Z.max())):
             raise ValueError("measurements contain non-finite values")
         object.__setattr__(self, "Z", Z)
+        if self.valid is not None:
+            valid = np.asarray(self.valid)
+            if valid.dtype != bool or valid.shape != Z.shape:
+                raise ValueError(
+                    f"valid must be a boolean mask of shape {Z.shape}, "
+                    f"got {valid.dtype} of shape {valid.shape}"
+                )
+            object.__setattr__(self, "valid", valid)
 
     @property
     def n_z(self) -> int:
@@ -98,6 +118,13 @@ class MeasurementRecord:
     def n_steps(self) -> int:
         """N, the number of transitions (samples minus one)."""
         return self.Z.shape[1] - 1
+
+    @property
+    def valid_fraction(self) -> np.ndarray | None:
+        """Fraction of valid samples per channel, None without a mask."""
+        if self.valid is None:
+            return None
+        return np.count_nonzero(self.valid, axis=1) / self.Z.shape[1]
 
 
 @dataclass(frozen=True)
@@ -233,43 +260,45 @@ def _second_difference(z: np.ndarray, out: np.ndarray, med: float | None = None)
 def remove_outliers(
     record: MeasurementRecord, k: float = 5.0
 ) -> tuple[MeasurementRecord, OutlierReport]:
-    """Flag and interpolate spikes using second differences of each channel.
+    """Flag spikes using second differences of each channel and mask them.
 
     Second differences remove drift and random-walk trends, so under the
     model they are stationary; a sample is flagged when the centred second
-    difference deviates from the channel median by more than k MADs.
-    Flagged samples are replaced by linear interpolation between the
-    nearest unflagged neighbours.
+    difference deviates from the channel median by more than k MADs. The
+    flags are taken from every sample, masked or not. Returns a record that
+    shares record.Z (no copy) and whose mask is record's (all True without
+    one) with the flagged samples set to False, and the flags per channel.
     """
     if not k > 0.0:
         raise ValueError(f"threshold k must be > 0, got {k}")
     n_samples = record.Z.shape[1]
-    cleaned = record.Z.copy()
+    valid = np.empty(record.Z.shape, dtype=bool)
     flagged_per_channel = []
     # one buffer for every channel; each median partitions it, so the second
     # differences are formed again from z for the next use
     buf = np.empty(max(n_samples - 2, 0))
     for c in range(record.n_z):
-        z = record.Z[c]
-        if n_samples < 3:
-            flagged_per_channel.append(np.empty(0, dtype=int))
-            continue
-        med = np.median(_second_difference(z, buf), overwrite_input=True)
-        mad = np.median(_second_difference(z, buf, med), overwrite_input=True)
-        # violating second difference at index p implicates its centre sample p+1
-        flags = np.flatnonzero(_second_difference(z, buf, med) > k * mad) + 1
-        if len(flags) > 0.5 * n_samples:
-            raise ChannelUnusableError(
-                f"channel {c + 1}: {len(flags)} of {n_samples} samples flagged"
-            )
-        if len(flags):
-            # samples 0 and N are never flagged, so every flagged run has an
-            # unflagged neighbour on each side, and those neighbours are the
-            # only nodes the interpolation between unflagged samples uses
-            nodes = np.setdiff1d(np.union1d(flags - 1, flags + 1), flags)
-            cleaned[c, flags] = np.interp(flags, nodes, z[nodes])
+        z, row = record.Z[c], valid[c]
+        flags = np.empty(0, dtype=int)
+        if n_samples >= 3:
+            med = np.median(_second_difference(z, buf), overwrite_input=True)
+            mad = np.median(_second_difference(z, buf, med), overwrite_input=True)
+            # violating second difference at index p implicates its centre
+            # sample p+1; the comparison is written into the channel's mask
+            # row, which is set below, so no full-length temporary is made
+            np.greater(_second_difference(z, buf, med), k * mad, out=row[1:-1])
+            flags = np.flatnonzero(row[1:-1]) + 1
+            if len(flags) > 0.5 * n_samples:
+                raise ChannelUnusableError(
+                    f"channel {c + 1}: {len(flags)} of {n_samples} samples flagged"
+                )
+        row[:] = True if record.valid is None else record.valid[c]
+        row[flags] = False
         flagged_per_channel.append(flags)
-    return MeasurementRecord(Ts=record.Ts, Z=cleaned), OutlierReport(tuple(flagged_per_channel))
+    return (
+        MeasurementRecord(Ts=record.Ts, Z=record.Z, valid=valid),
+        OutlierReport(tuple(flagged_per_channel)),
+    )
 
 
 def _csv_workers(tasks: int) -> int:

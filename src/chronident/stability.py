@@ -8,6 +8,16 @@ difference of length m contributes. For two channels i, j and tau = m*Ts,
 
 Second differences annihilate constants and ramps, so phase and frequency
 offsets never leak into the estimates.
+
+A record with a validity mask (gaps, or spikes masked by remove_outliers)
+contributes only the second differences whose three samples are valid on
+both channels: D_c[k] is zeroed wherever channel c is invalid at k, k+m or
+k+2m, and the pair's count of valid columns C_ij(m) takes the place of
+N - 2m + 1, both in the normalisation and in the degrees of freedom of
+the variance (Sesia & Tavella, Metrologia 45 (2008) S134). An averaging
+time at which some pair has no valid column is dropped from the grid.
+Without a mask the estimates are those of the unmasked formula, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -17,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import UnidentifiableError
 from .model import EnsembleParams, upper_triangle_pairs
 from .simulate import MeasurementRecord
 
@@ -28,6 +39,7 @@ __all__ = [
     "clock_avar",
     "acov_variance",
     "acov_grid",
+    "pair_acov_variance",
     "write_acov_csv",
 ]
 
@@ -103,15 +115,20 @@ def clock_avar(q1: float, q2: float, d: float, tau):
 
 
 def acov_variance(
-    sigma2: float | np.ndarray, n_steps: int, m: int | np.ndarray
+    sigma2: float | np.ndarray,
+    n_steps: int,
+    m: int | np.ndarray,
+    counts: float | np.ndarray | None = None,
 ) -> float | np.ndarray:
     """Wishart variance (s_ii s_jj + s_ij^2)/nu of ACOV matrices s, nu = N/m.
 
     ``sigma2`` is one n_z x n_z matrix at averaging factor m, or a stack of
     them with one m each. A scalar is one AVAR, whose variance is the
     chi-square 2 s^2/nu (NIST SP 1065); nu = N/m is the conservative
-    random-walk choice of degrees of freedom. The absolute floor keeps the
-    weights of an all-zero channel finite.
+    random-walk choice of degrees of freedom. ``counts``, of sigma2's
+    shape, holds the valid second differences of each entry of a masked
+    record; nu is then scaled by counts/(N - 2m + 1). The absolute floor
+    keeps the weights of an all-zero channel finite.
     """
     m = np.asarray(m)
     if n_steps < 2 * m.max():
@@ -119,7 +136,10 @@ def acov_variance(
     s = np.asarray(sigma2, dtype=float)
     d = np.diagonal(s, axis1=-2, axis2=-1) if s.ndim >= 2 else s[None]
     wishart = d[..., :, None] * d[..., None, :] + s**2
-    return (wishart * (m[..., None, None] / n_steps)).reshape(s.shape) + _VAR_FLOOR_ABS
+    scale = m[..., None, None] / n_steps
+    if counts is not None:
+        scale = scale * (n_steps - 2 * m + 1)[..., None, None] / counts
+    return (wishart * scale).reshape(s.shape) + _VAR_FLOOR_ABS
 
 
 @dataclass(frozen=True)
@@ -127,41 +147,98 @@ class AcovEstimate:
     """ACOV estimates for all channel pairs over a tau grid.
 
     Rows of sigma2/var follow the row-major channel pairs of
-    upper_triangle_pairs(n_z); columns follow grid.taus.
+    upper_triangle_pairs(n_z); columns follow grid.taus. ``counts`` holds
+    the valid second differences behind each estimate, in the same layout,
+    for a masked record, and is None otherwise. ``dropped_m`` lists the
+    requested averaging factors that some pair had no valid column for;
+    they are not in ``grid``.
     """
 
     grid: TauGrid
     pairs: tuple[tuple[int, int], ...]
     sigma2: np.ndarray
     var: np.ndarray
+    counts: np.ndarray | None = None
+    dropped_m: tuple[int, ...] = ()
 
 
-def _second_difference_grams(Z: np.ndarray, m_values) -> np.ndarray:
-    """Unnormalised Gram matrices D_m @ D_m.T, one per m, shape (len, n_z, n_z).
+def _second_difference_grams(
+    Z: np.ndarray, m_values, valid: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Unnormalised Gram matrices D_m @ D_m.T, one per m, shape (len, n_z, n_z),
+    and with a mask the per-pair counts of valid columns (None without one).
 
     D_m[:, k] = (Z[:, k+2m] - 2 Z[:, k+m]) + Z[:, k] is formed _BLOCK
-    columns at a time in two buffers shared by all m, so every element of
-    D_m is the same double as in a one-shot evaluation; only the summation
-    order of the inner products differs. Each block's products are summed
-    by einsum's own loop, not by BLAS: OpenBLAS may split each block's
-    syrk over threads of its own, and Monte-Carlo pool workers already
-    occupy every core.
+    columns at a time in buffers shared by all m, so every element of D_m
+    is the same double as in a one-shot evaluation; only the summation
+    order of the inner products differs. The loop over blocks is the outer
+    one, so a block of Z is read for every m while it is in cache; each
+    Gram matrix still adds its blocks in increasing order. With a mask,
+    D_m[c, k] is set to zero (a masked copyto, half the time of a multiply
+    by the bool block) unless w_c[k] = valid[c, k] & valid[c, k+m] &
+    valid[c, k+2m], and each pair's valid columns are counted from
+    w_i & w_j block by block (half the time of an einsum of w with itself);
+    a block whose w is all True, as in a record with a few long gaps, adds
+    its width to every count and is summed as it is. Each block's products
+    are summed by einsum's own loop, not by BLAS: OpenBLAS may split each
+    block's syrk over threads of its own, and Monte-Carlo pool workers
+    already occupy every core.
     """
-    n_z = Z.shape[0]
+    n_z, n_samples = Z.shape
     d = np.empty((n_z, _BLOCK))
     twice = np.empty((n_z, _BLOCK))
     grams = np.zeros((len(m_values), n_z, n_z))
-    for G, m in zip(grams, m_values):
-        count = Z.shape[1] - 2 * m
-        for start in range(0, count, _BLOCK):
+    counts = None
+    if valid is not None:
+        ok = np.empty((n_z, _BLOCK), dtype=bool)
+        bad = np.empty_like(ok)
+        both = np.empty(_BLOCK, dtype=bool)
+        counts = np.zeros_like(grams)
+        rows, cols = np.triu_indices(n_z)
+    for start in range(0, n_samples - 2 * m_values[0], _BLOCK):
+        for p, m in enumerate(m_values):
+            count = n_samples - 2 * m
+            if start >= count:
+                break  # m increases, so no later m reaches this block either
             width = min(_BLOCK, count - start)
             db = d[:, :width]
             tb = twice[:, :width]
             np.multiply(Z[:, start + m : start + m + width], 2.0, out=tb)
             np.subtract(Z[:, start + 2 * m : start + 2 * m + width], tb, out=db)
             db += Z[:, start : start + width]
-            G += np.einsum("ik,jk->ij", db, db)
-    return grams
+            if valid is not None:
+                ob = ok[:, :width]
+                np.logical_and(
+                    valid[:, start : start + width], valid[:, start + m : start + m + width], out=ob
+                )
+                ob &= valid[:, start + 2 * m : start + 2 * m + width]
+                if ob.all():
+                    counts[p] += width
+                else:
+                    np.copyto(db, 0.0, where=np.logical_not(ob, out=bad[:, :width]))
+                    for i, j in zip(rows, cols):
+                        pair_ok = (
+                            ob[i] if i == j else np.logical_and(ob[i], ob[j], out=both[:width])
+                        )
+                        counts[p, i, j] += np.count_nonzero(pair_ok)
+            grams[p] += np.einsum("ik,jk->ij", db, db)
+    if counts is not None:
+        counts[:, cols, rows] = counts[:, rows, cols]
+    return grams, counts
+
+
+def _pair_rows(stack: np.ndarray) -> np.ndarray:
+    """(len, n_z, n_z) matrices as upper-triangle pair rows by tau columns."""
+    rows, cols = np.triu_indices(stack.shape[-1])
+    return stack[:, rows, cols].T
+
+
+def _symmetric_stack(pair_rows: np.ndarray, n_z: int) -> np.ndarray:
+    """(len, n_z, n_z) symmetric matrices from upper-triangle pair rows by tau columns."""
+    rows, cols = np.triu_indices(n_z)
+    stack = np.empty((pair_rows.shape[1], n_z, n_z))
+    stack[:, rows, cols] = stack[:, cols, rows] = pair_rows.T
+    return stack
 
 
 def acov_grid(record: MeasurementRecord, grid: TauGrid) -> AcovEstimate:
@@ -171,7 +248,10 @@ def acov_grid(record: MeasurementRecord, grid: TauGrid) -> AcovEstimate:
     It is accumulated over blocks of _BLOCK columns, so the cost is
     O(len(grid) * n_z * N) time with O(n_z * _BLOCK) extra memory, and it
     runs on the calling thread alone (no BLAS call), so process-pool
-    workers start no BLAS threads to compete for their cores.
+    workers start no BLAS threads to compete for their cores. A masked
+    record uses only its valid second differences (module docstring); an
+    m at which some pair has none is dropped from the grid and listed in
+    ``dropped_m``, and UnidentifiableError is raised when no m is left.
     """
     n = record.n_steps
     if grid.m_values[-1] > n // 2:
@@ -181,15 +261,40 @@ def acov_grid(record: MeasurementRecord, grid: TauGrid) -> AcovEstimate:
     if abs(grid.Ts - record.Ts) > 1e-9 * record.Ts:
         raise ValueError(f"grid Ts={grid.Ts} does not match record Ts={record.Ts}")
     pairs = upper_triangle_pairs(record.n_z)
-    rows, cols = np.triu_indices(record.n_z)
-    grams = _second_difference_grams(record.Z, grid.m_values)
-    for G, m in zip(grams, grid.m_values):
+    grams, counts = _second_difference_grams(record.Z, grid.m_values, record.valid)
+    dropped = ()
+    if counts is not None and not counts.all():
+        kept = counts.all(axis=(1, 2))
+        if not kept.any():
+            raise UnidentifiableError(
+                "no averaging time of the grid has a valid second difference on every channel pair"
+            )
+        dropped = tuple(int(m) for m in grid.m_values[~kept])
+        grid = TauGrid(m_values=grid.m_values[kept], Ts=grid.Ts)
+        grams, counts = grams[kept], counts[kept]
+    columns = (n - 2 * grid.m_values + 1)[:, None, None] if counts is None else counts
+    for G, C, m in zip(grams, columns, grid.m_values):
         tau = m * record.Ts
-        G /= 2.0 * tau**2 * (n - 2 * m + 1)
-    var = acov_variance(grams, n, grid.m_values)
+        G /= 2.0 * tau**2 * C
+    var = acov_variance(grams, n, grid.m_values, counts)
     return AcovEstimate(
-        grid=grid, pairs=tuple(pairs), sigma2=grams[:, rows, cols].T, var=var[:, rows, cols].T
+        grid=grid,
+        pairs=tuple(pairs),
+        sigma2=_pair_rows(grams),
+        var=_pair_rows(var),
+        counts=None if counts is None else _pair_rows(counts),
+        dropped_m=dropped,
     )
+
+
+def pair_acov_variance(sigma2: np.ndarray, est: AcovEstimate, n_steps: int) -> np.ndarray:
+    """acov_variance of ACOVs laid out as est.sigma2 (pair rows by tau
+    columns), on est's grid and with est's valid-column counts, in that
+    layout; e.g. the variances of a model's fitted ACOVs."""
+    n_z = est.pairs[-1][0]
+    counts = None if est.counts is None else _symmetric_stack(est.counts, n_z)
+    var = acov_variance(_symmetric_stack(sigma2, n_z), n_steps, est.grid.m_values, counts)
+    return _pair_rows(var)
 
 
 def write_acov_csv(est: AcovEstimate, path: str | Path) -> None:

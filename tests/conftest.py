@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chronident import ClockParams, EnsembleParams, assemble_ensemble
+from chronident import ClockParams, EnsembleParams, MeasurementRecord, assemble_ensemble
 
 
 @pytest.fixture(scope="session")
@@ -47,3 +47,18 @@ def random_params(rng: np.random.Generator, n: int, balanced: bool = True) -> En
         root = rng.uniform(-1.0, 1.0, (n - 1, n - 1)) * 1e-17
         R = root @ root.T + 9e-35 * np.eye(n - 1)
     return EnsembleParams(clocks=clocks, R=R)
+
+
+def gapped_record(record, rng, gaps, length):
+    """record with `gaps` all-channel gaps of `length` samples, one of them
+    over the middle sample (which the one column of the largest default
+    averaging time N/2 needs), and garbage (a 1e-6 s jump) inside each."""
+    n_samples = record.Z.shape[1]
+    Z = record.Z.copy()
+    valid = np.ones(Z.shape, dtype=bool)
+    middle = n_samples // 2 // length
+    others = np.delete(np.arange(n_samples // length), middle)
+    for start in np.append(rng.choice(others, gaps - 1, replace=False), middle) * length:
+        Z[:, start : start + length] += 1e-6
+        valid[:, start : start + length] = False
+    return MeasurementRecord(Ts=record.Ts, Z=Z, valid=valid)

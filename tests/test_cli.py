@@ -1,5 +1,7 @@
 import json
 import logging
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,14 +13,18 @@ from chronident import (
     EnsembleParams,
     MeasurementRecord,
     assemble_ensemble,
+    derive_run_seed,
+    remove_outliers,
     simulate_ensemble,
     write_measurements_csv,
 )
+from chronident import cli
 from chronident.cli import (
     EXIT_INVALID_INPUT,
     EXIT_UNIDENTIFIABLE,
     EstimationOptions,
     main,
+    run_estimation,
     run_monte_carlo,
     write_mc_outputs,
 )
@@ -154,17 +160,25 @@ class TestEstimateCommand:
         assert report["diagnostics"]["ts_target_s"] == 100.0
         assert "n_residue_dim" in report["diagnostics"]
 
-    def test_outlier_filter_flag(self, tmp_path, maser_model):
+    def test_outlier_filter_flag(self, tmp_path, maser_model, caplog):
         _, record = simulate_ensemble(maser_model, 20_000, seed=6, keep_states=False)
         Z = record.Z.copy()
         Z[0, 777] += 1e-6
         spiked = tmp_path / "spiked.csv"
         write_measurements_csv(MeasurementRecord(Ts=5.0, Z=Z), spiked)
         out = tmp_path / "report.json"
-        code = main(
-            ["estimate", str(spiked), "--method", "acov", "--outlier-k", "5", "--out", str(out)]
-        )
+        with caplog.at_level(logging.INFO, logger="chronident"):
+            code = main(
+                ["estimate", str(spiked), "--method", "acov", "--outlier-k", "5", "--out", str(out)]
+            )
         assert code == 0
+        # the spike and its false positives are masked, not interpolated
+        fraction = json.loads(out.read_text())["diagnostics"]["valid_fraction"]
+        assert len(fraction) == 3 and fraction[0] < 1.0
+        (line,) = [r.getMessage() for r in caplog.records if "outlier filter" in r.getMessage()]
+        counts = [int(c) for c in line.split("per channel: ")[1].rstrip(")").split(", ")]
+        assert line.startswith(f"outlier filter flagged {sum(counts)} samples")
+        np.testing.assert_allclose(fraction, 1.0 - np.array(counts) / 20_001)
 
     @pytest.mark.parametrize(
         "flags",
@@ -281,6 +295,29 @@ class TestMonteCarloCommand:
         report = estimate_acov_method(record, ell=12)
         np.testing.assert_allclose(summary["mean"], report.theta, rtol=1e-12)
 
+    def test_outlier_filter_runs_once_per_run(self, maser_params, maser_model, monkeypatch):
+        # both methods estimate from one masked record per run, and give the
+        # thetas of a per-method run_estimation, which filters for itself
+        calls = []
+
+        def counting(record, k):
+            calls.append(k)
+            return remove_outliers(record, k)
+
+        monkeypatch.setattr(cli, "remove_outliers", counting)
+        opts = EstimationOptions(ell=10, ts_target_s=100.0, outlier_k=5.0)
+        summaries = run_monte_carlo(
+            maser_params, 5.0, 8000, opts, ["acov", "mdm"], runs=1, master_seed=4
+        )
+        assert calls == [5.0]
+        _, record = simulate_ensemble(maser_model, 8000, derive_run_seed(4, 0), keep_states=False)
+        for method in ("acov", "mdm"):
+            expected = run_estimation(record, replace(opts, method=method)).theta
+            assert np.asarray(summaries[method]["mean"]).tobytes() == expected.tobytes()
+        assert len(calls) == 3
+        run_monte_carlo(maser_params, 5.0, 8000, opts, ["acov", "mdm"], runs=2, master_seed=4)
+        assert len(calls) == 5
+
     def test_curve_file_count(self, tmp_path, maser_params):
         config = tmp_path / "scenario.json"
         dump_ensemble_config(
@@ -396,6 +433,43 @@ class TestMonteCarloCommand:
         assert calls == []
         assert not out_dir.exists()
         assert message in capsys.readouterr().err
+
+
+class TestRunEstimation:
+    @pytest.mark.parametrize("method", ["acov", "mdm"])
+    def test_spike_at_middle_sample_of_even_record(self, maser_model, method):
+        # the default m_max = N/2 has one column, from samples 0, N/2 and N;
+        # masking the spike at N/2 leaves it none, so that averaging time is
+        # dropped instead of failing the fit
+        n_steps = 20_000
+        _, record = simulate_ensemble(maser_model, n_steps, seed=36, keep_states=False)
+        Z = record.Z.copy()
+        Z[0, n_steps // 2] += 1e-6
+        spiked = MeasurementRecord(Ts=5.0, Z=Z)
+        opts = EstimationOptions(method=method, ts_target_s=100.0, outlier_k=5.0)
+        report = run_estimation(spiked, opts)
+        assert np.all(np.isfinite(report.theta))
+        assert report.diagnostics["valid_fraction"][0] < 1.0
+        if method == "acov":
+            assert report.diagnostics["dropped_m"] == [n_steps // 2]
+            assert report.diagnostics["m_max"] < n_steps // 2
+
+    @pytest.mark.parametrize("method", ["acov", "mdm"])
+    def test_peak_memory_with_outlier_filter(self, maser_model, method):
+        # the mask (Z/8) and remove_outliers' scratch row (Z/3) at most, never
+        # a copy of Z; a first short call keeps one-time lazy imports out of
+        # the traced peak
+        _, record = simulate_ensemble(maser_model, 600_000, seed=35, keep_states=False)
+        opts = EstimationOptions(method=method, outlier_k=5.0)
+        short = MeasurementRecord(Ts=5.0, Z=record.Z[:, :20_001])
+        run_estimation(short, replace(opts, ts_target_s=100.0))
+        tracemalloc.start()
+        try:
+            run_estimation(record, opts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.6 * record.Z.nbytes
 
 
 class TestParserContract:

@@ -6,11 +6,13 @@ import pytest
 from chronident import (
     ClockParams,
     EnsembleParams,
+    MeasurementRecord,
     analytic_acov,
     assemble_ensemble,
     build_regression,
     derive_run_seed,
     estimate_acov_method,
+    estimate_mdm,
     load_ensemble_config,
     pack_theta,
     recover_drifts,
@@ -34,7 +36,7 @@ from chronident.stability import (
     log_spaced_grid,
 )
 
-from conftest import random_params
+from conftest import gapped_record, random_params
 
 
 def analytic_estimate(params, grid, n_steps):
@@ -362,6 +364,29 @@ class TestEstimateAcovMethod:
         reference = np.array([2.0 * np.polyfit(t, z, 2)[0] for z in record.Z])
         np.testing.assert_allclose(fit_drifts(record, d1=2e-21), reference + 2e-21, rtol=1e-9)
 
+    def test_fit_drifts_masked_equals_valid_sample_fit(self, maser_model):
+        # garbage in the masked samples; each channel fitted over its own
+        # valid samples, across three einsum blocks
+        _, record = simulate_ensemble(maser_model, 2 * _BLOCK + 123, seed=26, keep_states=False)
+        rng = np.random.default_rng(26)
+        valid = rng.random(record.Z.shape) > 0.05
+        valid[0, 5000:9000] = False
+        Z = np.where(valid, record.Z, 1e-3)
+        masked = MeasurementRecord(Ts=record.Ts, Z=Z, valid=valid)
+        t = record.Ts * np.arange(record.Z.shape[1])
+        reference = np.array([2.0 * np.polyfit(t[ok], z[ok], 2)[0] for z, ok in zip(Z, valid)])
+        np.testing.assert_allclose(fit_drifts(masked, d1=1e-21), reference + 1e-21, rtol=1e-9)
+        every = MeasurementRecord(Ts=record.Ts, Z=record.Z, valid=np.ones_like(valid))
+        np.testing.assert_allclose(fit_drifts(every), fit_drifts(record), rtol=1e-9)
+
+    def test_fit_drifts_needs_three_valid_samples(self):
+        valid = np.zeros((2, 50), dtype=bool)
+        valid[:, [3, 20, 40]] = True
+        valid[1, 40] = False
+        record = MeasurementRecord(Ts=1.0, Z=np.zeros((2, 50)), valid=valid)
+        with pytest.raises(UnidentifiableError, match="channel 2 has 2 valid samples"):
+            fit_drifts(record)
+
     def test_drifts_near_truth_at_630k_seed_1000(self):
         # the fault that factorised drifts behind a clamped f_ii showed:
         # 3.8e-27, 2.7e-27 and 1.3e-15 against 8e-21, 7.5e-21 and 3e-21
@@ -432,6 +457,27 @@ class TestExactPipelineInvariant:
         np.testing.assert_allclose(
             ta_hat[4:8], [1e-36, 2e-35, 1.5e-35, 2.5e-35], rtol=1e-8
         )
+
+
+class TestGappedRecord:
+    def test_gapped_record_matches_clean(self, maser_params, maser_model):
+        # 60 all-channel gaps of 50 samples with a 1e-6 s jump inside each:
+        # ACOV q1 stays within 3 reported se of the clean record's (the jump
+        # moves it by about 1e6 se when the mask is ignored), and MDM keeps
+        # the windows clear of the gaps; the gap over the middle sample drops
+        # the largest averaging time from the ACOV grid
+        _, record = simulate_ensemble(maser_model, 100_000, seed=3, keep_states=False)
+        gapped = gapped_record(record, np.random.default_rng(3), 60, 50)
+        clean, est = estimate_acov_method(record), estimate_acov_method(gapped)
+        assert est.diagnostics["dropped_m"] == [50_000]
+        n = maser_params.n
+        se = est.diagnostics["se"][:n]
+        assert np.all(np.abs(est.theta[:n] - clean.theta[:n]) < 3.0 * se)
+        np.testing.assert_allclose(est.diagnostics["valid_fraction"], 0.97, rtol=1e-5)
+        clean_mdm, mdm = (estimate_mdm(r, ts_target_s=100.0) for r in (record, gapped))
+        assert np.all(np.isfinite(mdm.theta))
+        np.testing.assert_allclose(mdm.theta[1:n], clean_mdm.theta[1:n], rtol=0.25)
+        assert "valid_fraction" in mdm.diagnostics
 
 
 class TestQuickScaleCalibration:

@@ -150,6 +150,31 @@ class TestComputeResidues:
         assert residues.shape == (system.n_residue, 21 - 5 + 1)
         assert residues.tobytes() == compute_residues(sliced, system).tobytes()
 
+    def test_masked_windows_dropped(self, maser_model):
+        # f = 10: the windows hold samples 10 r, ..., 10 (r + 4); an invalid
+        # sample between them drops nothing, one at 10 q drops windows
+        # q-4 .. q, whichever channel it is on
+        _, record = simulate_ensemble(maser_model, 2000, seed=4, keep_states=False)
+        system = build_mdm_system(4, 50.0, 5)
+        Z = record.Z.copy()
+        valid = np.ones(Z.shape, dtype=bool)
+        Z[1, 305], Z[2, 700] = 1e-3, 1e-3
+        valid[1, 305] = False  # not at the MDM period
+        valid[2, 700] = False
+        masked = MeasurementRecord(Ts=5.0, Z=Z, valid=valid)
+        plain = compute_residues(MeasurementRecord(Ts=5.0, Z=Z), system)
+        keep = np.ones(plain.shape[1], dtype=bool)
+        keep[66:71] = False
+        assert np.array_equal(compute_residues(masked, system), plain[:, keep])
+
+    def test_no_valid_window_left(self, maser_model):
+        _, record = simulate_ensemble(maser_model, 99, seed=5, keep_states=False)
+        valid = np.ones(record.Z.shape, dtype=bool)
+        valid[0, 40:60] = False  # every window of 5 samples at f = 10 holds sample 40 or 50
+        masked = MeasurementRecord(Ts=5.0, Z=record.Z, valid=valid)
+        with pytest.raises(NoResidueError, match="no window"):
+            compute_residues(masked, build_mdm_system(4, 50.0, 5))
+
     def test_residue_count(self, maser_model):
         system = build_mdm_system(4, 5.0, 5)
         _, record = simulate_ensemble(maser_model, 100, seed=1)
@@ -308,6 +333,14 @@ class TestEstimateMdm:
         assert diag["L"] == 5
         assert diag["ts_target_s"] == 250.0
         assert diag["n_residue_dim"] == 9
+
+    def test_masked_record_reports_valid_fraction(self, maser_model):
+        _, record = simulate_ensemble(maser_model, 40_000, seed=60, keep_states=False)
+        valid = np.ones(record.Z.shape, dtype=bool)
+        valid[2, 1000:5000] = False
+        masked = MeasurementRecord(Ts=5.0, Z=record.Z, valid=valid)
+        diag = estimate_mdm(masked, L=5, ts_target_s=250.0).diagnostics
+        np.testing.assert_array_equal(diag["valid_fraction"], [1.0, 1.0, 36_001 / 40_001])
 
     def test_deterministic_report(self, maser_model):
         _, record = simulate_ensemble(maser_model, 20_000, seed=61, keep_states=False)

@@ -271,28 +271,25 @@ class TestPsdFactor:
 
 
 def _reference_remove_outliers(Z, k):
-    """Per-channel formulation with fresh temporaries (the reference)."""
-    n_samples = Z.shape[1]
-    cleaned = Z.copy()
+    """Per-channel formulation with fresh temporaries (the reference): the
+    flags per channel and the mask with the flagged samples False."""
+    valid = np.ones(Z.shape, dtype=bool)
     flagged = []
-    for z, out in zip(Z, cleaned):
+    for z, ok in zip(Z, valid):
         second = z[2:] - 2.0 * z[1:-1] + z[:-2]
         med = np.median(second)
         mad = np.median(np.abs(second - med))
         flags = np.flatnonzero(np.abs(second - med) > k * mad) + 1
-        if len(flags):
-            good = np.ones(n_samples, dtype=bool)
-            good[flags] = False
-            out[flags] = np.interp(flags, np.flatnonzero(good), z[good])
+        ok[flags] = False
         flagged.append(flags)
-    return cleaned, flagged
+    return valid, flagged
 
 
 class TestRemoveOutliers:
     @pytest.mark.parametrize("n_samples", [4000, 4001])
     def test_matches_reference_formulation(self, maser_model, n_samples):
-        # reused buffers and the interpolation over the neighbours of the
-        # flagged runs only must not move a single flag or cleaned value; both
+        # the reused buffer must not move a single flag, and the flagged
+        # samples are masked in a record that shares the caller's Z; both
         # parities of the second-difference length (median of an even count
         # averages two values)
         _, record = simulate_ensemble(maser_model, n_samples - 1, seed=31, keep_states=False)
@@ -305,26 +302,44 @@ class TestRemoveOutliers:
             )
             Z[c, spikes] += rng.choice([-1.0, 1.0], spikes.size) * 1e-9
         spiked = MeasurementRecord(Ts=record.Ts, Z=Z)
-        cleaned, report = remove_outliers(spiked, k=5.0)
-        ref_cleaned, ref_flagged = _reference_remove_outliers(Z, 5.0)
+        masked, report = remove_outliers(spiked, k=5.0)
+        ref_valid, ref_flagged = _reference_remove_outliers(Z, 5.0)
         assert all(len(f) >= 12 for f in ref_flagged)
         for flags, ref in zip(report.flagged, ref_flagged):
             assert np.array_equal(flags, ref)
-        assert cleaned.Z.tobytes() == ref_cleaned.tobytes()
+        assert np.array_equal(masked.valid, ref_valid)
+        assert masked.Z is spiked.Z
+        assert spiked.valid is None
+
+    def test_existing_mask_is_kept_and_not_modified(self):
+        rng = np.random.default_rng(34)
+        z = rng.normal(0.0, 1e-17, (2, 3001))
+        z[1, 2000] += 1e-6
+        gaps = np.ones(z.shape, dtype=bool)
+        gaps[0, 100:150] = False
+        record = MeasurementRecord(Ts=5.0, Z=z, valid=gaps)
+        masked, report = remove_outliers(record, k=5.0)
+        assert 2000 in report.flagged[1]
+        expected = gaps.copy()
+        for c, flags in enumerate(report.flagged):
+            expected[c, flags] = False
+        assert np.array_equal(masked.valid, expected)
+        assert np.count_nonzero(~record.valid) == 50
 
     def test_peak_memory(self, maser_model):
-        # the cleaned copy and one second-difference buffer: no second
-        # full-length buffer beside them; a first short call keeps one-time
-        # lazy imports out of the traced peak
+        # one second-difference buffer (Z/3 for three channels) and the
+        # boolean mask (Z/8): a copy of Z could not stay under the bound; a
+        # first short call keeps one-time lazy imports out of the traced peak
         _, record = simulate_ensemble(maser_model, 200_000, seed=33, keep_states=False)
         remove_outliers(MeasurementRecord(Ts=record.Ts, Z=record.Z[:, :100]))
         tracemalloc.start()
         try:
-            remove_outliers(record)
+            masked, _ = remove_outliers(record)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * record.Z.nbytes
+        assert np.shares_memory(masked.Z, record.Z)
+        assert peak < 0.6 * record.Z.nbytes
 
     def test_clean_record_low_false_positive_rate(self):
         rng = np.random.default_rng(21)
@@ -334,22 +349,23 @@ class TestRemoveOutliers:
         total_samples = z.size
         assert report.total / total_samples < 1e-3
 
-    def test_injected_spike_detected_and_interpolated(self):
+    def test_injected_spike_detected_and_masked(self):
         rng = np.random.default_rng(22)
         z = rng.normal(0.0, 1e-17, (1, 2001))
-        clean_value = z[0, 100]
         z[0, 100] += 1e-6
         record = MeasurementRecord(Ts=5.0, Z=z)
-        cleaned, report = remove_outliers(record, k=5.0)
+        masked, report = remove_outliers(record, k=5.0)
         assert 100 in report.flagged[0]
-        assert abs(cleaned.Z[0, 100]) < 1e-15  # back at the noise level
-        assert abs(cleaned.Z[0, 100] - clean_value) < 1e-15
+        assert not masked.valid[0, 100]
+        assert np.count_nonzero(~masked.valid) == report.total
+        assert np.shares_memory(masked.Z, z)
 
     def test_minimal_record_processed(self):
         record = MeasurementRecord(Ts=1.0, Z=np.array([[0.0, 5.0, 1.0]]))
-        cleaned, report = remove_outliers(record, k=5.0)
+        masked, report = remove_outliers(record, k=5.0)
         assert report.total == 0
-        assert np.array_equal(cleaned.Z, record.Z)
+        assert np.array_equal(masked.Z, record.Z)
+        assert masked.valid.all()
 
     def test_overflagged_channel_rejected(self):
         # with a sub-MAD threshold most Gaussian samples violate
@@ -788,6 +804,18 @@ class TestRecordValidation:
     def test_zero_channels_rejected(self):
         with pytest.raises(ValueError):
             MeasurementRecord(Ts=1.0, Z=np.zeros((0, 5)))
+
+    def test_mask_must_be_boolean_of_z_shape(self):
+        Z = np.zeros((2, 5))
+        for bad in (np.ones((2, 4), dtype=bool), np.ones((2, 5)), np.ones((1, 5), dtype=bool)):
+            with pytest.raises(ValueError, match="valid"):
+                MeasurementRecord(Ts=1.0, Z=Z, valid=bad)
+        valid = np.ones((2, 5), dtype=bool)
+        valid[1, :2] = False
+        record = MeasurementRecord(Ts=1.0, Z=Z, valid=valid)
+        assert record.valid is valid
+        np.testing.assert_array_equal(record.valid_fraction, [1.0, 0.6])
+        assert MeasurementRecord(Ts=1.0, Z=Z).valid_fraction is None
 
 
 class TestSeedDerivation:

@@ -21,7 +21,8 @@ from chronident.stability import (
     _second_difference_grams,
     write_acov_csv,
 )
-from conftest import random_params
+from chronident.errors import UnidentifiableError
+from conftest import gapped_record, random_params
 
 
 def _acov(record, i, j, m):
@@ -244,7 +245,8 @@ class TestAcovGrid:
         for model in models:
             _, record = simulate_ensemble(model, n_steps, seed=22, keep_states=False)
             est = acov_grid(record, grid)
-            grams = _second_difference_grams(record.Z, grid.m_values)
+            grams, counts = _second_difference_grams(record.Z, grid.m_values)
+            assert counts is None
             Z = record.Z
             for p, m in enumerate(grid.m_values):
                 assert np.array_equal(grams[p], grams[p].T)
@@ -254,6 +256,29 @@ class TestAcovGrid:
                 G = D_gram / (2.0 * (m * 5.0) ** 2 * (n_steps - 2 * m + 1))
                 ref = np.array([G[i - 1, j - 1] for i, j in est.pairs])
                 assert np.max(np.abs(est.sigma2[:, p] - ref)) <= 1e-12 * np.max(np.abs(G))
+
+    def test_block_outer_order_bit_identical_to_m_outer(self, maser_model):
+        # each Gram matrix adds its blocks in the same order whichever loop
+        # is outside; m values below, at and above _BLOCK, the last leaving
+        # a partial block
+        n_steps = 4 * _BLOCK + 777
+        m_values = TauGrid(
+            m_values=np.array([1, 3, 50, _BLOCK - 1, _BLOCK, _BLOCK + 5, 2 * _BLOCK, n_steps // 2]),
+            Ts=5.0,
+        ).m_values
+        _, record = simulate_ensemble(maser_model, n_steps, seed=25, keep_states=False)
+        Z = record.Z
+        reference = np.zeros((len(m_values), Z.shape[0], Z.shape[0]))
+        for G, m in zip(reference, m_values):
+            count = Z.shape[1] - 2 * m
+            for start in range(0, count, _BLOCK):
+                width = min(_BLOCK, count - start)
+                twice = Z[:, start + m : start + m + width] * 2.0
+                db = Z[:, start + 2 * m : start + 2 * m + width] - twice
+                db += Z[:, start : start + width]
+                G += np.einsum("ik,jk->ij", db, db)
+        grams, _ = _second_difference_grams(Z, m_values)
+        assert np.array_equal(grams, reference)
 
     def test_variances_follow_scalar_formula(self, maser_model):
         # Wishart form (s_ii s_jj + s_ij^2) m/N, the scalar 2 s^2 m/N on the diagonal
@@ -303,6 +328,109 @@ class TestAcovGrid:
         _, record = simulate_ensemble(maser_model, 100, seed=0)
         with pytest.raises(ValueError):
             acov_grid(record, log_spaced_grid(4, 51, 5.0))
+
+
+class TestMaskedAcov:
+    def test_all_true_mask_is_bit_identical(self, maser_model):
+        _, record = simulate_ensemble(maser_model, 2 * _BLOCK + 301, seed=26, keep_states=False)
+        grid = log_spaced_grid(12, record.n_steps // 2, 5.0)
+        plain = acov_grid(record, grid)
+        masked = acov_grid(
+            MeasurementRecord(Ts=5.0, Z=record.Z, valid=np.ones(record.Z.shape, dtype=bool)), grid
+        )
+        assert plain.counts is None
+        assert np.array_equal(masked.sigma2, plain.sigma2)
+        assert np.array_equal(masked.var, plain.var)
+        expected = record.n_steps - 2 * grid.m_values + 1
+        assert np.array_equal(masked.counts, np.broadcast_to(expected, masked.counts.shape))
+
+    def test_matches_valid_column_reference(self, maser_model):
+        # per pair, only the columns whose three samples are valid on both
+        # channels; the channels' masks differ
+        _, record = simulate_ensemble(maser_model, _BLOCK + 5000, seed=27, keep_states=False)
+        rng = np.random.default_rng(27)
+        valid = rng.random(record.Z.shape) > 0.02
+        valid[1, 300:900] = False
+        Z = record.Z.copy()
+        Z[~valid] = 1e-3  # garbage where masked
+        masked = MeasurementRecord(Ts=5.0, Z=Z, valid=valid)
+        grid = TauGrid(m_values=np.array([1, 4, 37, 600, 5000]), Ts=5.0)
+        est = acov_grid(masked, grid)
+        n = record.n_steps
+        for p, m in enumerate(grid.m_values):
+            D = record.Z[:, 2 * m :] - 2.0 * record.Z[:, m:-m] + record.Z[:, : -2 * m]
+            ok = valid[:, 2 * m :] & valid[:, m:-m] & valid[:, : -2 * m]
+            for row, (i, j) in enumerate(est.pairs):
+                both = ok[i - 1] & ok[j - 1]
+                count = np.count_nonzero(both)
+                ref = np.sum(D[i - 1, both] * D[j - 1, both]) / (2.0 * (m * 5.0) ** 2 * count)
+                assert est.counts[row, p] == count
+                np.testing.assert_allclose(est.sigma2[row, p], ref, rtol=1e-12)
+                # nu scaled by the valid share of the N - 2m + 1 columns
+                s_ii, s_jj = (est.sigma2[est.pairs.index((k, k)), p] for k in (i, j))
+                var = (s_ii * s_jj + est.sigma2[row, p] ** 2) * m / n * (n - 2 * m + 1) / count
+                np.testing.assert_allclose(est.var[row, p], var + 1e-100, rtol=1e-12)
+
+    def test_gapped_record_close_to_clean(self, maser_model):
+        _, record = simulate_ensemble(maser_model, 100_000, seed=28, keep_states=False)
+        gapped = gapped_record(record, np.random.default_rng(28), 60, 50)
+        grid = log_spaced_grid(10, 10_000, 5.0)
+        clean, est = acov_grid(record, grid), acov_grid(gapped, grid)
+        assert np.all(np.abs(est.sigma2 - clean.sigma2) < 3.0 * np.sqrt(est.var))
+
+    def test_averaging_time_without_valid_column_dropped(self):
+        Z = np.random.default_rng(29).normal(size=(2, 101))
+        valid = np.ones(Z.shape, dtype=bool)
+        valid[1, 50] = False  # the one column at m = 50 needs samples 0, 50, 100
+        record = MeasurementRecord(Ts=1.0, Z=Z, valid=valid)
+        est = acov_grid(record, TauGrid(m_values=np.array([1, 7, 50]), Ts=1.0))
+        assert est.dropped_m == (50,)
+        assert np.array_equal(est.grid.m_values, [1, 7])
+        kept = acov_grid(record, TauGrid(m_values=np.array([1, 7]), Ts=1.0))
+        assert np.array_equal(est.sigma2, kept.sigma2)
+        assert np.array_equal(est.var, kept.var)
+        assert np.array_equal(est.counts, kept.counts)
+        assert kept.dropped_m == ()
+
+    def test_no_averaging_time_left_unidentifiable(self):
+        Z = np.random.default_rng(29).normal(size=(2, 101))
+        valid = np.ones(Z.shape, dtype=bool)
+        valid[1, 50] = False
+        record = MeasurementRecord(Ts=1.0, Z=Z, valid=valid)
+        with pytest.raises(UnidentifiableError, match="no averaging time"):
+            acov_grid(record, TauGrid(m_values=np.array([50]), Ts=1.0))
+
+    def test_mostly_valid_blocks_match_reference(self, maser_model):
+        # masked samples in a few blocks only: the all-valid blocks take the
+        # fast path, and the result is that of the valid-column formula
+        _, record = simulate_ensemble(maser_model, 4 * _BLOCK + 17, seed=30, keep_states=False)
+        valid = np.ones(record.Z.shape, dtype=bool)
+        valid[0, [5, 2 * _BLOCK + 100]] = False
+        valid[2, 3 * _BLOCK + 1] = False
+        grid = log_spaced_grid(12, record.n_steps // 2, 5.0)
+        est = acov_grid(MeasurementRecord(Ts=5.0, Z=record.Z, valid=valid), grid)
+        for p, m in enumerate(grid.m_values):
+            ok = valid[:, 2 * m :] & valid[:, m:-m] & valid[:, : -2 * m]
+            D = (record.Z[:, 2 * m :] - 2.0 * record.Z[:, m:-m] + record.Z[:, : -2 * m]) * ok
+            for row, (i, j) in enumerate(est.pairs):
+                count = np.count_nonzero(ok[i - 1] & ok[j - 1])
+                assert est.counts[row, p] == count
+                ref = D[i - 1] @ D[j - 1] / (2.0 * (m * 5.0) ** 2 * count)
+                np.testing.assert_allclose(est.sigma2[row, p], ref, rtol=1e-12)
+
+    def test_peak_memory_below_record_size(self, maser_model):
+        _, record = simulate_ensemble(maser_model, 200_000, seed=24, keep_states=False)
+        valid = np.ones(record.Z.shape, dtype=bool)
+        valid[:, 1000:1100] = False
+        masked = MeasurementRecord(Ts=5.0, Z=record.Z, valid=valid)
+        grid = log_spaced_grid(20, 100_000, 5.0)
+        tracemalloc.start()
+        try:
+            acov_grid(masked, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < record.Z.nbytes
 
 
 class TestClockAvar:
