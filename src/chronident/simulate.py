@@ -9,7 +9,7 @@ measurement noise, each filled in C order, so identical inputs always
 produce bit-identical records.
 
 The model is linear in its noise, so each row of draws is added to the
-record on its own, _MIX_BLOCK columns at a time as it is drawn: row r of
+record on its own, _BLOCK columns at a time as it is drawn: row r of
 clock i, scaled by column r of the clock's covariance factor F (plus
 the drift mean mu on r = 1), gives the phase steps F[0, r] n + Ts times
 its frequency share, a cumulative sum of F[1, r] n carried from block to
@@ -28,12 +28,15 @@ flags spikes from the second differences of each channel and returns a
 record that shares the caller's Z and masks the flagged samples. Nothing
 is interpolated: a filled-in sample would lack its white FM and bias the
 AVAR low, while a masked one is left out of every estimate. The filter
-holds one scratch row and the mask (Z/n_z plus Z/8 bytes), not a copy of Z.
+holds the mask (Z/8 bytes) and block-sized scratch: each channel's median
+and MAD are selected exactly from second differences formed _BLOCK
+columns at a time, so no full-length row is formed.
 
 Measurement CSVs are formatted in row blocks and parsed in byte ranges
 cut at newlines, on a process pool with one worker per available CPU, or
 in this process on one CPU and where no pool can run; the file bytes and
-the parsed doubles are the same either way.
+the parsed doubles are the same either way. The reader checks the time
+column range by range as the ranges arrive and keeps only Z.
 """
 
 from __future__ import annotations
@@ -64,14 +67,19 @@ __all__ = [
     "derive_run_seed",
 ]
 
-# rows formatted per string operation (one pool task) when writing a measurement CSV
-_CSV_BLOCK_ROWS = 8192
+# rows formatted per string operation (one pool task) when writing a
+# measurement CSV: the text in flight, up to two blocks per worker, stays
+# small beside Z
+_CSV_BLOCK_ROWS = 4096
 # bytes of CSV body parsed per task when reading (cut at a newline)
 _CSV_PART_BYTES = 1 << 20
 
-# columns of a row of draws added to the record at a time: the two
-# block-sized buffers stay in cache
-_MIX_BLOCK = 16_384
+# columns of a row handled at a time (a row of draws added to the record,
+# or second differences formed by the outlier filter): block-sized
+# buffers stay in cache
+_BLOCK = 16_384
+# at most this many candidates of a median are gathered and partitioned
+_GATHER = 4 * _BLOCK
 
 
 @dataclass(frozen=True)
@@ -172,7 +180,7 @@ def simulate_ensemble(
     diagonal), v_k is zero-mean Gaussian with covariance model.R. The draw
     order is that of one (2, N) block per clock in clock order, then one
     (n_z, N+1) block for the measurement noise, each filled in C order:
-    2nN + n_z(N+1) normals, each drawn once. Each row is drawn _MIX_BLOCK
+    2nN + n_z(N+1) normals, each drawn once. Each row is drawn _BLOCK
     columns at a time and added to the record at once (see the module
     docstring), so no row of draws, noise or pivot phase is held or drawn
     again: a run holds Z, X with ``keep_states=True``, and two block-sized
@@ -188,7 +196,7 @@ def simulate_ensemble(
     r_factor = _psd_factor(model.R)
     Z = np.zeros((model.n_z, n_steps + 1))
     X = np.zeros((2 * model.n, n_steps + 1)) if keep_states else None
-    draws = np.empty(min(_MIX_BLOCK, n_steps + 1))
+    draws = np.empty(min(_BLOCK, n_steps + 1))
     sums = np.empty(draws.size + 1)
 
     for i in range(model.n):
@@ -197,8 +205,8 @@ def simulate_ensemble(
             f0, f1 = q_factor[:, r]
             m0, m1 = model.mu[2 * i : 2 * i + 2] if r else (0.0, 0.0)
             freq = 0.0  # this row's share of the frequency before the block
-            for start in range(0, n_steps, _MIX_BLOCK):
-                g = draws[: min(_MIX_BLOCK, n_steps - start)]
+            for start in range(0, n_steps, _BLOCK):
+                g = draws[: min(_BLOCK, n_steps - start)]
                 rng.standard_normal(out=g)
                 if not (f0 or f1 or m0 or m1):
                     continue
@@ -236,8 +244,8 @@ def simulate_ensemble(
             np.cumsum(X[2 * i], out=X[2 * i])
 
     for j in range(model.n_z):
-        for start in range(0, n_steps + 1, _MIX_BLOCK):
-            v = draws[: min(_MIX_BLOCK, n_steps + 1 - start)]
+        for start in range(0, n_steps + 1, _BLOCK):
+            v = draws[: min(_BLOCK, n_steps + 1 - start)]
             rng.standard_normal(out=v)
             for c in np.flatnonzero(r_factor[:, j]):
                 Z[c, start : start + v.size] += np.multiply(v, r_factor[c, j], out=sums[: v.size])
@@ -245,16 +253,101 @@ def simulate_ensemble(
     return X, MeasurementRecord(Ts=model.Ts, Z=Z)
 
 
-def _second_difference(z: np.ndarray, out: np.ndarray, med: float | None = None) -> np.ndarray:
-    """Write z's second differences (z[2:] - 2 z[1:-1]) + z[:-2] into out and
-    return it; with med given, write their absolute deviations from med."""
-    np.multiply(z[1:-1], 2.0, out=out)
-    np.subtract(z[2:], out, out=out)
-    out += z[:-2]
-    if med is not None:
-        out -= med
-        np.abs(out, out=out)
-    return out
+def _second_differences(
+    z: np.ndarray, buf: np.ndarray, med: float | None = None
+) -> Iterator[np.ndarray]:
+    """Yield z's second differences (z[2:] - 2 z[1:-1]) + z[:-2], or with med
+    given their absolute deviations from med, _BLOCK at a time in buf (each
+    block overwrites the one before)."""
+    count = z.size - 2
+    for start in range(0, count, _BLOCK):
+        out = buf[: min(_BLOCK, count - start)]
+        zs = z[start : start + out.size + 2]
+        np.multiply(zs[1:-1], 2.0, out=out)
+        np.subtract(zs[2:], out, out=out)
+        out += zs[:-2]
+        if med is not None:
+            out -= med
+            np.abs(out, out=out)
+        yield out
+
+
+def _median(blocks: Callable[[], Iterator[np.ndarray]], n: int) -> np.float64:
+    """np.median of the n values that each call of blocks() yields, bit for
+    bit, holding O(_BLOCK) of them.
+
+    Rank k = (n - 1) // 2 lies among the candidates, the m values in
+    [lo, hi], with ``below`` values under lo. One pass keeps a strided
+    sample of _BLOCK to 1.25 _BLOCK candidates; the sample values
+    2 sqrt(sample size) places either side of k's expected place are the
+    pivots, and a second pass counts the values below and inside them,
+    gathering the inside ones while they are at most _GATHER. A bracket
+    that holds k becomes [lo, hi], one that misses k still bounds it on one
+    side, and one that holds every candidate gives way to a single pivot,
+    the sample value at k's place. Once at most _GATHER candidates remain,
+    np.partition finishes; once lo == hi, that value is rank k. For even n,
+    rank k + 1 is the next in the partition, or else the least value above
+    hi, and np.mean averages the two as np.median does. The values must
+    not be NaN.
+    """
+    k = (n - 1) // 2
+    lo, hi, below, m = -np.inf, np.inf, 0, n
+    inside = sample = None
+    single = False
+    while inside is None and lo < hi:
+        if m <= _GATHER:
+            inside = np.concatenate([b[(b >= lo) & (b <= hi)] for b in blocks()])
+            break
+        if sample is None:
+            stride, seen, picks = m // _BLOCK, 0, []
+            for b in blocks():
+                c = b if m == n else b[(b >= lo) & (b <= hi)]
+                picks.append(c[-seen % stride :: stride].copy())
+                seen += c.size
+            sample = np.concatenate(picks)
+        # the sample position of rank k and the bracket around it
+        at = (k - below) * sample.size / m
+        margin = 0.0 if single else 2.0 * np.sqrt(sample.size)
+        i_lo, i_hi = int(at - margin), int(at + margin) + (not single)
+        sample.partition([i for i in (i_lo, i_hi) if 0 <= i < sample.size])
+        p_lo = sample[i_lo] if i_lo >= 0 else lo
+        p_hi = sample[i_hi] if i_hi < sample.size else hi
+        n_below = n_inside = 0
+        gathered = []
+        for b in blocks():
+            ok = b >= p_lo
+            n_below += b.size - np.count_nonzero(ok)
+            ok &= b <= p_hi
+            n_inside += np.count_nonzero(ok)
+            if gathered is not None and n_inside <= _GATHER:
+                gathered.append(b[ok])
+            else:
+                gathered = None
+        if k < n_below:
+            hi, m = np.nextafter(p_lo, -np.inf), n_below - below
+        elif k >= n_below + n_inside:
+            lo = np.nextafter(p_hi, np.inf)
+            below, m = n_below + n_inside, below + m - n_below - n_inside
+        elif n_inside == m and not single:
+            # the bracket holds every candidate: the same sample, one pivot
+            single = True
+            continue
+        else:
+            lo, hi, below, m = p_lo, p_hi, n_below, n_inside
+            if gathered is not None and lo < hi:
+                inside = np.concatenate(gathered)
+        sample, single = None, False
+    j = k - below
+    middle = []
+    for rank in [j] if n % 2 else [j, j + 1]:
+        if rank >= m:
+            middle.append(min(np.min(b, where=b > hi, initial=np.inf) for b in blocks()))
+        elif inside is None:
+            middle.append(lo)
+        else:
+            inside.partition(rank)
+            middle.append(inside[rank])
+    return np.mean(np.array(middle))
 
 
 def remove_outliers(
@@ -268,25 +361,33 @@ def remove_outliers(
     flags are taken from every sample, masked or not. Returns a record that
     shares record.Z (no copy) and whose mask is record's (all True without
     one) with the flagged samples set to False, and the flags per channel.
+
+    The second differences are formed _BLOCK columns at a time, once per
+    pass: the median and the MAD come from _median's exact selection, and
+    the flag comparison is written into the mask block by block. The
+    filter holds the mask and O(_BLOCK) scratch, and its flags equal those
+    of np.median over full-length rows.
     """
     if not k > 0.0:
         raise ValueError(f"threshold k must be > 0, got {k}")
     n_samples = record.Z.shape[1]
     valid = np.empty(record.Z.shape, dtype=bool)
     flagged_per_channel = []
-    # one buffer for every channel; each median partitions it, so the second
-    # differences are formed again from z for the next use
-    buf = np.empty(max(n_samples - 2, 0))
+    # one block buffer for every channel and pass
+    buf = np.empty(min(_BLOCK, max(n_samples - 2, 0)))
     for c in range(record.n_z):
         z, row = record.Z[c], valid[c]
         flags = np.empty(0, dtype=int)
         if n_samples >= 3:
-            med = np.median(_second_difference(z, buf), overwrite_input=True)
-            mad = np.median(_second_difference(z, buf, med), overwrite_input=True)
+            med = _median(lambda: _second_differences(z, buf), n_samples - 2)
+            mad = _median(lambda: _second_differences(z, buf, med), n_samples - 2)
             # violating second difference at index p implicates its centre
             # sample p+1; the comparison is written into the channel's mask
-            # row, which is set below, so no full-length temporary is made
-            np.greater(_second_difference(z, buf, med), k * mad, out=row[1:-1])
+            # row block by block, and the row is set below
+            start = 1
+            for dev in _second_differences(z, buf, med):
+                np.greater(dev, k * mad, out=row[start : start + dev.size])
+                start += dev.size
             flags = np.flatnonzero(row[1:-1]) + 1
             if len(flags) > 0.5 * n_samples:
                 raise ChannelUnusableError(
@@ -450,6 +551,16 @@ def _first_bad_line(raw: bytes, width: int) -> tuple[int, str]:
     raise AssertionError("every line parses on its own")
 
 
+def _time_deviation(t: np.ndarray, first: int, t0: float, ts: float) -> float:
+    """The largest |t[i] - (t0 + (first + i)*ts)|, NaN if any is."""
+    dev = np.arange(first, first + t.size, dtype=float)
+    dev *= ts
+    dev += t0
+    np.subtract(t, dev, out=dev)
+    np.abs(dev, out=dev)
+    return dev.max()
+
+
 def read_measurements_csv(path: str | Path) -> MeasurementRecord:
     """Read a measurement CSV written by write_measurements_csv.
 
@@ -466,6 +577,12 @@ def read_measurements_csv(path: str | Path) -> MeasurementRecord:
     of another width than the header or a non-uniform time column (a NaN
     time included) raises ValueError; a range that fails is parsed again
     line by line, and the error names the path and its first bad file line.
+
+    Each range's times are checked as it arrives against t0 + k*Ts, with
+    t0 and Ts from the first two rows, so a read holds Z and a few ranges'
+    worth of bytes and values, and no time column. A time violation is
+    raised after the last range, so a row that does not parse wins over a
+    bad time in an earlier range.
     """
     with open(path, "rb") as fh:
         head = fh.readline()
@@ -478,9 +595,12 @@ def read_measurements_csv(path: str | Path) -> MeasurementRecord:
             raise ValueError(f"{path}: expected column 'z{idx}', got '{name}'")
     width = len(columns)
     parts = _cut_body(path, len(head))
-    t = np.empty(sum(n for _, _, n in parts))
-    Z = np.empty((width - 1, t.size))
+    Z = np.empty((width - 1, sum(n for _, _, n in parts)))
     rows, line = 0, 2  # the header is line 1
+    # t0 and Ts come from the first two rows; worst is the largest
+    # |t - (t0 + k*Ts)| so far, NaN once any is
+    t0 = ts = None
+    worst = 0.0
     parsed = _in_order(_parse_part, [(path, offset, size) for offset, size, _ in parts])
     try:
         for offset, size, n in parts:
@@ -493,28 +613,30 @@ def read_measurements_csv(path: str | Path) -> MeasurementRecord:
                 index, reason = _first_bad_line(_read_range(path, offset, size), width)
                 raise ValueError(f"{path}: line {line + index}: {reason}")
             line += n
-            if len(data):
-                t[rows : rows + len(data)] = data[:, 0]
-                Z[:, rows : rows + len(data)] = data[:, 1:].T
-                rows += len(data)
+            if not len(data):
+                continue
+            t, first = data[:, 0], rows
+            if ts is None:
+                if t0 is not None:  # the part before held the first row alone
+                    t, first = np.concatenate(([t0], t)), 0
+                t0 = t[0]
+                if t.size > 1:
+                    ts = t[1] - t[0]
+            if ts is not None and ts > 0.0:
+                # the time violation is raised after the loop, so a later
+                # row that does not parse still wins
+                worst = np.maximum(worst, _time_deviation(t, first, t0, ts))
+            Z[:, rows : rows + len(data)] = data[:, 1:].T
+            rows += len(data)
     finally:
         parsed.close()
     if rows < 2:
         raise ValueError(f"{path}: need at least 2 rows, got {rows}")
-    t = t[:rows]
-    ts = t[1] - t[0]
     # both checks are written so that a NaN fails them
     if not ts > 0.0:
         raise ValueError(f"{path}: time column is not strictly increasing")
-    # |t - (t[0] + k*ts)| in one buffer, freed with t before Z is compacted
-    dev = np.arange(rows, dtype=float)
-    dev *= ts
-    dev += t[0]
-    np.subtract(t, dev, out=dev)
-    np.abs(dev, out=dev)
-    if not dev.max() <= 1e-6 * ts:
+    if not worst <= 1e-6 * ts:
         raise ValueError(f"{path}: time column is not uniformly spaced by {ts}")
-    del t, dev
     if rows < Z.shape[1]:
         # skipped lines leave a gap after each channel's rows: move the
         # channels down to close it, inside Z's own buffer

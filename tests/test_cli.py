@@ -1,5 +1,6 @@
 import json
 import logging
+import os
 import tracemalloc
 from dataclasses import replace
 
@@ -435,6 +436,18 @@ class TestMonteCarloCommand:
         assert message in capsys.readouterr().err
 
 
+@pytest.fixture(scope="class")
+def long_csv(tmp_path_factory, maser_model):
+    """An N = 600 000 measurement CSV, a short one from its first samples,
+    and the record's Z.nbytes."""
+    _, record = simulate_ensemble(maser_model, 600_000, seed=37, keep_states=False)
+    root = tmp_path_factory.mktemp("long_csv")
+    path, small = root / "meas.csv", root / "small.csv"
+    write_measurements_csv(record, path)
+    write_measurements_csv(MeasurementRecord(Ts=5.0, Z=record.Z[:, :20_001]), small)
+    return path, small, record.Z.nbytes
+
+
 class TestRunEstimation:
     @pytest.mark.parametrize("method", ["acov", "mdm"])
     def test_spike_at_middle_sample_of_even_record(self, maser_model, method):
@@ -456,9 +469,10 @@ class TestRunEstimation:
 
     @pytest.mark.parametrize("method", ["acov", "mdm"])
     def test_peak_memory_with_outlier_filter(self, maser_model, method):
-        # the mask (Z/8) and remove_outliers' scratch row (Z/3) at most, never
-        # a copy of Z; a first short call keeps one-time lazy imports out of
-        # the traced peak
+        # the mask (Z/8) and block-sized scratch of remove_outliers and the
+        # estimators: a full-length second-difference row (Z/3) could not
+        # stay under the bound; a first short call keeps one-time lazy
+        # imports out of the traced peak
         _, record = simulate_ensemble(maser_model, 600_000, seed=35, keep_states=False)
         opts = EstimationOptions(method=method, outlier_k=5.0)
         short = MeasurementRecord(Ts=5.0, Z=record.Z[:, :20_001])
@@ -469,7 +483,36 @@ class TestRunEstimation:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 0.6 * record.Z.nbytes
+        assert peak < 0.3 * record.Z.nbytes
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["estimate", "--method", "acov", "--outlier-k", "5"],
+            ["estimate", "--method", "mdm", "--outlier-k", "5"],
+            ["avar", "--ell", "20"],
+        ],
+        ids=["estimate_acov", "estimate_mdm", "avar"],
+    )
+    def test_command_peak_memory_on_one_cpu(self, tmp_path, monkeypatch, long_csv, argv):
+        # a command holds its record Z and block-sized scratch: the read
+        # keeps no time column and the filter no second-difference row, so
+        # any full-length temporary on the path (Z/3 for three channels)
+        # fails the bound; a first small run keeps one-time lazy imports
+        # out of the traced peak
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        path, small, z_bytes = long_csv
+        out = str(tmp_path / "out")
+        extra = ["--ts-target", "100"] if "mdm" in argv else []
+        assert main([argv[0], str(small), *argv[1:], *extra, "--out", out]) == 0
+        tracemalloc.start()
+        try:
+            code = main([argv[0], str(path), *argv[1:], "--out", out])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 1.3 * z_bytes
 
 
 class TestParserContract:

@@ -23,10 +23,13 @@ from chronident import simulate as simulate_module
 from chronident.errors import ChannelUnusableError, InvalidCovarianceError
 from chronident.model import EnsembleModel, ensemble_structure
 from chronident.simulate import (
+    _BLOCK,
     _CSV_BLOCK_ROWS,
-    _MIX_BLOCK,
+    _CSV_PART_BYTES,
+    _GATHER,
     _cut_body,
     _format_rows,
+    _median,
     _psd_factor,
 )
 from conftest import random_params
@@ -146,9 +149,9 @@ class TestSimulateEnsemble:
         three = EnsembleParams(clocks=maser_params.clocks[:3], R=maser_params.R[:2, :2])
         six = random_params(np.random.default_rng(6), 6, balanced=False)
         for model in (maser_model, assemble_ensemble(three, 5.0), assemble_ensemble(six, 5.0)):
-            self._assert_matches_reference(model, 2 * _MIX_BLOCK + 123)
+            self._assert_matches_reference(model, 2 * _BLOCK + 123)
 
-    @pytest.mark.parametrize("n_steps", [1, _MIX_BLOCK - 1, _MIX_BLOCK, _MIX_BLOCK + 1])
+    @pytest.mark.parametrize("n_steps", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1])
     def test_bit_identical_at_block_edges(self, maser_model, n_steps):
         # the clocks' N-column and the noise's (N+1)-column streams end one
         # short of, at and one past a block edge (a last block of width 1)
@@ -157,7 +160,7 @@ class TestSimulateEnsemble:
     def test_bit_identical_with_one_channel(self, maser_params):
         # n = 2: one channel, the pivot's steps and clock 1's on one row
         params = EnsembleParams(clocks=maser_params.clocks[:2], R=maser_params.R[:1, :1])
-        self._assert_matches_reference(assemble_ensemble(params, 5.0), _MIX_BLOCK + 7)
+        self._assert_matches_reference(assemble_ensemble(params, 5.0), _BLOCK + 7)
 
     def test_bit_identical_with_singular_r(self, maser_params):
         # a singular PSD R is applied by its eigenfactor, not a Cholesky factor
@@ -166,7 +169,7 @@ class TestSimulateEnsemble:
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(R)
         params = EnsembleParams(clocks=maser_params.clocks, R=R)
-        self._assert_matches_reference(assemble_ensemble(params, 5.0), _MIX_BLOCK + 7)
+        self._assert_matches_reference(assemble_ensemble(params, 5.0), _BLOCK + 7)
 
     @pytest.mark.parametrize("keep_states", [False, True])
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -177,7 +180,7 @@ class TestSimulateEnsemble:
             EnsembleParams(clocks=(ClockParams(q1=0.0, q2=0.0, d=0.0),) * n, R=np.eye(n - 1)),
             5.0,
         )
-        for n_steps in (5, _MIX_BLOCK + 3):
+        for n_steps in (5, _BLOCK + 3):
             rng = np.random.default_rng(14)
             rng.standard_normal((2 * n, n_steps))
             expected = rng.standard_normal((n - 1, n_steps + 1))
@@ -189,7 +192,7 @@ class TestSimulateEnsemble:
         # equal the default single block bit for bit
         _, lean = simulate_ensemble(maser_model, 3000, seed=15, keep_states=False)
         X, states = simulate_ensemble(maser_model, 3000, seed=15)
-        monkeypatch.setattr(simulate_module, "_MIX_BLOCK", 7)
+        monkeypatch.setattr(simulate_module, "_BLOCK", 7)
         _, small_lean = simulate_ensemble(maser_model, 3000, seed=15, keep_states=False)
         small_X, small_states = simulate_ensemble(maser_model, 3000, seed=15)
         assert np.array_equal(small_lean.Z, lean.Z)
@@ -285,13 +288,102 @@ def _reference_remove_outliers(Z, k):
     return valid, flagged
 
 
+def _blocks(x):
+    """blocks() for _median: x, _BLOCK values at a time in one reused buffer."""
+    buf = np.empty(_BLOCK)
+
+    def blocks():
+        for start in range(0, x.size, _BLOCK):
+            out = buf[: min(_BLOCK, x.size - start)]
+            out[:] = x[start : start + out.size]
+            yield out
+
+    return blocks
+
+
+def _second_diff(z):
+    return z[2:] - 2.0 * z[1:-1] + z[:-2]
+
+
+def _selection_case(name, maser_model):
+    rng = np.random.default_rng(41)
+    # several blocks with a ragged last one, and more values than _GATHER
+    n = _GATHER + 2 * _BLOCK + 7
+    if name.startswith("length_"):
+        return rng.normal(size=int(name[7:]))
+    if name == "ragged_blocks":
+        return rng.normal(size=n)
+    if name == "ragged_blocks_even":
+        return rng.normal(size=n + 1)
+    if name == "integer_ties":
+        return rng.integers(-3, 4, size=n).astype(float)
+    if name == "two_values_split_evenly":
+        # the two middle ranks are the last 0 and the first 1
+        return rng.permutation(np.repeat([0.0, 1.0], n // 2 + 1))
+    if name == "constant":
+        return np.full(n, 2.5)
+    if name == "quantised_phase":
+        _, record = simulate_ensemble(maser_model, n + 1, seed=42, keep_states=False)
+        z = record.Z[0]
+        q = 6.0 * np.std(_second_diff(z))
+        return _second_diff(np.round(z / q) * q)
+    if name == "spikes":
+        x = rng.normal(0.0, 1e-13, n)
+        x[rng.choice(n, n // 50, replace=False)] = 1e-6
+        return x
+    # every stride-th value is off to one side, so the first strided
+    # sample misses the middle ranks (a bracket that misses above or below)
+    stride = n // _BLOCK
+    x = rng.normal(size=n)
+    x[::stride] += 100.0 if name == "biased_sample_high" else -100.0
+    return x
+
+
+SELECTION_CASES = [
+    "length_1",
+    "length_2",
+    "length_3",
+    "length_4",
+    "length_5",
+    "ragged_blocks",
+    "ragged_blocks_even",
+    "integer_ties",
+    "two_values_split_evenly",
+    "constant",
+    "quantised_phase",
+    "spikes",
+    "biased_sample_high",
+    "biased_sample_low",
+]
+
+
+class TestMedianSelection:
+    @pytest.mark.parametrize("name", SELECTION_CASES)
+    def test_median_and_mad_equal_numpy(self, maser_model, name):
+        x = _selection_case(name, maser_model)
+        med = _median(_blocks(x), x.size)
+        assert med.tobytes() == np.median(x).tobytes()
+        deviations = np.abs(x - med)
+        mad = _median(_blocks(deviations), x.size)
+        assert mad.tobytes() == np.median(deviations).tobytes()
+
+    def test_quantised_phase_is_mostly_ties(self, maser_model):
+        # the case is the hard one: most of the values are one tie
+        x = _selection_case("quantised_phase", maser_model)
+        assert np.unique(x, return_counts=True)[1].max() > x.size / 2
+
+
 class TestRemoveOutliers:
-    @pytest.mark.parametrize("n_samples", [4000, 4001])
+    @pytest.mark.parametrize(
+        "n_samples", [4000, 4001, 5 * _BLOCK + 1, 5 * _BLOCK + 2, 5 * _BLOCK + 3]
+    )
     def test_matches_reference_formulation(self, maser_model, n_samples):
-        # the reused buffer must not move a single flag, and the flagged
+        # the blocked selection must not move a single flag, and the flagged
         # samples are masked in a record that shares the caller's Z; both
         # parities of the second-difference length (median of an even count
-        # averages two values)
+        # averages two values), gathered whole and selected from samples,
+        # and second-difference lengths just below, at and just above a
+        # multiple of _BLOCK
         _, record = simulate_ensemble(maser_model, n_samples - 1, seed=31, keep_states=False)
         Z = record.Z.copy()
         rng = np.random.default_rng(32)
@@ -327,10 +419,11 @@ class TestRemoveOutliers:
         assert np.count_nonzero(~record.valid) == 50
 
     def test_peak_memory(self, maser_model):
-        # one second-difference buffer (Z/3 for three channels) and the
-        # boolean mask (Z/8): a copy of Z could not stay under the bound; a
-        # first short call keeps one-time lazy imports out of the traced peak
-        _, record = simulate_ensemble(maser_model, 200_000, seed=33, keep_states=False)
+        # the boolean mask (Z/8) and block-sized scratch: one full-length
+        # second-difference row (Z/3 for three channels, 4.8 MB) could not
+        # stay under the bound; a first short call keeps one-time lazy
+        # imports out of the traced peak
+        _, record = simulate_ensemble(maser_model, 600_000, seed=33, keep_states=False)
         remove_outliers(MeasurementRecord(Ts=record.Ts, Z=record.Z[:, :100]))
         tracemalloc.start()
         try:
@@ -339,7 +432,7 @@ class TestRemoveOutliers:
         finally:
             tracemalloc.stop()
         assert np.shares_memory(masked.Z, record.Z)
-        assert peak < 0.6 * record.Z.nbytes
+        assert peak < masked.valid.nbytes + 16 * 8 * _BLOCK
 
     def test_clean_record_low_false_positive_rate(self):
         rng = np.random.default_rng(21)
@@ -436,10 +529,11 @@ class TestMeasurementCsv:
             read_measurements_csv(path)
 
     def test_peak_memory_of_one_cpu_read(self, tmp_path, monkeypatch, maser_model):
-        # ranges are parsed one at a time into t and Z, the uniform-time
-        # check works in one buffer, and a skipped blank or comment line is
-        # closed up inside Z; a first small read keeps one-time lazy imports
-        # out of the traced peak
+        # ranges are parsed one at a time into Z and their times checked as
+        # they come, and a skipped blank or comment line is closed up inside
+        # Z: a full-length time column (1.6 MB) could not stay under the
+        # bound; a first small read keeps one-time lazy imports out of the
+        # traced peak
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         _, record = simulate_ensemble(maser_model, 200_000, seed=27, keep_states=False)
         path = tmp_path / "meas.csv"
@@ -448,7 +542,6 @@ class TestMeasurementCsv:
         write_measurements_csv(MeasurementRecord(Ts=record.Ts, Z=record.Z[:, ::1000]), small)
         read_measurements_csv(small)
         head, body = path.read_bytes().split(b"\n", 1)
-        t_and_z = (record.n_z + 1) * record.Z.shape[1] * 8
         for text in (body, body + b"\n", b"# a comment line\n" + body):
             path.write_bytes(head + b"\n" + text)
             tracemalloc.start()
@@ -458,7 +551,7 @@ class TestMeasurementCsv:
             finally:
                 tracemalloc.stop()
             assert back.Z.tobytes() == record.Z.tobytes()
-            assert peak < 1.5 * t_and_z, text[:20]
+            assert peak < record.Z.nbytes + 3 * _CSV_PART_BYTES, text[:20]
 
 
 class TestSplitCsvCodec:
@@ -661,6 +754,62 @@ class TestSplitCsvCodec:
         assert self._read_error(path) == serial
         assert pools == [2]
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("bad_time", ["step", "nan"])
+    def test_time_violation_in_later_part(self, tmp_path, monkeypatch, pools, record, cpus, bad_time):
+        # the times are checked part by part; a violation far from the first
+        # part fails with the message of a whole-column check
+        self._cpus(monkeypatch, cpus)
+        path = tmp_path / "bad.csv"
+        write_measurements_csv(record, path)
+        lines = path.read_text().splitlines(keepends=True)
+        row = lines[-20].split(",", 1)
+        lines[-20] = ("nan" if bad_time == "nan" else repr(float(row[0]) + 1.0)) + "," + row[1]
+        path.write_text("".join(lines))
+        parts = _cut_body(path, len(lines[0]))
+        assert sum(n for _, _, n in parts[:-1]) < len(lines) - 20  # in the last part
+        message = self._read_error(path)
+        assert message == f"{path}: time column is not uniformly spaced by {record.Ts}"
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_first_part_of_one_row(self, tmp_path, monkeypatch, pools, record, cpus):
+        # parts of about one line: t0 comes from the first part and Ts from
+        # the next row, past a comment and a blank line in parts of their own
+        self._cpus(monkeypatch, cpus)
+        path = tmp_path / "meas.csv"
+        write_measurements_csv(record, path)
+        lines = path.read_text().splitlines(keepends=True)
+        monkeypatch.setattr(simulate_module, "_CSV_PART_BYTES", len(lines[1]) + 1)
+        lines[2:2] = ["# a comment line\n", "\n"]
+        path.write_text("".join(lines))
+        # the first row alone, the comment and blank line, the second row
+        parts = _cut_body(path, len(lines[0]))
+        assert [n for _, _, n in parts[:3]] == [1, 2, 1]
+        back = read_measurements_csv(path)
+        assert back.Ts == record.Ts
+        assert back.Z.tobytes() == record.Z.tobytes()
+        # a third row off the step set by the first two still fails
+        lines[5] = "16," + lines[5].split(",", 1)[1]
+        path.write_text("".join(lines))
+        message = self._read_error(path)
+        assert message == f"{path}: time column is not uniformly spaced by {record.Ts}"
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_bad_row_in_later_part_wins_over_bad_time(self, tmp_path, monkeypatch, pools, record, cpus):
+        # the time violation in the first part is raised only after every
+        # part parsed, so the later malformed row is the error
+        self._cpus(monkeypatch, cpus)
+        path = tmp_path / "bad.csv"
+        write_measurements_csv(record, path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[3] = "1e9," + lines[3].split(",", 1)[1]
+        bad_line = len(lines) - 20 + 1
+        lines.insert(bad_line - 1, "1,2,oops,4\n")
+        path.write_text("".join(lines))
+        message = self._read_error(path)
+        self._assert_names_line(message, path, bad_line)
+        assert "uniform" not in message
 
     def test_daemonic_process_formats_and_parses_alone(
         self, tmp_path, monkeypatch, pools, record
