@@ -69,6 +69,9 @@ def _options_from(extras: dict, args: argparse.Namespace) -> EstimationOptions:
     est = extras.get("estimation", {})
     if not isinstance(est, dict):
         raise ValueError("config field 'estimation' must be an object")
+    unknown = sorted(set(est) - {f.name for f in fields(EstimationOptions)})
+    if unknown:
+        raise ValueError(f"unknown key(s) in config field 'estimation': {', '.join(unknown)}")
     opts = EstimationOptions()
     for name in (f.name for f in fields(EstimationOptions)):
         for source in (est, vars(args)):

@@ -5,8 +5,8 @@ enter through pairwise products. Estimation is therefore split in two:
 
 1. a weighted linear regression over the stacked ACOV estimates for the
    noise intensities, measurement covariances and the drift products
-   f_ij = (d_{i+1} - d_1)(d_{j+1} - d_1), solved once more with weights
-   from its own fitted ACOVs (the f_ij are nuisance parameters);
+   f_ij = (d_{i+1} - d_1)(d_{j+1} - d_1), through ``wishart_fit`` (the
+   f_ij are nuisance parameters);
 2. a least-squares quadratic fit of each channel's phase for the drifts,
    with the pivot drift supplied by the caller.
 
@@ -21,23 +21,22 @@ its first n(n+3)/2 entries are the MDM parameter vector theta_alpha.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import UnidentifiableError
 from .model import (
     EnsembleParams,
-    clamp_negative_variances,
     params_from_theta_alpha,
     symmetric_to_upper,
     theta_alpha_from_params,
     upper_triangle_pairs,
 )
-from .numerics import weighted_least_squares
+from .numerics import wishart_fit
 from .report import EstimateReport
 from .simulate import MeasurementRecord
-from .stability import _BLOCK, AcovEstimate, acov_grid, log_spaced_grid, pair_acov_variance
+from .stability import _BLOCK, AcovEstimate, acov_grid, log_spaced_grid
 
 __all__ = [
     "RegressionSystem",
@@ -58,21 +57,21 @@ def theta_a_from_params(params: EnsembleParams) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RegressionSystem:
-    """Stacked regression z_a ~ Phi theta_a with diagonal weights w.
+    """Stacked regression z_a = sigma2.ravel() ~ Phi theta_a.
 
-    Row blocks follow the channel pairs of ``upper_triangle_pairs``
-    (row-major, as in AcovEstimate.pairs), each expanded over the tau grid.
+    ``sigma2`` and ``scale`` (1/nu of each ACOV) are laid out as in
+    AcovEstimate: rows follow the channel pairs of ``upper_triangle_pairs``,
+    columns the tau grid. Phi has one row per entry of ``sigma2.ravel()``.
     """
 
-    z_a: np.ndarray
+    sigma2: np.ndarray
+    scale: np.ndarray
     Phi: np.ndarray
-    w: np.ndarray
-    taus: np.ndarray
     n: int
 
 
 def build_regression(acov: AcovEstimate, n: int) -> RegressionSystem:
-    """Assemble (z_a, Phi, W) from grid ACOV estimates for n clocks."""
+    """Assemble the regression of grid ACOV estimates for n clocks."""
     n_z = n - 1
     pairs = upper_triangle_pairs(n_z)
     if acov.pairs != tuple(pairs):
@@ -97,17 +96,12 @@ def build_regression(acov: AcovEstimate, n: int) -> RegressionSystem:
         if i == j:
             Phi[rows, i] = white_fm
             Phi[rows, n + i] = walk_fm
-    return RegressionSystem(
-        z_a=acov.sigma2.ravel().copy(),
-        Phi=Phi,
-        w=1.0 / acov.var.ravel(),
-        taus=taus.copy(),
-        n=n,
-    )
+    return RegressionSystem(sigma2=acov.sigma2, scale=acov.scale, Phi=Phi, n=n)
 
 
 def solve_theta_a(system: RegressionSystem) -> tuple[np.ndarray, dict]:
-    """Weighted least-squares solve for theta_a; returns (theta_a, diagnostics).
+    """Two-pass Wishart-weighted solve for theta_a (``wishart_fit``);
+    returns (theta_a, diagnostics).
 
     Requires at least 4 distinct averaging times (the per-channel basis has
     4 functions of tau) and a full-column-rank regression; otherwise an
@@ -115,25 +109,10 @@ def solve_theta_a(system: RegressionSystem) -> tuple[np.ndarray, dict]:
     the variance-like entries (q1, q2, r_ii, f_ii) are clamped to
     1e-3 times their standard error and reported in ``clamped``.
     """
-    n_cols = system.Phi.shape[1]
-    distinct = len(np.unique(system.taus))
-    if distinct < 4:
-        raise UnidentifiableError(f"need >= 4 distinct averaging times, got {distinct}")
-    x, diag = weighted_least_squares(system.Phi, system.z_a, system.w)
-    if diag.rank < n_cols:
-        raise UnidentifiableError(
-            f"regression rank {diag.rank} < {n_cols} parameters; "
-            f"{n_cols - diag.rank} unidentifiable direction(s)",
-            null_directions=diag.null_directions,
-        )
-    diagnostics = {
-        "residual": diag.residual_norm,
-        "cond": diag.condition_number,
-        "rank": diag.rank,
-        "se": diag.se,
-        "clamped": clamp_negative_variances(x, diag.se, system.n),
-    }
-    return x, diagnostics
+    ell = system.sigma2.shape[1]  # grid taus increase strictly
+    if ell < 4:
+        raise UnidentifiableError(f"need >= 4 distinct averaging times, got {ell}")
+    return wishart_fit(system.Phi, system.sigma2, system.scale, system.n)
 
 
 def recover_drifts(
@@ -229,24 +208,17 @@ def estimate_acov_method(
     m_max: int | None = None,
     d1: float = 0.0,
 ) -> EstimateReport:
-    """Full ACOV pipeline: grid, ACOV estimates, reweighted WLS, drift fit."""
+    """Full ACOV pipeline: grid, ACOV estimates, Wishart fit, drift fit."""
     if not np.isfinite(d1):
         raise ValueError(f"pivot drift d1 must be finite, got {d1}")
-    n_steps = record.n_steps
     if m_max is None:
-        m_max = n_steps // 2
+        m_max = record.n_steps // 2
     if m_max < 1:
-        raise ValueError(f"record too short for ACOV estimation (N={n_steps})")
+        raise ValueError(f"record too short for ACOV estimation (N={record.n_steps})")
     n = record.n_z + 1
     acov = acov_grid(record, log_spaced_grid(ell, m_max, record.Ts))
-    grid = acov.grid
-    system = build_regression(acov, n)
-    theta_a, _ = solve_theta_a(system)
-    # reweight from the fitted ACOVs; the clamps keep their diagonal >= 0
-    fitted = (system.Phi @ theta_a).reshape(-1, len(grid))
-    var = pair_acov_variance(fitted, acov, n_steps)
-    theta_a, diagnostics = solve_theta_a(replace(system, w=1.0 / var.ravel()))
-    diagnostics.update(ell=len(grid), m_max=int(grid.m_values[-1]))
+    theta_a, diagnostics = solve_theta_a(build_regression(acov, n))
+    diagnostics.update(ell=len(acov.grid), m_max=int(acov.grid.m_values[-1]))
     if record.valid is not None:
         diagnostics.update(valid_fraction=record.valid_fraction, dropped_m=list(acov.dropped_m))
     n_alpha = n * (n + 3) // 2

@@ -9,9 +9,10 @@ in the state and measurement noises alone:
 
 The residue mean is linear in the drifts and the residue second moment is
 linear in q1, q2 and the unique elements of R, so both stages reduce to
-least-squares solves of known maps. Both maps are built from the column
-blocks of A: the state-noise columns of step l and clock i, and the
-measurement-noise columns of step l and channel i.
+least-squares solves of known maps; the moments are fitted by
+``wishart_fit`` with nu the number of residue windows. Both maps are
+built from the column blocks of A: the state-noise columns of step l and
+clock i, and the measurement-noise columns of step l and channel i.
 
 A masked record (``MeasurementRecord.valid``) keeps only the windows whose
 L samples at the MDM period are valid on every channel.
@@ -26,13 +27,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DriftUnidentifiableError, NoResidueError, UnidentifiableError
 from .model import (
-    clamp_negative_variances,
     clock_drift_mean,
     clock_noise_cov,
     ensemble_structure,
     params_from_theta_alpha,
 )
-from .numerics import left_null_space, weighted_least_squares
+from .numerics import left_null_space, weighted_least_squares, wishart_fit
 from .report import EstimateReport
 from .simulate import MeasurementRecord
 
@@ -57,8 +57,8 @@ class MdmSystem:
     Am         : (n_aO, L n_z) annihilator, Am O = 0
     A          : (n_aO, n_E) residue map Am [Gamma, I]
     drift_map  : (n_aO, n) residue-mean map of d^(1..n), pivot in column 0
-    theta_map  : (n_aO^2, n(n+3)/2) residue-second-moment map of
-                 [q1 x n, q2 x n, upper triangle of R]
+    theta_map  : (n_aO(n_aO+1)/2, n(n+3)/2) map of [q1 x n, q2 x n, upper
+                 triangle of R] to the residue covariance's vech (a <= b, row-major)
     """
 
     O: np.ndarray
@@ -77,19 +77,6 @@ class MdmSystem:
     @property
     def n_residue(self) -> int:
         return self.Am.shape[0]
-
-
-def _second_moment(A: np.ndarray, L: int, Q: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """vec(A blockdiag(I_{L-1} kron Q, I_L kron R) A^T), column-major.
-
-    This is (A kron A) vec(blockdiag(...)) without the explicit
-    n_aO^2 x n_E^2 Kronecker product.
-    """
-    n_w = (L - 1) * Q.shape[0]
-    block = np.zeros((A.shape[1], A.shape[1]))
-    block[:n_w, :n_w] = np.kron(np.eye(L - 1), Q)
-    block[n_w:, n_w:] = np.kron(np.eye(L), R)
-    return (A @ block @ A.T).reshape(-1, order="F")
 
 
 def build_mdm_system(n: int, ts: float, L: int) -> MdmSystem:
@@ -128,17 +115,18 @@ def build_mdm_system(n: int, ts: float, L: int) -> MdmSystem:
     # A's columns as W blocks (step l, clock i, phase/frequency) and V blocks
     # (step l, channel i); the noises of different steps, clocks and
     # channels are uncorrelated apart from R's cross terms. Gw and G sum
-    # the outer products of those columns over the steps, each stored
-    # transposed so that the reshapes give column-major vecs.
+    # the outer products of those columns over the steps, for the residue
+    # pairs (a, b) of the vech rows.
     n_w = (L - 1) * n_x
     Aw = A[:, :n_w].reshape(-1, L - 1, n, 2)
     Av = A[:, n_w:].reshape(-1, L, n_z)
+    a, b = np.triu_indices(A.shape[0])
     unit_q = np.stack([clock_noise_cov(1.0, 0.0, ts), clock_noise_cov(0.0, 1.0, ts)])
-    Gw = np.einsum("blic,alid->abicd", Aw, Aw)
-    q_cols = np.einsum("abicd,kcd->abki", Gw, unit_q).reshape(-1, 2 * n)
-    G = np.einsum("bli,alj->abij", Av, Av)
+    Gw = np.einsum("plic,plid->picd", Aw[a], Aw[b])
+    q_cols = np.einsum("picd,kcd->pki", Gw, unit_q).reshape(-1, 2 * n)
+    G = np.einsum("pli,plj->pij", Av[a], Av[b])
     i, j = np.triu_indices(n_z)
-    r_cols = (G[:, :, i, j] + (i != j) * G[:, :, j, i]).reshape(-1, i.size)
+    r_cols = G[:, i, j] + (i != j) * G[:, j, i]
 
     return MdmSystem(
         O=O,
@@ -201,8 +189,18 @@ def residue_mean_from_drifts(system: MdmSystem, drifts: np.ndarray) -> np.ndarra
 def residue_second_moment_from_cov(
     system: MdmSystem, Q: np.ndarray, R: np.ndarray
 ) -> np.ndarray:
-    """Model-implied vec of the residue covariance for given Q and R."""
-    return _second_moment(system.A, system.L, Q, R)
+    """Model-implied vech of the residue covariance for given Q and R.
+
+    That is vech(A blockdiag(I_{L-1} kron Q, I_L kron R) A^T) in row-major
+    upper-triangle order: the vech rows of (A kron A) vec(blockdiag(...))
+    without the explicit n_aO^2 x n_E^2 Kronecker product.
+    """
+    A, L = system.A, system.L
+    n_w = (L - 1) * Q.shape[0]
+    block = np.zeros((A.shape[1], A.shape[1]))
+    block[:n_w, :n_w] = np.kron(np.eye(L - 1), Q)
+    block[n_w:, n_w:] = np.kron(np.eye(L), R)
+    return (A @ block @ A.T)[np.triu_indices(A.shape[0])]
 
 
 def solve_drifts_from_mean(
@@ -221,34 +219,21 @@ def solve_drifts_from_mean(
 
 
 def solve_theta_alpha_from_moment(
-    moment: np.ndarray, system: MdmSystem
+    moment: np.ndarray, system: MdmSystem, count: int
 ) -> tuple[np.ndarray, dict]:
-    """Noise parameters theta_alpha from a vectorised residue covariance.
-
-    Solved as a plain (minimum-norm) least squares on the moment map;
-    full column rank is required, otherwise the parameters are not
-    identifiable and a larger L is suggested. Negative variance entries
-    (q1, q2, r_ii) are clamped with flags; standard errors are approximate
-    because overlapping residues are serially correlated.
+    """Noise parameters theta_alpha from the vech of a residue covariance
+    over ``count`` windows: one block of ``wishart_fit`` with nu = count, so
+    its ``se`` treats the windows as independent. Below full column rank
+    the parameters are not identifiable and a larger L is suggested.
     """
-    moment = np.asarray(moment, dtype=float).ravel()
-    n = system.n
-    n_par = system.theta_map.shape[1]
-    x, diag = weighted_least_squares(system.theta_map, moment, np.ones(moment.size))
-    if diag.rank < n_par:
+    moment = np.asarray(moment, dtype=float).reshape(-1, 1)
+    try:
+        return wishart_fit(system.theta_map, moment, 1.0 / count, system.n)
+    except UnidentifiableError as exc:
         raise UnidentifiableError(
-            f"moment map rank {diag.rank} < {n_par} parameters (n={n}, "
-            f"L={system.L}); increase the window L",
-        )
-    dof = max(moment.size - diag.rank, 1)
-    se = diag.se * (diag.residual_norm / np.sqrt(dof))
-    diagnostics = {
-        "residual": diag.residual_norm,
-        "cond": diag.condition_number,
-        "se_approx": se,
-        "clamped": clamp_negative_variances(x, se, n),
-    }
-    return x, diagnostics
+            f"moment map {exc} (n={system.n}, L={system.L}); increase the window L",
+            null_directions=exc.null_directions,
+        ) from None
 
 
 def estimate_theta_alpha(
@@ -264,7 +249,7 @@ def estimate_theta_alpha(
     centred = residues - correction[:, None]
     count = centred.shape[1]
     outer = (centred @ centred.T) / count
-    return solve_theta_alpha_from_moment(outer.reshape(-1, order="F"), system)
+    return solve_theta_alpha_from_moment(outer[np.triu_indices(len(outer))], system, count)
 
 
 def estimate_mdm(

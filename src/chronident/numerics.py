@@ -1,26 +1,34 @@
 """Shared numerical kernels.
 
-All solvers go through orthogonal (SVD-based) decompositions; normal
-equations are never formed. The weighted least-squares kernel scales every
-column to unit norm before its one SVD, because the regressors mix basis
-functions spanning many orders of magnitude in tau, and derives the
+The weighted least-squares kernel forms no normal equations: it scales
+every column to unit norm before its one SVD, because the regressors mix
+basis functions spanning many orders of magnitude in tau, and derives the
 solution, standard errors and null directions from that one decomposition.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import UnidentifiableError
+from .model import clamp_negative_variances
+
 __all__ = [
     "LsDiagnostics",
     "weighted_least_squares",
+    "wishart_variance",
+    "wishart_fit",
     "left_null_space",
 ]
 
 # singular values below this fraction of the largest count as zero
 _RCOND = 1e-12
+
+# keeps the weights of an all-zero moment finite
+_VAR_FLOOR_ABS = 1e-100
 
 
 @dataclass
@@ -100,6 +108,54 @@ def weighted_least_squares(
         se=se,
         null_directions=null_rows,
     )
+
+
+def wishart_variance(sample: np.ndarray, scale) -> np.ndarray:
+    """Wishart variance (s_ii s_jj + s_ij^2) * scale of sample covariances.
+
+    ``sample`` holds the vech rows (row-major upper triangle, as
+    ``upper_triangle_pairs``) of k x k sample covariance matrices, one
+    column per matrix; ``scale`` is 1/nu of each entry, nu its degrees of
+    freedom, and broadcasts to sample's shape. An absolute floor keeps the
+    variance of an all-zero moment positive.
+    """
+    i, j = np.triu_indices((math.isqrt(8 * sample.shape[0] + 1) - 1) // 2)
+    diag = sample[i == j]
+    return (diag[i] * diag[j] + sample**2) * scale + _VAR_FLOOR_ABS
+
+
+def wishart_fit(design: np.ndarray, sample: np.ndarray, scale, n: int) -> tuple[np.ndarray, dict]:
+    """Fit linear moments design @ theta to sample covariances in two passes.
+
+    ``sample`` and ``scale`` are laid out as in ``wishart_variance`` and
+    ``design`` has one row per entry of ``sample.ravel()``; theta is laid
+    out as ``clamp_negative_variances`` expects for n clocks. The first
+    solve weights each entry by the inverse Wishart variance of the sample,
+    the second by that of the fitted moments; after each solve negative
+    variance-like entries are clamped. Returns theta and the second solve's
+    ``residual``, ``cond``, ``rank``, ``se`` and ``clamped``. Below full
+    column rank an UnidentifiableError carries the null directions.
+    """
+    sample = np.asarray(sample, dtype=float)
+    moments = sample
+    for _ in range(2):
+        w = 1.0 / wishart_variance(moments, scale).ravel()
+        x, diag = weighted_least_squares(design, sample.ravel(), w)
+        if diag.rank < design.shape[1]:
+            raise UnidentifiableError(
+                f"rank {diag.rank} < {design.shape[1]} parameters; "
+                f"{design.shape[1] - diag.rank} unidentifiable direction(s)",
+                null_directions=diag.null_directions,
+            )
+        clamped = clamp_negative_variances(x, diag.se, n)
+        moments = (design @ x).reshape(sample.shape)
+    return x, {
+        "residual": diag.residual_norm,
+        "cond": diag.condition_number,
+        "rank": diag.rank,
+        "se": diag.se,
+        "clamped": clamped,
+    }
 
 
 def left_null_space(M: np.ndarray) -> np.ndarray:

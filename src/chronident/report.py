@@ -31,11 +31,12 @@ class EstimateReport:
 
     ``params`` holds the estimates as ``unpack_theta`` returns them (not
     validated: an estimated R may be indefinite). ``diagnostics`` always
-    carries ``residual`` (residual norm of the main solve), ``cond`` and
+    carries ``residual`` (weighted residual norm of the ``wishart_fit``
+    of the second moments), its ``cond``, ``rank`` and ``se``, and
     ``clamped`` (names of entries raised to the positive floor). The
-    ``acov`` method adds ``se``, ``rank``, ``ell`` and ``m_max``; the
-    ``mdm`` method adds ``se_approx``, ``drift_residual``, ``drift_cond``,
-    ``L``, ``ts_target_s`` and ``n_residue_dim``. Both add
+    ``acov`` method adds ``ell`` and ``m_max``; the ``mdm`` method adds
+    ``drift_residual``, ``drift_cond``, ``L``, ``ts_target_s`` and
+    ``n_residue_dim``. Both add
     ``valid_fraction`` (valid samples per channel) for a masked record,
     and ``acov`` then adds ``dropped_m`` (averaging factors of its grid
     that some channel pair had no valid second difference for).

@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import UnidentifiableError
 from .model import EnsembleParams, upper_triangle_pairs
+from .numerics import wishart_variance
 from .simulate import MeasurementRecord
 
 __all__ = [
@@ -39,11 +40,8 @@ __all__ = [
     "clock_avar",
     "acov_variance",
     "acov_grid",
-    "pair_acov_variance",
     "write_acov_csv",
 ]
-
-_VAR_FLOOR_ABS = 1e-100
 
 # columns of second differences formed at a time: (n_z, block) float64
 # buffers stay in cache, where full-length ones cost a page-faulted
@@ -115,31 +113,20 @@ def clock_avar(q1: float, q2: float, d: float, tau):
 
 
 def acov_variance(
-    sigma2: float | np.ndarray,
-    n_steps: int,
-    m: int | np.ndarray,
-    counts: float | np.ndarray | None = None,
+    sigma2: float | np.ndarray, n_steps: int, m: int | np.ndarray
 ) -> float | np.ndarray:
-    """Wishart variance (s_ii s_jj + s_ij^2)/nu of ACOV matrices s, nu = N/m.
+    """Wishart variance (s_ii s_jj + s_ij^2)/nu of ACOVs s, nu = N/m.
 
-    ``sigma2`` is one n_z x n_z matrix at averaging factor m, or a stack of
-    them with one m each. A scalar is one AVAR, whose variance is the
-    chi-square 2 s^2/nu (NIST SP 1065); nu = N/m is the conservative
-    random-walk choice of degrees of freedom. ``counts``, of sigma2's
-    shape, holds the valid second differences of each entry of a masked
-    record; nu is then scaled by counts/(N - 2m + 1). The absolute floor
-    keeps the weights of an all-zero channel finite.
+    ``sigma2`` is laid out as AcovEstimate.sigma2 (pair rows by one column
+    per m), or is one AVAR, whose variance is the chi-square 2 s^2/nu (NIST
+    SP 1065); nu = N/m is the conservative random-walk choice of degrees
+    of freedom.
     """
     m = np.asarray(m)
     if n_steps < 2 * m.max():
         raise ValueError(f"need N >= 2m, got N={n_steps}, m={m.max()}")
     s = np.asarray(sigma2, dtype=float)
-    d = np.diagonal(s, axis1=-2, axis2=-1) if s.ndim >= 2 else s[None]
-    wishart = d[..., :, None] * d[..., None, :] + s**2
-    scale = m[..., None, None] / n_steps
-    if counts is not None:
-        scale = scale * (n_steps - 2 * m + 1)[..., None, None] / counts
-    return (wishart * scale).reshape(s.shape) + _VAR_FLOOR_ABS
+    return wishart_variance(s.reshape(-1, m.size), m / n_steps).reshape(s.shape)
 
 
 @dataclass(frozen=True)
@@ -147,19 +134,25 @@ class AcovEstimate:
     """ACOV estimates for all channel pairs over a tau grid.
 
     Rows of sigma2/var follow the row-major channel pairs of
-    upper_triangle_pairs(n_z); columns follow grid.taus. ``counts`` holds
-    the valid second differences behind each estimate, in the same layout,
-    for a masked record, and is None otherwise. ``dropped_m`` lists the
-    requested averaging factors that some pair had no valid column for;
-    they are not in ``grid``.
+    upper_triangle_pairs(n_z); columns follow grid.taus. ``scale`` holds
+    1/nu of each estimate, m/N as in ``acov_variance``, and ``counts`` the
+    valid second differences behind it, both in the same layout; for a
+    masked record (``counts`` not None) nu is scaled by counts/(N - 2m + 1).
+    ``dropped_m`` lists the requested averaging factors that some pair had
+    no valid column for; they are not in ``grid``.
     """
 
     grid: TauGrid
     pairs: tuple[tuple[int, int], ...]
     sigma2: np.ndarray
-    var: np.ndarray
+    scale: np.ndarray
     counts: np.ndarray | None = None
     dropped_m: tuple[int, ...] = ()
+
+    @property
+    def var(self) -> np.ndarray:
+        """Wishart variance of each estimate (``acov_variance``)."""
+        return wishart_variance(self.sigma2, self.scale)
 
 
 def _second_difference_grams(
@@ -233,14 +226,6 @@ def _pair_rows(stack: np.ndarray) -> np.ndarray:
     return stack[:, rows, cols].T
 
 
-def _symmetric_stack(pair_rows: np.ndarray, n_z: int) -> np.ndarray:
-    """(len, n_z, n_z) symmetric matrices from upper-triangle pair rows by tau columns."""
-    rows, cols = np.triu_indices(n_z)
-    stack = np.empty((pair_rows.shape[1], n_z, n_z))
-    stack[:, rows, cols] = stack[:, cols, rows] = pair_rows.T
-    return stack
-
-
 def acov_grid(record: MeasurementRecord, grid: TauGrid) -> AcovEstimate:
     """Evaluate all n_z(n_z+1)/2 channel pairs on the grid, with variances.
 
@@ -276,34 +261,28 @@ def acov_grid(record: MeasurementRecord, grid: TauGrid) -> AcovEstimate:
     for G, C, m in zip(grams, columns, grid.m_values):
         tau = m * record.Ts
         G /= 2.0 * tau**2 * C
-    var = acov_variance(grams, n, grid.m_values, counts)
+    sigma2 = _pair_rows(grams)
+    scale = np.broadcast_to(grid.m_values / n, sigma2.shape)
+    if counts is not None:
+        counts = _pair_rows(counts)
+        scale = scale * (n - 2 * grid.m_values + 1) / counts
     return AcovEstimate(
         grid=grid,
         pairs=tuple(pairs),
-        sigma2=_pair_rows(grams),
-        var=_pair_rows(var),
-        counts=None if counts is None else _pair_rows(counts),
+        sigma2=sigma2,
+        scale=scale,
+        counts=counts,
         dropped_m=dropped,
     )
 
 
-def pair_acov_variance(sigma2: np.ndarray, est: AcovEstimate, n_steps: int) -> np.ndarray:
-    """acov_variance of ACOVs laid out as est.sigma2 (pair rows by tau
-    columns), on est's grid and with est's valid-column counts, in that
-    layout; e.g. the variances of a model's fitted ACOVs."""
-    n_z = est.pairs[-1][0]
-    counts = None if est.counts is None else _symmetric_stack(est.counts, n_z)
-    var = acov_variance(_symmetric_stack(sigma2, n_z), n_steps, est.grid.m_values, counts)
-    return _pair_rows(var)
-
-
 def write_acov_csv(est: AcovEstimate, path: str | Path) -> None:
     """Export as CSV with columns tau_s,pair_i,pair_j,sigma2,var_sigma2."""
-    taus = est.grid.taus
+    taus, var = est.grid.taus, est.var
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("tau_s,pair_i,pair_j,sigma2,var_sigma2\n")
         for row, (i, j) in enumerate(est.pairs):
             for p, tau in enumerate(taus):
                 fh.write(
-                    f"{tau:.17g},{i},{j},{est.sigma2[row, p]:.17g},{est.var[row, p]:.17g}\n"
+                    f"{tau:.17g},{i},{j},{est.sigma2[row, p]:.17g},{var[row, p]:.17g}\n"
                 )

@@ -55,10 +55,12 @@ REPORT_SCHEMA = {
         "theta": {"type": "array", "items": {"type": "number"}},
         "diagnostics": {
             "type": "object",
-            "required": ["residual", "cond", "clamped"],
+            "required": ["residual", "cond", "rank", "se", "clamped"],
             "properties": {
                 "residual": {"type": "number"},
                 "cond": {"type": "number"},
+                "rank": {"type": "integer"},
+                "se": {"type": "array", "items": {"type": "number"}},
                 "clamped": {"type": "array", "items": {"type": "string"}},
             },
         },
@@ -414,8 +416,13 @@ class TestMonteCarloCommand:
         [
             (["--d1", "nan"], {}, "d1 must be finite"),
             ([], {"outlier_k": 0}, "k must be > 0"),
+            (
+                [],
+                {"method": "mdm", "ts_target": 100},
+                "unknown key(s) in config field 'estimation': ts_target",
+            ),
         ],
-        ids=["d1", "outlier_k"],
+        ids=["d1", "outlier_k", "unknown_key"],
     )
     def test_bad_option_fails_before_simulating(
         self, tmp_path, capsys, monkeypatch, maser_params, flags, estimation, message

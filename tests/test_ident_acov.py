@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,11 +29,11 @@ from chronident.model import (
     upper_to_symmetric,
     upper_triangle_pairs,
 )
+from chronident.numerics import wishart_variance
 from chronident.stability import (
     _BLOCK,
     AcovEstimate,
     acov_grid,
-    acov_variance,
     log_spaced_grid,
 )
 
@@ -45,13 +46,8 @@ def analytic_estimate(params, grid, n_steps):
     sigma2 = np.array(
         [[analytic_acov(params, i, j, tau) for tau in grid.taus] for (i, j) in pairs]
     )
-    var = np.array(
-        [
-            [acov_variance(s, n_steps, int(m)) for s, m in zip(row, grid.m_values)]
-            for row in sigma2
-        ]
-    )
-    return AcovEstimate(grid=grid, pairs=tuple(pairs), sigma2=sigma2, var=var)
+    scale = np.broadcast_to(grid.m_values / n_steps, sigma2.shape)
+    return AcovEstimate(grid=grid, pairs=tuple(pairs), sigma2=sigma2, scale=scale)
 
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -68,17 +64,24 @@ def drift_floor(params, n_steps, ts):
 
 @pytest.fixture(scope="module")
 def quick_study():
-    """200 ACOV runs of the quick scenario: (params, N, Ts, thetas, reported se)."""
+    """200 runs of the quick scenario: (params, N, Ts, thetas, reported se) of
+    ACOV, then thetas and reported se of MDM at 100 s."""
     params, ts, extras = load_ensemble_config(SCENARIOS / "ahm_four_clock_quick.json")
     n_steps = int(extras["n_steps"])
     model = assemble_ensemble(params, ts)
-    thetas, ses = [], []
+    thetas, ses, mdm_thetas, mdm_ses = [], [], [], []
     for run in range(200):
         _, record = simulate_ensemble(model, n_steps, derive_run_seed(7, run), keep_states=False)
         report = estimate_acov_method(record, ell=extras["estimation"]["ell"])
         thetas.append(report.theta)
         ses.append(report.diagnostics["se"])
-    return params, n_steps, ts, np.array(thetas), np.array(ses)
+        report = estimate_mdm(record, ts_target_s=100.0)
+        mdm_thetas.append(report.theta)
+        mdm_ses.append(report.diagnostics["se"])
+    return (
+        params, n_steps, ts, np.array(thetas), np.array(ses),
+        np.array(mdm_thetas), np.array(mdm_ses),
+    )
 
 
 class TestThetaA:
@@ -110,17 +113,16 @@ class TestBuildRegression:
         est = analytic_estimate(maser_params, YEAR_GRID, YEAR_STEPS)
         system = build_regression(est, 4)
         assert system.Phi.shape == (120, 20)
-        assert system.z_a.shape == (120,)
-        assert system.w.shape == (120,)
+        assert system.sigma2.shape == (6, 20)
+        assert system.scale.shape == (6, 20)
 
     def test_stacked_exactness(self, maser_params):
         # analytic ACOVs satisfy z_a = Phi theta_a to machine precision
         est = analytic_estimate(maser_params, YEAR_GRID, YEAR_STEPS)
         system = build_regression(est, 4)
         ta = theta_a_from_params(maser_params)
-        rel = np.linalg.norm(system.z_a - system.Phi @ ta) / np.linalg.norm(
-            system.z_a
-        )
+        z_a = system.sigma2.ravel()
+        rel = np.linalg.norm(z_a - system.Phi @ ta) / np.linalg.norm(z_a)
         assert rel <= 1e-12
 
     def test_single_avar_row_pattern(self):
@@ -174,15 +176,15 @@ class TestSolveThetaA:
         # kernel's refinement step keeps the answer from depending on the
         # order in which rows and columns are stacked
         _, record = simulate_ensemble(maser_model, 630_000, seed=1000, keep_states=False)
-        system = build_regression(acov_grid(record, log_spaced_grid(20, 315_000, 5.0)), 4)
-        x0, _ = weighted_least_squares(system.Phi, system.z_a, system.w)
+        acov = acov_grid(record, log_spaced_grid(20, 315_000, 5.0))
+        system = build_regression(acov, 4)
+        z_a, w = system.sigma2.ravel(), 1.0 / acov.var.ravel()
+        x0, _ = weighted_least_squares(system.Phi, z_a, w)
         rng = np.random.default_rng(7)
         for _ in range(20):
             rows = rng.permutation(system.Phi.shape[0])
             cols = rng.permutation(system.Phi.shape[1])
-            x_perm, _ = weighted_least_squares(
-                system.Phi[rows][:, cols], system.z_a[rows], system.w[rows]
-            )
+            x_perm, _ = weighted_least_squares(system.Phi[rows][:, cols], z_a[rows], w[rows])
             x = np.empty_like(x_perm)
             x[cols] = x_perm
             assert np.max(np.abs(x - x0) / np.abs(x0)) < 1e-12
@@ -212,9 +214,7 @@ class TestSolveThetaA:
         ta_true = theta_a_from_params(maser_params)
         bad = ta_true.copy()
         bad[8] = -bad[8]  # flip r_11 negative
-        system_bad = type(system)(
-            z_a=system.Phi @ bad, Phi=system.Phi, w=system.w, taus=system.taus, n=4
-        )
+        system_bad = replace(system, sigma2=(system.Phi @ bad).reshape(system.sigma2.shape))
         ta_hat, diag = solve_theta_a(system_bad)
         assert "r_11" in diag["clamped"]
         assert ta_hat[8] > 0.0
@@ -228,13 +228,19 @@ class TestSolveThetaA:
 
     def test_optimality_beats_truth_on_data(self, maser_model, maser_params):
         # the solved parameters cannot have a larger weighted residual than
-        # the true ones on the same noisy system
+        # the true ones on the same noisy system, under the second solve's
+        # weights (the Wishart variance of the first solve's clamped fit)
         _, record = simulate_ensemble(maser_model, 50_000, seed=2, keep_states=False)
-        system = build_regression(acov_grid(record, log_spaced_grid(15, 20_000, 5.0)), 4)
+        acov = acov_grid(record, log_spaced_grid(15, 20_000, 5.0))
+        system = build_regression(acov, 4)
         ta_hat, diag = solve_theta_a(system)
-        sqrt_w = np.sqrt(system.w)
+        z_a = system.sigma2.ravel()
+        first, first_diag = weighted_least_squares(system.Phi, z_a, 1.0 / acov.var.ravel())
+        clamp_negative_variances(first, first_diag.se, 4)
+        fitted = (system.Phi @ first).reshape(system.sigma2.shape)
+        sqrt_w = np.sqrt(1.0 / wishart_variance(fitted, system.scale).ravel())
         resid_truth = np.linalg.norm(
-            sqrt_w * (system.z_a - system.Phi @ theta_a_from_params(maser_params))
+            sqrt_w * (z_a - system.Phi @ theta_a_from_params(maser_params))
         )
         assert diag["residual"] <= resid_truth + 1e-12
 
@@ -482,12 +488,18 @@ class TestGappedRecord:
 
 class TestQuickScaleCalibration:
     def test_q1_standard_errors_match_spread(self, quick_study):
-        _, _, _, thetas, ses = quick_study
+        _, _, _, thetas, ses, _, _ = quick_study
+        ratio = np.median(ses[:, :4], axis=0) / thetas[:, :4].std(axis=0, ddof=1)
+        assert np.all((ratio >= 0.5) & (ratio <= 2.0)), ratio
+
+    def test_mdm_q1_standard_errors_match_spread(self, quick_study):
+        # MDM's se from its one-block Wishart fit, in ACOV's band
+        _, _, _, _, _, thetas, ses = quick_study
         ratio = np.median(ses[:, :4], axis=0) / thetas[:, :4].std(axis=0, ddof=1)
         assert np.all((ratio >= 0.5) & (ratio <= 2.0)), ratio
 
     def test_drift_rms_near_random_walk_floor(self, quick_study):
-        params, n_steps, ts, thetas, _ = quick_study
+        params, n_steps, ts, thetas, _, _, _ = quick_study
         truth = pack_theta(params)
         n = params.n
         drifts = thetas[:, 2 * n + 1 : 3 * n]

@@ -33,7 +33,7 @@ class TestBuildSystem:
         assert np.linalg.matrix_rank(system.O) == 6
         assert system.Am.shape == (9, 15)
         assert system.A.shape == (9, 47)
-        assert system.theta_map.shape == (81, 14)
+        assert system.theta_map.shape == (45, 14)
         assert np.linalg.matrix_rank(system.theta_map) == 14
 
     def test_annihilation_property(self):
@@ -72,8 +72,9 @@ class TestBuildSystem:
             assert np.linalg.norm(lhs - rhs) <= 1e-12 * np.linalg.norm(lhs)
 
     def test_theta_map_matches_explicit_kron(self):
-        # column i equals (A kron A) vec(blockdiag(I kron B_Q, I kron B_R))
-        # for the basis pair (B_Q, B_R) of parameter i
+        # column i holds the vech rows (a, b), a <= b, of
+        # (A kron A) vec(blockdiag(I kron B_Q, I kron B_R)) for the basis
+        # pair (B_Q, B_R) of parameter i
         for n, ts, L in ((3, 2.0, 4), (4, 5000.0, 5)):
             system = build_mdm_system(n, ts, L)
             n_z, n_x = n - 1, 2 * n
@@ -89,11 +90,13 @@ class TestBuildSystem:
                 pairs.append((np.zeros((n_x, n_x)), B_R))
             assert system.theta_map.shape[1] == len(pairs)
             A_kron = np.kron(system.A, system.A)
+            a, b = np.triu_indices(system.n_residue)
+            vech_rows = a + b * system.n_residue
             for col, (B_Q, B_R) in enumerate(pairs):
                 block = np.zeros((system.A.shape[1], system.A.shape[1]))
                 block[: (L - 1) * n_x, : (L - 1) * n_x] = np.kron(np.eye(L - 1), B_Q)
                 block[(L - 1) * n_x :, (L - 1) * n_x :] = np.kron(np.eye(L), B_R)
-                expected = A_kron @ block.reshape(-1, order="F")
+                expected = (A_kron @ block.reshape(-1, order="F"))[vech_rows]
                 if ts == 2.0:
                     np.testing.assert_allclose(system.theta_map[:, col], expected, atol=1e-12)
                 else:
@@ -263,7 +266,7 @@ class TestThetaAlphaEstimation:
             model = assemble_ensemble(params, ts)
             system = build_mdm_system(model.n, model.Ts, 5)
             moment = residue_second_moment_from_cov(system, model.Q, model.R)
-            theta_hat, diag = solve_theta_alpha_from_moment(moment, system)
+            theta_hat, diag = solve_theta_alpha_from_moment(moment, system, 1000)
             theta_true = theta_alpha_from_params(params)
             rel = np.abs(theta_hat - theta_true) / np.abs(theta_true)
             assert rel.max() < 1e-10
@@ -274,7 +277,7 @@ class TestThetaAlphaEstimation:
         model = assemble_ensemble(maser_params, 5000.0)
         system = build_mdm_system(model.n, model.Ts, 5)
         moment = residue_second_moment_from_cov(system, model.Q, model.R)
-        theta_hat, _ = solve_theta_alpha_from_moment(moment, system)
+        theta_hat, _ = solve_theta_alpha_from_moment(moment, system, 1000)
         theta_true = theta_alpha_from_params(maser_params)
         rel = np.abs(theta_hat - theta_true) / np.abs(theta_true)
         assert rel[:8].max() < 1e-10  # q1, q2 of all four clocks
@@ -296,25 +299,22 @@ class TestThetaAlphaEstimation:
         )
         r11_index = 6  # theta_alpha = [q1 x 3, q2 x 3, r_11, r_12, r_22]
         r11 = theta_hat[r11_index]
-        se = diag["se_approx"][r11_index]
-        # the reported se ignores the serial correlation of overlapping
-        # residues; windows overlap over 2L-1 lags
-        inflation = np.sqrt(2 * system.L - 1)
-        assert abs(r11 - sigma2) <= 3.0 * se * inflation
+        se = diag["se"][r11_index]
+        assert abs(r11 - sigma2) <= 3.0 * se
 
     def test_rank_deficient_two_clock_split(self):
         # the pivot/non-pivot covariance signatures coincide for n = 2
         system = build_mdm_system(2, 1.0, 4)
-        moment = np.zeros(system.n_residue**2)
+        moment = np.zeros(system.theta_map.shape[0])
         with pytest.raises(UnidentifiableError, match="increase"):
-            solve_theta_alpha_from_moment(moment, system)
+            solve_theta_alpha_from_moment(moment, system, 1000)
 
     def test_negative_entries_clamped(self):
         system = build_mdm_system(3, 1.0, 5)
         # [q1 x 3, q2 x 3, r_11, r_12, r_22] with a negative q1 for the pivot
         theta_bad = np.array([-0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 1.0])
         moment = system.theta_map @ theta_bad
-        theta_hat, diag = solve_theta_alpha_from_moment(moment, system)
+        theta_hat, diag = solve_theta_alpha_from_moment(moment, system, 1000)
         assert "q1_clk1" in diag["clamped"]
         assert theta_hat[0] > 0.0
 
@@ -327,7 +327,7 @@ class TestEstimateMdm:
         assert report.theta.shape == (18,)
         diag = report.diagnostics
         assert set(diag) == {
-            "residual", "cond", "clamped", "se_approx", "drift_residual",
+            "residual", "cond", "rank", "se", "clamped", "drift_residual",
             "drift_cond", "L", "ts_target_s", "n_residue_dim",
         }
         assert diag["L"] == 5
