@@ -35,8 +35,8 @@ from .model import (
 )
 from .numerics import wishart_fit
 from .report import EstimateReport
-from .simulate import MeasurementRecord
-from .stability import _BLOCK, AcovEstimate, acov_grid, log_spaced_grid
+from .simulate import _BLOCK, MeasurementRecord
+from .stability import AcovEstimate, acov_grid, log_spaced_grid
 
 __all__ = [
     "RegressionSystem",

@@ -224,14 +224,21 @@ def solve_theta_alpha_from_moment(
     """Noise parameters theta_alpha from the vech of a residue covariance
     over ``count`` windows: one block of ``wishart_fit`` with nu = count, so
     its ``se`` treats the windows as independent. Below full column rank
-    the parameters are not identifiable and a larger L is suggested.
+    the parameters are not identifiable: a larger L is suggested for three
+    or more clocks, and a third clock for two, where no window helps.
     """
     moment = np.asarray(moment, dtype=float).reshape(-1, 1)
     try:
         return wishart_fit(system.theta_map, moment, 1.0 / count, system.n)
     except UnidentifiableError as exc:
+        hint = (
+            "one channel cannot separate the pivot's noise from the other "
+            "clock's; a third clock is needed"
+            if system.n == 2
+            else "increase the window L"
+        )
         raise UnidentifiableError(
-            f"moment map {exc} (n={system.n}, L={system.L}); increase the window L",
+            f"moment map {exc} (n={system.n}, L={system.L}); {hint}",
             null_directions=exc.null_directions,
         ) from None
 

@@ -29,8 +29,9 @@ record that shares the caller's Z and masks the flagged samples. Nothing
 is interpolated: a filled-in sample would lack its white FM and bias the
 AVAR low, while a masked one is left out of every estimate. The filter
 holds the mask (Z/8 bytes) and block-sized scratch: each channel's median
-and MAD are selected exactly from second differences formed _BLOCK
-columns at a time, so no full-length row is formed.
+and MAD come from a radix select over second differences formed _BLOCK
+columns at a time: each pass counts a 16-bit digit of order-preserving
+integer keys, so ties of any size count exactly and no row is formed.
 
 Measurement CSVs are formatted in row blocks and parsed in byte ranges
 cut at newlines, on a process pool with one worker per available CPU, or
@@ -74,9 +75,9 @@ _CSV_BLOCK_ROWS = 4096
 # bytes of CSV body parsed per task when reading (cut at a newline)
 _CSV_PART_BYTES = 1 << 20
 
-# columns of a row handled at a time (a row of draws added to the record,
-# or second differences formed by the outlier filter): block-sized
-# buffers stay in cache
+# columns handled at a time by each blocked loop (the simulator, the
+# outlier filter, acov_grid, the drift fit): block-sized buffers stay in
+# cache, where full-length ones cost a page-faulted temporary per operation
 _BLOCK = 16_384
 # at most this many candidates of a median are gathered and partitioned
 _GATHER = 4 * _BLOCK
@@ -272,82 +273,78 @@ def _second_differences(
         yield out
 
 
+def _keys(b: np.ndarray) -> np.ndarray:
+    """Order-preserving uint64 keys of float64 values: a positive value's
+    sign bit is flipped, and every bit of a negative one."""
+    bits = b.view(np.int64)
+    flip = bits >> 63
+    flip |= np.int64(-1 << 63)
+    flip ^= bits
+    return flip.view(np.uint64)
+
+
+def _value(key: int) -> np.float64:
+    """The float64 value of a _keys key."""
+    bits = key ^ (1 << 63) if key >> 63 else key ^ ((1 << 64) - 1)
+    return np.uint64(bits).view(np.float64)
+
+
 def _median(blocks: Callable[[], Iterator[np.ndarray]], n: int) -> np.float64:
     """np.median of the n values that each call of blocks() yields, bit for
-    bit, holding O(_BLOCK) of them.
+    bit, holding O(_BLOCK) of them. The blocks must be contiguous float64
+    arrays, as _second_differences yields, and hold no NaN.
 
-    Rank k = (n - 1) // 2 lies among the candidates, the m values in
-    [lo, hi], with ``below`` values under lo. One pass keeps a strided
-    sample of _BLOCK to 1.25 _BLOCK candidates; the sample values
-    2 sqrt(sample size) places either side of k's expected place are the
-    pivots, and a second pass counts the values below and inside them,
-    gathering the inside ones while they are at most _GATHER. A bracket
-    that holds k becomes [lo, hi], one that misses k still bounds it on one
-    side, and one that holds every candidate gives way to a single pivot,
-    the sample value at k's place. Once at most _GATHER candidates remain,
-    np.partition finishes; once lo == hi, that value is rank k. For even n,
-    rank k + 1 is the next in the partition, or else the least value above
-    hi, and np.mean averages the two as np.median does. The values must
-    not be NaN.
+    A radix select on the values' _keys: rank k = (n - 1) // 2 lies among
+    the m candidates, the keys whose top ``fixed`` bits are those of
+    ``prefix``, with ``below`` keys under them. Each pass counts the
+    candidates' next 16-bit digit and fixes the digit that holds rank k.
+    Once at most _GATHER candidates remain they are gathered and
+    np.partition finishes; once all 64 bits are fixed, every candidate is
+    rank k's value, however many ties it has. For even n, rank k + 1 is
+    the next candidate, or else the least key above rank k's, and np.mean
+    averages the two values as np.median does.
     """
     k = (n - 1) // 2
-    lo, hi, below, m = -np.inf, np.inf, 0, n
-    inside = sample = None
-    single = False
-    while inside is None and lo < hi:
-        if m <= _GATHER:
-            inside = np.concatenate([b[(b >= lo) & (b <= hi)] for b in blocks()])
-            break
-        if sample is None:
-            stride, seen, picks = m // _BLOCK, 0, []
-            for b in blocks():
-                c = b if m == n else b[(b >= lo) & (b <= hi)]
-                picks.append(c[-seen % stride :: stride].copy())
-                seen += c.size
-            sample = np.concatenate(picks)
-        # the sample position of rank k and the bracket around it
-        at = (k - below) * sample.size / m
-        margin = 0.0 if single else 2.0 * np.sqrt(sample.size)
-        i_lo, i_hi = int(at - margin), int(at + margin) + (not single)
-        sample.partition([i for i in (i_lo, i_hi) if 0 <= i < sample.size])
-        p_lo = sample[i_lo] if i_lo >= 0 else lo
-        p_hi = sample[i_hi] if i_hi < sample.size else hi
-        n_below = n_inside = 0
-        gathered = []
+    prefix, fixed, below, m = 0, 0, 0, n
+
+    def candidates(b: np.ndarray) -> np.ndarray:
+        key = _keys(b)
+        return key[key >> (64 - fixed) == prefix >> (64 - fixed)] if fixed else key
+
+    while m > _GATHER and fixed < 64:
+        shift = 48 - fixed
+        counts = np.zeros(1 << 16, dtype=np.int64)
         for b in blocks():
-            ok = b >= p_lo
-            n_below += b.size - np.count_nonzero(ok)
-            ok &= b <= p_hi
-            n_inside += np.count_nonzero(ok)
-            if gathered is not None and n_inside <= _GATHER:
-                gathered.append(b[ok])
-            else:
-                gathered = None
-        if k < n_below:
-            hi, m = np.nextafter(p_lo, -np.inf), n_below - below
-        elif k >= n_below + n_inside:
-            lo = np.nextafter(p_hi, np.inf)
-            below, m = n_below + n_inside, below + m - n_below - n_inside
-        elif n_inside == m and not single:
-            # the bracket holds every candidate: the same sample, one pivot
-            single = True
-            continue
-        else:
-            lo, hi, below, m = p_lo, p_hi, n_below, n_inside
-            if gathered is not None and lo < hi:
-                inside = np.concatenate(gathered)
-        sample, single = None, False
+            digits = candidates(b) >> shift
+            digits &= 0xFFFF
+            # in place: a bincount per block would add all 65 536 bins
+            np.add.at(counts, digits.view(np.int64), 1)
+        np.cumsum(counts, out=counts)
+        digit = int(np.searchsorted(counts, k - below, side="right"))
+        before = int(counts[digit - 1]) if digit else 0
+        below, m = below + before, int(counts[digit]) - before
+        prefix |= digit << shift
+        fixed += 16
     j = k - below
+    ranks = [j] if n % 2 else [j, j + 1]
+    if fixed < 64:
+        gathered, at = np.empty(m, dtype=np.uint64), 0
+        for b in blocks():
+            key = candidates(b)
+            gathered[at : at + key.size] = key
+            at += key.size
+        gathered.partition([r for r in ranks if r < m])
     middle = []
-    for rank in [j] if n % 2 else [j, j + 1]:
-        if rank >= m:
-            middle.append(min(np.min(b, where=b > hi, initial=np.inf) for b in blocks()))
-        elif inside is None:
-            middle.append(lo)
+    for r in ranks:
+        if r == m:
+            above = (1 << 64) - 1
+            for b in blocks():
+                key = _keys(b)
+                above = min(above, int(key.min(where=key > middle[0], initial=above)))
+            middle.append(above)
         else:
-            inside.partition(rank)
-            middle.append(inside[rank])
-    return np.mean(np.array(middle))
+            middle.append(prefix if fixed == 64 else int(gathered[r]))
+    return np.mean(np.array([_value(key) for key in middle]))
 
 
 def remove_outliers(
@@ -363,7 +360,7 @@ def remove_outliers(
     one) with the flagged samples set to False, and the flags per channel.
 
     The second differences are formed _BLOCK columns at a time, once per
-    pass: the median and the MAD come from _median's exact selection, and
+    pass: the median and the MAD come from _median's radix select, and
     the flag comparison is written into the mask block by block. The
     filter holds the mask and O(_BLOCK) scratch, and its flags equal those
     of np.median over full-length rows.

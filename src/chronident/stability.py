@@ -30,7 +30,7 @@ import numpy as np
 from .errors import UnidentifiableError
 from .model import EnsembleParams, upper_triangle_pairs
 from .numerics import wishart_variance
-from .simulate import MeasurementRecord
+from .simulate import _BLOCK, MeasurementRecord
 
 __all__ = [
     "TauGrid",
@@ -42,11 +42,6 @@ __all__ = [
     "acov_grid",
     "write_acov_csv",
 ]
-
-# columns of second differences formed at a time: (n_z, block) float64
-# buffers stay in cache, where full-length ones cost a page-faulted
-# temporary per array operation
-_BLOCK = 16_384
 
 
 @dataclass(frozen=True)

@@ -213,7 +213,7 @@ class TestEstimateCommand:
         flags = ["--method", "mdm", "--L", "5", "--ts-target", "50"]
         assert main(["estimate", str(path), *flags]) == EXIT_INVALID_INPUT
 
-    def test_unidentifiable_exit_code(self, tmp_path):
+    def test_unidentifiable_exit_code(self, tmp_path, capsys):
         params = EnsembleParams(
             clocks=(ClockParams(1e-27, 1e-35), ClockParams(1e-27, 1e-35)),
             R=np.array([[1e-35]]),
@@ -224,6 +224,11 @@ class TestEstimateCommand:
         write_measurements_csv(record, path)
         code = main(["estimate", str(path), "--method", "acov"])
         assert code == EXIT_UNIDENTIFIABLE
+        # MDM's hint for two clocks asks for a third one, not a longer window
+        capsys.readouterr()
+        code = main(["estimate", str(path), "--method", "mdm", "--ts-target", "50"])
+        assert code == EXIT_UNIDENTIFIABLE
+        assert "a third clock is needed" in capsys.readouterr().err
 
     def test_deterministic_output(self, measurement_path, tmp_path):
         out1 = tmp_path / "r1.json"

@@ -303,10 +303,20 @@ class TestThetaAlphaEstimation:
         assert abs(r11 - sigma2) <= 3.0 * se
 
     def test_rank_deficient_two_clock_split(self):
-        # the pivot/non-pivot covariance signatures coincide for n = 2
-        system = build_mdm_system(2, 1.0, 4)
+        # the pivot/non-pivot covariance signatures coincide for n = 2, so
+        # no window helps and the hint asks for a third clock
+        for L in (4, 5, 8):
+            system = build_mdm_system(2, 1.0, L)
+            moment = np.zeros(system.theta_map.shape[0])
+            with pytest.raises(UnidentifiableError, match="a third clock is needed") as err:
+                solve_theta_alpha_from_moment(moment, system, 1000)
+            assert "increase" not in str(err.value)
+
+    def test_rank_deficient_short_window_three_clocks(self):
+        # n = 3 is identifiable from L = 5 on, so a short window asks for more
+        system = build_mdm_system(3, 1.0, 4)
         moment = np.zeros(system.theta_map.shape[0])
-        with pytest.raises(UnidentifiableError, match="increase"):
+        with pytest.raises(UnidentifiableError, match="increase the window L"):
             solve_theta_alpha_from_moment(moment, system, 1000)
 
     def test_negative_entries_clamped(self):

@@ -331,8 +331,16 @@ def _selection_case(name, maser_model):
         x = rng.normal(0.0, 1e-13, n)
         x[rng.choice(n, n // 50, replace=False)] = 1e-6
         return x
-    # every stride-th value is off to one side, so the first strided
-    # sample misses the middle ranks (a bracket that misses above or below)
+    if name == "negative_only":
+        return -rng.exponential(size=n)
+    if name == "wide_range":
+        # keys on both sides of the sign bit, over the whole exponent range
+        return rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300, 300, n)
+    if name == "subnormal":
+        x = rng.normal(0.0, 1e-310, n)
+        x[rng.choice(n, n // 3, replace=False)] = 0.0
+        return x
+    # every stride-th value moved far to one side
     stride = n // _BLOCK
     x = rng.normal(size=n)
     x[::stride] += 100.0 if name == "biased_sample_high" else -100.0
@@ -354,6 +362,9 @@ SELECTION_CASES = [
     "spikes",
     "biased_sample_high",
     "biased_sample_low",
+    "negative_only",
+    "wide_range",
+    "subnormal",
 ]
 
 
@@ -366,6 +377,13 @@ class TestMedianSelection:
         deviations = np.abs(x - med)
         mad = _median(_blocks(deviations), x.size)
         assert mad.tobytes() == np.median(deviations).tobytes()
+
+    @pytest.mark.parametrize("name", SELECTION_CASES)
+    def test_median_and_mad_equal_numpy_in_small_gathers(self, maser_model, monkeypatch, name):
+        # with at most 8 candidates gathered, every 16-bit digit pass runs,
+        # and ties reach the end with all 64 bits of the key fixed
+        monkeypatch.setattr(simulate_module, "_GATHER", 8)
+        self.test_median_and_mad_equal_numpy(maser_model, name)
 
     def test_quantised_phase_is_mostly_ties(self, maser_model):
         # the case is the hard one: most of the values are one tie

@@ -1,0 +1,88 @@
+"""Mutation check of the outlier filter's median selection.
+
+Each mutant below is applied to a copy of the working tree as it is
+(without hidden files and directories), and the tier-1 suite runs on the
+copy, stopping at its first failure. A mutant that no tier-1 test fails
+survives. Usage:
+
+    python tools/mutation_check.py [--workdir DIR]
+
+The copies go to a fresh directory under DIR (the system temporary
+directory by default) and are removed afterwards. Each run of the suite
+takes up to about a minute on two CPUs. The exit status is 1 if any
+mutant survives.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TARGET = Path("src/chronident/simulate.py")
+
+# (name, text in TARGET, replacement)
+MUTANTS = [
+    ("rank k + 1", "    k = (n - 1) // 2\n", "    k = (n - 1) // 2 + 1\n"),
+    (
+        "even n returns rank k alone",
+        "    ranks = [j] if n % 2 else [j, j + 1]\n",
+        "    ranks = [j]\n",
+    ),
+    (
+        "negative values keyed as positive ones",
+        "    flip = bits >> 63\n",
+        "    flip = np.zeros_like(bits)\n",
+    ),
+    (
+        "no final partition",
+        "        gathered.partition([r for r in ranks if r < m])\n",
+        "",
+    ),
+]
+
+
+def run_mutant(workdir: Path, name: str, old: str, new: str) -> str | None:
+    """The first tier-1 test that fails with the mutant applied, or None."""
+    tree = workdir / "tree"
+    shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(".*", "__pycache__"))
+    try:
+        source = (tree / TARGET).read_text()
+        if source.count(old) != 1:
+            raise SystemExit(f"mutant {name!r}: its text is not found once in {TARGET}")
+        (tree / TARGET).write_text(source.replace(old, new))
+        env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+             "--continue-on-collection-errors"],
+            cwd=tree, env=env, capture_output=True, text=True,
+        )
+        if result.returncode == 0:
+            return None
+        failed = [line for line in result.stdout.splitlines() if line.startswith(("FAILED", "ERROR"))]
+        return failed[0] if failed else f"pytest exit status {result.returncode}"
+    finally:
+        shutil.rmtree(tree)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workdir", default=None, help="where the copies go")
+    args = parser.parse_args()
+    killed = 0
+    with tempfile.TemporaryDirectory(dir=args.workdir) as workdir:
+        for name, old, new in MUTANTS:
+            failure = run_mutant(Path(workdir), name, old, new)
+            killed += failure is not None
+            print(f"{name}: {'killed by ' + failure if failure else 'SURVIVED'}", flush=True)
+    print(f"kill rate {killed}/{len(MUTANTS)}")
+    return 0 if killed == len(MUTANTS) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
