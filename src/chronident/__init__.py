@@ -10,7 +10,6 @@ method.
 from .errors import (
     ChannelUnusableError,
     ChronidentError,
-    DriftUnidentifiableError,
     InvalidCovarianceError,
     NoResidueError,
     UnidentifiableError,
@@ -44,7 +43,7 @@ from .model import (
     theta_alpha_from_params,
     unpack_theta,
 )
-from .numerics import LsDiagnostics, left_null_space, weighted_least_squares
+from .numerics import LsDiagnostics, weighted_least_squares
 from .report import EstimateReport, write_report_json
 from .simulate import (
     MeasurementRecord,

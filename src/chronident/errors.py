@@ -31,8 +31,5 @@ class UnidentifiableError(ChronidentError):
 
 
 class NoResidueError(ChronidentError):
-    """The stacked observation matrix has a trivial left null space."""
-
-
-class DriftUnidentifiableError(UnidentifiableError):
-    """The residue-mean drift map lost column rank; try a larger window L."""
+    """No residue is left: a window of L = 2 samples holds no second
+    difference, or the record's mask leaves no valid window."""

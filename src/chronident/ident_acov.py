@@ -208,7 +208,11 @@ def estimate_acov_method(
     m_max: int | None = None,
     d1: float = 0.0,
 ) -> EstimateReport:
-    """Full ACOV pipeline: grid, ACOV estimates, Wishart fit, drift fit."""
+    """Full ACOV pipeline: grid, ACOV estimates, Wishart fit, drift fit.
+
+    On a masked record a rank-loss UnidentifiableError also names each
+    channel's valid fraction and the averaging factors the mask dropped.
+    """
     if not np.isfinite(d1):
         raise ValueError(f"pivot drift d1 must be finite, got {d1}")
     if m_max is None:
@@ -217,7 +221,18 @@ def estimate_acov_method(
         raise ValueError(f"record too short for ACOV estimation (N={record.n_steps})")
     n = record.n_z + 1
     acov = acov_grid(record, log_spaced_grid(ell, m_max, record.Ts))
-    theta_a, diagnostics = solve_theta_a(build_regression(acov, n))
+    try:
+        theta_a, diagnostics = solve_theta_a(build_regression(acov, n))
+    except UnidentifiableError as exc:
+        if record.valid is None:
+            raise
+        fractions = "/".join(f"{v:.3f}" for v in record.valid_fraction)
+        dropped = ", ".join(map(str, acov.dropped_m)) or "none"
+        raise UnidentifiableError(
+            f"{exc}; the record's mask leaves valid fractions {fractions} per channel "
+            f"and drops the averaging factors m = {dropped} of the grid",
+            null_directions=exc.null_directions,
+        ) from None
     diagnostics.update(ell=len(acov.grid), m_max=int(acov.grid.m_values[-1]))
     if record.valid is not None:
         diagnostics.update(valid_fraction=record.valid_fraction, dropped_m=list(acov.dropped_m))

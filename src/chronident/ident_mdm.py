@@ -1,18 +1,16 @@
 """Measurement-difference identification.
 
-Stacking L consecutive measurements gives Z_k = O x_k + Gamma W_k + V_k.
-Multiplying by an annihilator of O (orthonormal basis of its left null
-space) removes the unobservable state, leaving residues that are linear
-in the state and measurement noises alone:
+Stacking L consecutive measurements gives Z_k = O x_k plus the window's
+state and measurement noises. Each channel's second differences
+(1, -2, 1) annihilate O, since H F^l is linear in l, so the residues
 
-    Zbar_k = Am Z_k = A E_k,   A = Am [Gamma, I],   E_k = [W_k; V_k].
+    Zbar_k = Am Z_k,   Am = B kron I_{n_z},
 
-The residue mean is linear in the drifts and the residue second moment is
-linear in q1, q2 and the unique elements of R, so both stages reduce to
-least-squares solves of known maps; the moments are fitted by
-``wishart_fit`` with nu the number of residue windows. Both maps are
-built from the column blocks of A: the state-noise columns of step l and
-clock i, and the measurement-noise columns of step l and channel i.
+with B the (L-2) x L band of (1, -2, 1) rows, are free of the state.
+Their mean is linear in the drifts and their second moment linear in q1,
+q2 and the unique elements of R, both in closed form, so both stages
+reduce to least-squares solves of known maps; the moments are fitted by
+``wishart_fit`` with nu the number of residue windows.
 
 A masked record (``MeasurementRecord.valid``) keeps only the windows whose
 L samples at the MDM period are valid on every channel.
@@ -25,14 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DriftUnidentifiableError, NoResidueError, UnidentifiableError
-from .model import (
-    clock_drift_mean,
-    clock_noise_cov,
-    ensemble_structure,
-    params_from_theta_alpha,
-)
-from .numerics import left_null_space, weighted_least_squares, wishart_fit
+from .errors import NoResidueError, UnidentifiableError
+from .model import clock_noise_cov, ensemble_structure, params_from_theta_alpha
+from .numerics import weighted_least_squares, wishart_fit
 from .report import EstimateReport
 from .simulate import MeasurementRecord
 
@@ -51,11 +44,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MdmSystem:
-    """Precomputed matrices of the residue construction.
+    """Matrices of the residue construction.
 
     O          : (L n_z, 2n) stacked observation matrix [H; HF; ...]
-    Am         : (n_aO, L n_z) annihilator, Am O = 0
-    A          : (n_aO, n_E) residue map Am [Gamma, I]
+    Am         : (n_aO, L n_z) stencil B kron I_{n_z}, Am O = 0,
+                 n_aO = (L-2) n_z
     drift_map  : (n_aO, n) residue-mean map of d^(1..n), pivot in column 0
     theta_map  : (n_aO(n_aO+1)/2, n(n+3)/2) map of [q1 x n, q2 x n, upper
                  triangle of R] to the residue covariance's vech (a <= b, row-major)
@@ -63,7 +56,6 @@ class MdmSystem:
 
     O: np.ndarray
     Am: np.ndarray
-    A: np.ndarray
     drift_map: np.ndarray
     theta_map: np.ndarray
     Ts: float
@@ -79,61 +71,64 @@ class MdmSystem:
         return self.Am.shape[0]
 
 
-def build_mdm_system(n: int, ts: float, L: int) -> MdmSystem:
-    """Assemble the annihilator, residue map and moment maps for n clocks
-    sampled every ts seconds and window L.
+def _residue_moments(L: int, ts: float, blocks: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Vech rows of the residue covariance for the clocks' noise blocks
+    [[a, b], [b, c]] over one step of ts, shape (..., n, 2, 2), and R,
+    shape (..., n_z, n_z); the leading axes broadcast.
 
-    Only the model structure (F, H) enters; the noise parameters being
-    estimated never do. Raises NoResidueError when O has full row rank
-    (the common-mode pivot subspace leaves rank(O) = 2(n-1), so L = 2
-    always has an empty null space).
+    A clock's phase second difference has autocovariance gamma_0 =
+    ts^2 c + 2a - 2 ts b and gamma_1 = ts b - a, none beyond lag 1, and the
+    measurement noise adds rho_l R with rho = (6, -4, 1) at lags 0-2. Rows
+    (s, i) and (t, j) of the residue, at lag l = t - s, share the pivot's
+    gamma_l, clock i+1's gamma_l when i = j, and rho_l R_ij.
+    """
+    a, b, c = blocks[..., 0, 0], blocks[..., 0, 1], blocks[..., 1, 1]
+    zero = np.zeros_like(a)
+    gamma = np.stack([ts**2 * c + 2.0 * a - 2.0 * ts * b, ts * b - a, zero, zero], axis=-1)
+    rho = np.array([6.0, -4.0, 1.0, 0.0])
+    n_z = blocks.shape[-3] - 1
+    rows, cols = np.triu_indices((L - 2) * n_z)
+    (s, i), (t, j) = np.divmod(rows, n_z), np.divmod(cols, n_z)
+    lag = np.minimum(t - s, 3)
+    return gamma[..., 0, lag] + (i == j) * gamma[..., i + 1, lag] + rho[lag] * R[..., i, j]
+
+
+def build_mdm_system(n: int, ts: float, L: int) -> MdmSystem:
+    """Assemble the stencil and the moment maps for n clocks sampled
+    every ts seconds and window L.
+
+    Only the model structure enters; the noise parameters being estimated
+    never do. Raises NoResidueError for L = 2, whose window holds no
+    second difference (rank(O) = 2(n-1) fills all of its rows).
     """
     if int(L) != L or L < 2:
         raise ValueError(f"L must be an integer >= 2, got {L}")
     L = int(L)
     F, H = ensemble_structure(n, ts)
-    n_z, n_x = n - 1, 2 * n
-
-    hf_powers = [H.copy()]
-    for _ in range(L - 1):
-        hf_powers.append(hf_powers[-1] @ F)
-    O = np.vstack(hf_powers)
-
-    Gamma = np.zeros((L * n_z, (L - 1) * n_x))
-    for r in range(1, L):
-        for c in range(r):
-            Gamma[r * n_z : (r + 1) * n_z, c * n_x : (c + 1) * n_x] = hf_powers[r - 1 - c]
-
-    Am = left_null_space(O)
-    if Am.shape[0] == 0:
+    if L == 2:
         raise NoResidueError(
-            f"stacked observation matrix has full row rank for L={L}, n={n}; "
+            f"a window of L=2 samples holds no second difference (n={n}); "
             "increase L to obtain a residue"
         )
-    A = Am @ np.hstack([Gamma, np.eye(L * n_z)])
+    n_z = n - 1
 
-    # A's columns as W blocks (step l, clock i, phase/frequency) and V blocks
-    # (step l, channel i); the noises of different steps, clocks and
-    # channels are uncorrelated apart from R's cross terms. Gw and G sum
-    # the outer products of those columns over the steps, for the residue
-    # pairs (a, b) of the vech rows.
-    n_w = (L - 1) * n_x
-    Aw = A[:, :n_w].reshape(-1, L - 1, n, 2)
-    Av = A[:, n_w:].reshape(-1, L, n_z)
-    a, b = np.triu_indices(A.shape[0])
-    unit_q = np.stack([clock_noise_cov(1.0, 0.0, ts), clock_noise_cov(0.0, 1.0, ts)])
-    Gw = np.einsum("plic,plid->picd", Aw[a], Aw[b])
-    q_cols = np.einsum("picd,kcd->pki", Gw, unit_q).reshape(-1, 2 * n)
-    G = np.einsum("pli,plj->pij", Av[a], Av[b])
+    # one column per parameter: unit q1 and q2 blocks of each clock, then
+    # the unit symmetric R of each upper-triangle entry
+    n_q, n_r = 2 * n, n_z * (n_z + 1) // 2
+    unit = np.stack([clock_noise_cov(1.0, 0.0, ts), clock_noise_cov(0.0, 1.0, ts)])
+    blocks = np.zeros((n_q + n_r, n, 2, 2))
+    blocks[np.arange(n_q), np.tile(np.arange(n), 2)] = np.repeat(unit, n, axis=0)
+    unit_r = np.zeros((n_q + n_r, n_z, n_z))
     i, j = np.triu_indices(n_z)
-    r_cols = G[:, i, j] + (i != j) * G[:, j, i]
+    unit_r[n_q + np.arange(n_r), i, j] = unit_r[n_q + np.arange(n_r), j, i] = 1.0
 
+    # a clock's phase second difference has mean d ts^2
+    drift_rows = ts**2 * np.hstack([-np.ones((n_z, 1)), np.eye(n_z)])
     return MdmSystem(
-        O=O,
-        Am=Am,
-        A=A,
-        drift_map=Aw.sum(axis=1) @ clock_drift_mean(1.0, ts),
-        theta_map=np.hstack([q_cols, r_cols]),
+        O=np.vstack([H @ np.linalg.matrix_power(F, l) for l in range(L)]),
+        Am=np.kron(np.diff(np.eye(L), 2, axis=0), np.eye(n_z)),
+        drift_map=np.tile(drift_rows, (L - 2, 1)),
+        theta_map=_residue_moments(L, ts, blocks, unit_r).T,
         Ts=float(ts),
         L=L,
         n=n,
@@ -143,11 +138,12 @@ def build_mdm_system(n: int, ts: float, L: int) -> MdmSystem:
 def compute_residues(record: MeasurementRecord, system: MdmSystem) -> np.ndarray:
     """Residues Zbar_k = Am [z_k; ...; z_{k+L-1}] of the record at system.Ts.
 
-    system.Ts must be an integer multiple f of the record's Ts; the windows
-    are cut from the strided view Z[:, ::f] without copying the record.
-    With M = ceil((N+1)/f) samples at system.Ts the shape is (n_aO, M-L+1),
-    less the windows that hold a sample the record's mask marks invalid on
-    some channel; NoResidueError when no window is left.
+    system.Ts must be an integer multiple f of the record's Ts; the
+    second differences of the strided view Z[:, ::f] are formed once,
+    without copying the record, and each window offset is a slice of
+    them. With M = ceil((N+1)/f) samples at system.Ts the shape is
+    (n_aO, M-L+1), less the windows that hold a sample the record's mask
+    marks invalid on some channel; NoResidueError when no window is left.
     """
     if record.n_z != system.n_z:
         raise ValueError(
@@ -165,8 +161,8 @@ def compute_residues(record: MeasurementRecord, system: MdmSystem) -> np.ndarray
             f"record has {Z.shape[1]} samples at Ts={system.Ts}, need at least L={system.L}"
         )
     count = Z.shape[1] - system.L + 1
-    stacked = np.vstack([Z[:, r : r + count] for r in range(system.L)])
-    residues = system.Am @ stacked
+    D = Z[:, 2:] - 2.0 * Z[:, 1:-1] + Z[:, :-2]
+    residues = np.vstack([D[:, s : s + count] for s in range(system.L - 2)])
     if record.valid is None:
         return residues
     sample_ok = record.valid[:, ::f].all(axis=0)
@@ -189,32 +185,23 @@ def residue_mean_from_drifts(system: MdmSystem, drifts: np.ndarray) -> np.ndarra
 def residue_second_moment_from_cov(
     system: MdmSystem, Q: np.ndarray, R: np.ndarray
 ) -> np.ndarray:
-    """Model-implied vech of the residue covariance for given Q and R.
-
-    That is vech(A blockdiag(I_{L-1} kron Q, I_L kron R) A^T) in row-major
-    upper-triangle order: the vech rows of (A kron A) vec(blockdiag(...))
-    without the explicit n_aO^2 x n_E^2 Kronecker product.
-    """
-    A, L = system.A, system.L
-    n_w = (L - 1) * Q.shape[0]
-    block = np.zeros((A.shape[1], A.shape[1]))
-    block[:n_w, :n_w] = np.kron(np.eye(L - 1), Q)
-    block[n_w:, n_w:] = np.kron(np.eye(L), R)
-    return (A @ block @ A.T)[np.triu_indices(A.shape[0])]
+    """Model-implied vech of the residue covariance (row-major upper
+    triangle) from Q's diagonal 2 x 2 clock blocks and R; theta_map is
+    the same form for unit parameters."""
+    n = system.n
+    blocks = np.asarray(Q, dtype=float).reshape(n, 2, n, 2)[np.arange(n), :, np.arange(n)]
+    return _residue_moments(system.L, system.Ts, blocks, np.asarray(R, dtype=float))
 
 
 def solve_drifts_from_mean(
     mean: np.ndarray, system: MdmSystem, d1: float = 0.0
 ) -> tuple[np.ndarray, dict]:
-    """Drifts d^(2..n) from a residue mean, with the pivot drift known."""
+    """Drifts d^(2..n) from a residue mean, with the pivot drift known.
+    The map of d^(2..n) is ts^2 times L-2 stacked identities, so its rank
+    is full for every window."""
     mean = np.asarray(mean, dtype=float).ravel()
     rhs = mean - system.drift_map[:, 0] * d1
-    n_rest = system.n - 1
     x, diag = weighted_least_squares(system.drift_map[:, 1:], rhs, np.ones(mean.size))
-    if diag.rank < n_rest:
-        raise DriftUnidentifiableError(
-            f"drift map rank {diag.rank} < {n_rest}; increase the window L"
-        )
     return x, {"residual": diag.residual_norm, "cond": diag.condition_number}
 
 

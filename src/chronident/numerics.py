@@ -21,7 +21,6 @@ __all__ = [
     "weighted_least_squares",
     "wishart_variance",
     "wishart_fit",
-    "left_null_space",
 ]
 
 # singular values below this fraction of the largest count as zero
@@ -156,20 +155,3 @@ def wishart_fit(design: np.ndarray, sample: np.ndarray, scale, n: int) -> tuple[
         "se": diag.se,
         "clamped": clamped,
     }
-
-
-def left_null_space(M: np.ndarray) -> np.ndarray:
-    """Orthonormal rows spanning {v : v^T M = 0}.
-
-    Rank is decided at 1e-10 * sigma_max. Returns an array of shape
-    (rows(M) - rank, rows(M)); empty (0, rows) when M has full row rank.
-    """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.size == 0:
-        raise ValueError("M must be a nonempty 2-D array")
-    U, s, _ = np.linalg.svd(M, full_matrices=True)
-    if s.size == 0 or s[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(s > 1e-10 * s[0]))
-    return U[:, rank:].T.copy()

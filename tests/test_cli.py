@@ -31,6 +31,8 @@ from chronident.cli import (
 )
 from chronident.model import dump_ensemble_config
 
+from conftest import quantised_record
+
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -229,6 +231,30 @@ class TestEstimateCommand:
         code = main(["estimate", str(path), "--method", "mdm", "--ts-target", "50"])
         assert code == EXIT_UNIDENTIFIABLE
         assert "a third clock is needed" in capsys.readouterr().err
+
+    def test_masked_rank_error_names_mask(self, tmp_path, capsys, monkeypatch, maser_model):
+        # the outlier filter masks the nonzero second differences of a
+        # quantised record and ACOV loses rank: exit 3, and the error names
+        # the valid fractions and the dropped averaging factors
+        _, record = simulate_ensemble(maser_model, 2000, seed=3, keep_states=False)
+        path = tmp_path / "quantised.csv"
+        write_measurements_csv(quantised_record(record), path)
+        capsys.readouterr()
+        code = main(["estimate", str(path), "--method", "acov", "--outlier-k", "5"])
+        assert code == EXIT_UNIDENTIFIABLE
+        err = capsys.readouterr().err
+        assert "unidentifiable direction(s); the record's mask leaves valid fractions" in err
+        # a CSV carries no mask, so the record with channel 1 masked on
+        # samples 6..1994 comes in through the reader
+        valid = np.ones(record.Z.shape, dtype=bool)
+        valid[0, 6:1995] = False
+        masked = MeasurementRecord(Ts=5.0, Z=record.Z, valid=valid)
+        monkeypatch.setattr(cli, "read_measurements_csv", lambda path: masked)
+        code = main(["estimate", str(path), "--method", "acov"])
+        assert code == EXIT_UNIDENTIFIABLE
+        err = capsys.readouterr().err
+        assert "got 2; the record's mask leaves valid fractions 0.006/1.000/1.000" in err
+        assert "drops the averaging factors m = 3, 4, 6," in err
 
     def test_deterministic_output(self, measurement_path, tmp_path):
         out1 = tmp_path / "r1.json"

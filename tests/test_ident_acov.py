@@ -17,6 +17,7 @@ from chronident import (
     load_ensemble_config,
     pack_theta,
     recover_drifts,
+    remove_outliers,
     simulate_ensemble,
     solve_theta_a,
     theta_a_from_params,
@@ -37,7 +38,7 @@ from chronident.stability import (
     log_spaced_grid,
 )
 
-from conftest import gapped_record, random_params
+from conftest import gapped_record, quantised_record, random_params
 
 
 def analytic_estimate(params, grid, n_steps):
@@ -419,6 +420,34 @@ class TestEstimateAcovMethod:
         _, record = simulate_ensemble(model, 2000, seed=3)
         with pytest.raises(UnidentifiableError):
             estimate_acov_method(record, ell=10)
+
+    def test_masked_rank_error_names_mask_and_dropped_grid(self, maser_model):
+        # channel 1 masked on samples 6..1994 leaves 2 of the grid's 19
+        # averaging factors; the error names the mask and the dropped ones
+        _, record = simulate_ensemble(maser_model, 2000, seed=3, keep_states=False)
+        valid = np.ones(record.Z.shape, dtype=bool)
+        valid[0, 6:1995] = False
+        masked = MeasurementRecord(Ts=5.0, Z=record.Z, valid=valid)
+        with pytest.raises(UnidentifiableError, match="got 2; ") as err:
+            estimate_acov_method(masked)
+        message = str(err.value)
+        assert "valid fractions 0.006/1.000/1.000 per channel" in message
+        assert "m = 3, 4, 6, 9, 13, 18, 26, 38, 55, 78, 113, 162, 234, 336, 483, 695, 1000 " in message
+
+    def test_masked_rank_error_keeps_null_directions(self, maser_model):
+        # quantised phase: the filter masks every nonzero second difference
+        # and the fit loses rank; the directions are those of the fit itself
+        _, record = simulate_ensemble(maser_model, 2000, seed=3, keep_states=False)
+        masked, _ = remove_outliers(quantised_record(record), k=5.0)
+        acov = acov_grid(masked, log_spaced_grid(20, 1000, 5.0))
+        with pytest.raises(UnidentifiableError) as fit_err:
+            solve_theta_a(build_regression(acov, 4))
+        with pytest.raises(UnidentifiableError, match="valid fractions") as err:
+            estimate_acov_method(masked)
+        assert str(err.value).startswith(f"{fit_err.value}; ")
+        assert str(err.value).endswith("drops the averaging factors m = 1000 of the grid")
+        assert err.value.null_directions.shape == (8, 20)
+        np.testing.assert_array_equal(err.value.null_directions, fit_err.value.null_directions)
 
 
 class TestExactPipelineInvariant:

@@ -7,6 +7,7 @@ from chronident import (
     MeasurementRecord,
     assemble_ensemble,
     build_mdm_system,
+    clock_drift_mean,
     clock_noise_cov,
     compute_residues,
     ensemble_structure,
@@ -26,13 +27,44 @@ from chronident.ident_mdm import (
 from conftest import random_params
 
 
+def reference_residue_map(system):
+    """A = Am [Gamma, I]: the residues Am Z_k as a map of the window's
+    noises E_k = [W_k; V_k], with Gamma the stacked H F^(r-1-c) blocks
+    that carry state-noise step c into measurement r."""
+    n, L, n_z = system.n, system.L, system.n_z
+    F, H = ensemble_structure(n, system.Ts)
+    n_x = 2 * n
+    Gamma = np.zeros((L * n_z, (L - 1) * n_x))
+    for r in range(1, L):
+        for c in range(r):
+            Gamma[r * n_z : (r + 1) * n_z, c * n_x : (c + 1) * n_x] = (
+                H @ np.linalg.matrix_power(F, r - 1 - c)
+            )
+    return system.Am @ np.hstack([Gamma, np.eye(L * n_z)])
+
+
+def noise_block(system, Q, R):
+    """blockdiag(I_{L-1} kron Q, I_L kron R), the covariance of E_k."""
+    L, n_w = system.L, (system.L - 1) * Q.shape[0]
+    block = np.zeros((n_w + L * R.shape[0],) * 2)
+    block[:n_w, :n_w] = np.kron(np.eye(L - 1), Q)
+    block[n_w:, n_w:] = np.kron(np.eye(L), R)
+    return block
+
+
+# (n, ts, L) for the closed-form maps: two and five clocks, L = 3 to 7
+MAP_CASES = (
+    (2, 1.0, 4), (2, 3.0, 3), (3, 2.0, 4), (3, 5.0, 5),
+    (4, 5000.0, 5), (4, 100.0, 6), (5, 7.0, 7), (5, 0.7, 3),
+)
+
+
 class TestBuildSystem:
     def test_reference_dimensions(self):
         system = build_mdm_system(4, 5000.0, 5)
         assert system.O.shape == (15, 8)
         assert np.linalg.matrix_rank(system.O) == 6
         assert system.Am.shape == (9, 15)
-        assert system.A.shape == (9, 47)
         assert system.theta_map.shape == (45, 14)
         assert np.linalg.matrix_rank(system.theta_map) == 14
 
@@ -61,8 +93,7 @@ class TestBuildSystem:
 
     def test_kronecker_identity(self):
         # (A e) kron (A e) = (A kron A)(e kron e) for the residue map
-        system = build_mdm_system(3, 2.0, 4)
-        A = system.A
+        A = reference_residue_map(build_mdm_system(3, 2.0, 4))
         rng = np.random.default_rng(51)
         A_kron = np.kron(A, A)
         for _ in range(5):
@@ -75,8 +106,9 @@ class TestBuildSystem:
         # column i holds the vech rows (a, b), a <= b, of
         # (A kron A) vec(blockdiag(I kron B_Q, I kron B_R)) for the basis
         # pair (B_Q, B_R) of parameter i
-        for n, ts, L in ((3, 2.0, 4), (4, 5000.0, 5)):
+        for n, ts, L in MAP_CASES:
             system = build_mdm_system(n, ts, L)
+            A = reference_residue_map(system)
             n_z, n_x = n - 1, 2 * n
             pairs = []
             for unit in (clock_noise_cov(1.0, 0.0, ts), clock_noise_cov(0.0, 1.0, ts)):
@@ -89,20 +121,44 @@ class TestBuildSystem:
                 B_R[i, j] = B_R[j, i] = 1.0
                 pairs.append((np.zeros((n_x, n_x)), B_R))
             assert system.theta_map.shape[1] == len(pairs)
-            A_kron = np.kron(system.A, system.A)
+            A_kron = np.kron(A, A)
             a, b = np.triu_indices(system.n_residue)
             vech_rows = a + b * system.n_residue
             for col, (B_Q, B_R) in enumerate(pairs):
-                block = np.zeros((system.A.shape[1], system.A.shape[1]))
-                block[: (L - 1) * n_x, : (L - 1) * n_x] = np.kron(np.eye(L - 1), B_Q)
-                block[(L - 1) * n_x :, (L - 1) * n_x :] = np.kron(np.eye(L), B_R)
+                block = noise_block(system, B_Q, B_R)
                 expected = (A_kron @ block.reshape(-1, order="F"))[vech_rows]
-                if ts == 2.0:
-                    np.testing.assert_allclose(system.theta_map[:, col], expected, atol=1e-12)
-                else:
-                    # the q2 columns scale with ts^3: compare within each column
-                    err = np.abs(system.theta_map[:, col] - expected).max()
-                    assert err <= 1e-13 * np.abs(expected).max(), (n, col)
+                # the q2 columns scale with ts^3: compare within each column
+                err = np.abs(system.theta_map[:, col] - expected).max()
+                assert err <= 1e-13 * np.abs(expected).max(), (n, ts, L, col)
+
+    def test_closed_form_maps_match_reference(self):
+        # drift_map and residue_second_moment_from_cov against A's
+        # state-noise mean and A blockdiag(...) A^T
+        rng = np.random.default_rng(66)
+        for n, ts, L in MAP_CASES:
+            system = build_mdm_system(n, ts, L)
+            A = reference_residue_map(system)
+            n_w = (L - 1) * 2 * n
+            expected = A[:, :n_w].reshape(-1, L - 1, n, 2).sum(axis=1) @ clock_drift_mean(1.0, ts)
+            err = np.abs(system.drift_map - expected).max(axis=0)
+            assert np.all(err <= 1e-13 * np.abs(expected).max(axis=0)), (n, ts, L)
+            model = assemble_ensemble(random_params(rng, n), ts)
+            expected = (A @ noise_block(system, model.Q, model.R) @ A.T)[
+                np.triu_indices(system.n_residue)
+            ]
+            moment = residue_second_moment_from_cov(system, model.Q, model.R)
+            assert np.abs(moment - expected).max() <= 1e-13 * np.abs(expected).max(), (n, ts, L)
+
+    def test_stencil_spans_svd_left_null_space(self):
+        # the second-difference rows span the same space as the orthonormal
+        # left null space of O from its SVD
+        for n, L in ((4, 5), (3, 5), (4, 6), (4, 4)):
+            system = build_mdm_system(n, 5000.0, L)
+            U, s, _ = np.linalg.svd(system.O)
+            null = U[:, int(np.sum(s > 1e-10 * s[0])) :].T
+            assert null.shape[0] == system.n_residue
+            stacked = np.vstack([system.Am, null])
+            assert np.linalg.matrix_rank(stacked) == system.n_residue, (n, L)
 
     def test_maps_match_model_moments(self):
         # theta_map and drift_map reproduce the model's own residue moments
@@ -116,7 +172,7 @@ class TestBuildSystem:
                 mapped = system.theta_map @ theta_alpha_from_params(params)
                 assert np.abs(mapped - moment).max() <= 1e-12 * np.abs(moment).max()
                 n_w = (L - 1) * 2 * n
-                mean = system.A[:, :n_w] @ np.tile(model.mu, L - 1)
+                mean = reference_residue_map(system)[:, :n_w] @ np.tile(model.mu, L - 1)
                 mapped = system.drift_map @ params.drifts()
                 assert np.abs(mapped - mean).max() <= 1e-12 * np.abs(mean).max()
 

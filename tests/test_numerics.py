@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chronident.numerics import left_null_space, weighted_least_squares
+from chronident.numerics import weighted_least_squares
 
 
 class TestWeightedLeastSquares:
@@ -101,32 +101,3 @@ class TestWeightedLeastSquares:
             weighted_least_squares(np.eye(3), np.ones(2), np.ones(3))
         with pytest.raises(ValueError):
             weighted_least_squares(np.eye(2), np.ones(2), np.array([1.0, 0.0]))
-
-
-class TestLeftNullSpace:
-    def test_hand_computed_basis(self):
-        M = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        basis = left_null_space(M)
-        assert basis.shape == (1, 3)
-        expected = np.array([1.0, 1.0, -1.0]) / np.sqrt(3.0)
-        assert abs(abs(basis[0] @ expected) - 1.0) < 1e-12
-        np.testing.assert_allclose(basis @ M, 0.0, atol=1e-14)
-
-    def test_square_invertible_is_empty(self):
-        basis = left_null_space(np.array([[2.0, 1.0], [0.0, 3.0]]))
-        assert basis.shape == (0, 2)
-
-    def test_orthonormal_rows_and_annihilation(self):
-        rng = np.random.default_rng(4)
-        for _ in range(20):
-            rows = int(rng.integers(3, 12))
-            cols = int(rng.integers(1, rows))
-            M = rng.normal(size=(rows, cols))
-            basis = left_null_space(M)
-            assert basis.shape[0] == rows - np.linalg.matrix_rank(M)
-            if basis.shape[0]:
-                np.testing.assert_allclose(
-                    basis @ basis.T, np.eye(basis.shape[0]), atol=1e-12
-                )
-                smax = np.linalg.svd(M, compute_uv=False)[0]
-                assert np.linalg.norm(basis @ M) <= 1e-10 * smax * np.sqrt(rows)

@@ -1,4 +1,4 @@
-"""Mutation check of the outlier filter's median selection.
+"""Mutation check of the outlier filter's median selection and the estimators.
 
 Each mutant below is applied to a copy of the working tree as it is
 (without hidden files and directories), and the tier-1 suite runs on the
@@ -9,8 +9,8 @@ survives. Usage:
 
 The copies go to a fresh directory under DIR (the system temporary
 directory by default) and are removed afterwards. Each run of the suite
-takes up to about a minute on two CPUs. The exit status is 1 if any
-mutant survives.
+takes up to about a minute on two CPUs, so the eight mutants take up to
+about eight minutes. The exit status is 1 if any mutant survives.
 """
 
 from __future__ import annotations
@@ -24,38 +24,74 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TARGET = Path("src/chronident/simulate.py")
+SIMULATE = Path("src/chronident/simulate.py")
+ACOV = Path("src/chronident/ident_acov.py")
+MDM = Path("src/chronident/ident_mdm.py")
+NUMERICS = Path("src/chronident/numerics.py")
 
-# (name, text in TARGET, replacement)
+# (name, target file, text in it, replacement)
 MUTANTS = [
-    ("rank k + 1", "    k = (n - 1) // 2\n", "    k = (n - 1) // 2 + 1\n"),
+    ("rank k + 1", SIMULATE, "    k = (n - 1) // 2\n", "    k = (n - 1) // 2 + 1\n"),
     (
         "even n returns rank k alone",
+        SIMULATE,
         "    ranks = [j] if n % 2 else [j, j + 1]\n",
         "    ranks = [j]\n",
     ),
     (
         "negative values keyed as positive ones",
+        SIMULATE,
         "    flip = bits >> 63\n",
         "    flip = np.zeros_like(bits)\n",
     ),
     (
         "no final partition",
+        SIMULATE,
         "        gathered.partition([r for r in ranks if r < m])\n",
         "",
+    ),
+    (
+        "ACOV se x100",
+        ACOV,
+        "    return wishart_fit(system.Phi, system.sigma2, system.scale, system.n)\n",
+        "    x, diag = wishart_fit(system.Phi, system.sigma2, system.scale, system.n)\n"
+        "    diag[\"se\"] = 100.0 * diag[\"se\"]\n"
+        "    return x, diag\n",
+    ),
+    (
+        "MDM without the drift correction",
+        MDM,
+        "    centred = residues - correction[:, None]\n",
+        "    centred = residues\n",
+    ),
+    (
+        "MDM se x100",
+        MDM,
+        "        return wishart_fit(system.theta_map, moment, 1.0 / count, system.n)\n",
+        "        x, diag = wishart_fit(system.theta_map, moment, 1.0 / count, system.n)\n"
+        "        diag[\"se\"] = 100.0 * diag[\"se\"]\n"
+        "        return x, diag\n",
+    ),
+    (
+        # ACOV's design has n(n+1) columns, MDM's n(n+3)/2
+        "uniform ACOV weights",
+        NUMERICS,
+        "        w = 1.0 / wishart_variance(moments, scale).ravel()\n",
+        "        w = (np.ones(sample.size) if design.shape[1] == n * (n + 1)\n"
+        "             else 1.0 / wishart_variance(moments, scale).ravel())\n",
     ),
 ]
 
 
-def run_mutant(workdir: Path, name: str, old: str, new: str) -> str | None:
+def run_mutant(workdir: Path, name: str, target: Path, old: str, new: str) -> str | None:
     """The first tier-1 test that fails with the mutant applied, or None."""
     tree = workdir / "tree"
     shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(".*", "__pycache__"))
     try:
-        source = (tree / TARGET).read_text()
+        source = (tree / target).read_text()
         if source.count(old) != 1:
-            raise SystemExit(f"mutant {name!r}: its text is not found once in {TARGET}")
-        (tree / TARGET).write_text(source.replace(old, new))
+            raise SystemExit(f"mutant {name!r}: its text is not found once in {target}")
+        (tree / target).write_text(source.replace(old, new))
         env = dict(os.environ, PYTHONPATH=str(tree / "src"))
         result = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
@@ -76,8 +112,8 @@ def main() -> int:
     args = parser.parse_args()
     killed = 0
     with tempfile.TemporaryDirectory(dir=args.workdir) as workdir:
-        for name, old, new in MUTANTS:
-            failure = run_mutant(Path(workdir), name, old, new)
+        for name, target, old, new in MUTANTS:
+            failure = run_mutant(Path(workdir), name, target, old, new)
             killed += failure is not None
             print(f"{name}: {'killed by ' + failure if failure else 'SURVIVED'}", flush=True)
     print(f"kill rate {killed}/{len(MUTANTS)}")
