@@ -15,7 +15,6 @@ from .errors import (
     UnidentifiableError,
 )
 from .ident_acov import (
-    RegressionSystem,
     build_regression,
     estimate_acov_method,
     recover_drifts,
@@ -58,9 +57,9 @@ from .stability import (
     AcovEstimate,
     TauGrid,
     acov_grid,
-    acov_variance,
     analytic_acov,
     clock_avar,
+    default_grid,
     log_spaced_grid,
 )
 

@@ -37,7 +37,7 @@ from .simulate import (
     simulate_ensemble,
     write_measurements_csv,
 )
-from .stability import acov_grid, clock_avar, log_spaced_grid, write_acov_csv
+from .stability import acov_grid, clock_avar, default_grid, write_acov_csv
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
@@ -50,7 +50,7 @@ log = logging.getLogger("chronident")
 @dataclass
 class EstimationOptions:
     method: str = "acov"
-    ell: int = 20
+    ell: int | None = None
     m_max: int | None = None
     L: int = 5
     ts_target_s: float = 5000.0
@@ -99,9 +99,7 @@ def run_estimation(record: MeasurementRecord, opts: EstimationOptions) -> Estima
     """Apply optional preprocessing, then the selected method."""
     record = _filter_outliers(record, opts.outlier_k)
     if opts.method == "acov":
-        return estimate_acov_method(
-            record, ell=int(opts.ell), m_max=opts.m_max, d1=float(opts.d1)
-        )
+        return estimate_acov_method(record, ell=opts.ell, m_max=opts.m_max, d1=float(opts.d1))
     return estimate_mdm(
         record, L=int(opts.L), ts_target_s=float(opts.ts_target_s), d1=float(opts.d1)
     )
@@ -138,9 +136,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 def cmd_avar(args: argparse.Namespace) -> int:
     record = read_measurements_csv(args.input)
-    m_max = args.m_max if args.m_max is not None else record.n_steps // 2
-    grid = log_spaced_grid(args.ell if args.ell is not None else 20, m_max, record.Ts)
-    est = acov_grid(record, grid)
+    est = acov_grid(record, default_grid(record.n_steps, record.Ts, args.ell, args.m_max))
     write_acov_csv(est, args.out)
     print(f"wrote {len(est.pairs) * len(est.grid)} ACOV values -> {args.out}")
     return EXIT_OK
@@ -204,8 +200,7 @@ def run_monte_carlo(
     else:
         raw = [_mc_worker(p) for p in payloads]
 
-    m_max = options.m_max if options.m_max is not None else n_steps // 2
-    taus = log_spaced_grid(int(options.ell), int(m_max), ts).taus
+    taus = default_grid(int(n_steps), ts, options.ell, options.m_max).taus
     truth = pack_theta(params)
     summaries: dict = {}
     for method in methods:

@@ -21,8 +21,6 @@ its first n(n+3)/2 entries are the MDM parameter vector theta_alpha.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import UnidentifiableError
@@ -36,10 +34,9 @@ from .model import (
 from .numerics import wishart_fit
 from .report import EstimateReport
 from .simulate import _BLOCK, MeasurementRecord
-from .stability import AcovEstimate, acov_grid, log_spaced_grid
+from .stability import AcovEstimate, acov_grid, default_grid
 
 __all__ = [
-    "RegressionSystem",
     "theta_a_from_params",
     "build_regression",
     "solve_theta_a",
@@ -55,23 +52,10 @@ def theta_a_from_params(params: EnsembleParams) -> np.ndarray:
     return np.concatenate([theta_alpha_from_params(params), f_upper])
 
 
-@dataclass(frozen=True)
-class RegressionSystem:
-    """Stacked regression z_a = sigma2.ravel() ~ Phi theta_a.
-
-    ``sigma2`` and ``scale`` (1/nu of each ACOV) are laid out as in
-    AcovEstimate: rows follow the channel pairs of ``upper_triangle_pairs``,
-    columns the tau grid. Phi has one row per entry of ``sigma2.ravel()``.
-    """
-
-    sigma2: np.ndarray
-    scale: np.ndarray
-    Phi: np.ndarray
-    n: int
-
-
-def build_regression(acov: AcovEstimate, n: int) -> RegressionSystem:
-    """Assemble the regression of grid ACOV estimates for n clocks."""
+def build_regression(acov: AcovEstimate, n: int) -> np.ndarray:
+    """Design Phi of the regression acov.sigma2.ravel() ~ Phi theta_a for n
+    clocks: one row per entry of ``sigma2.ravel()`` (pair rows of
+    ``upper_triangle_pairs`` by the tau grid)."""
     n_z = n - 1
     pairs = upper_triangle_pairs(n_z)
     if acov.pairs != tuple(pairs):
@@ -96,12 +80,12 @@ def build_regression(acov: AcovEstimate, n: int) -> RegressionSystem:
         if i == j:
             Phi[rows, i] = white_fm
             Phi[rows, n + i] = walk_fm
-    return RegressionSystem(sigma2=acov.sigma2, scale=acov.scale, Phi=Phi, n=n)
+    return Phi
 
 
-def solve_theta_a(system: RegressionSystem) -> tuple[np.ndarray, dict]:
-    """Two-pass Wishart-weighted solve for theta_a (``wishart_fit``);
-    returns (theta_a, diagnostics).
+def solve_theta_a(acov: AcovEstimate, n: int) -> tuple[np.ndarray, dict]:
+    """Two-pass Wishart-weighted solve of the ACOVs for theta_a
+    (``wishart_fit``); returns (theta_a, diagnostics).
 
     Requires at least 4 distinct averaging times (the per-channel basis has
     4 functions of tau) and a full-column-rank regression; otherwise an
@@ -109,10 +93,10 @@ def solve_theta_a(system: RegressionSystem) -> tuple[np.ndarray, dict]:
     the variance-like entries (q1, q2, r_ii, f_ii) are clamped to
     1e-3 times their standard error and reported in ``clamped``.
     """
-    ell = system.sigma2.shape[1]  # grid taus increase strictly
+    ell = len(acov.grid)  # grid taus increase strictly
     if ell < 4:
         raise UnidentifiableError(f"need >= 4 distinct averaging times, got {ell}")
-    return wishart_fit(system.Phi, system.sigma2, system.scale, system.n)
+    return wishart_fit(build_regression(acov, n), acov.sigma2, acov.scale, n)
 
 
 def recover_drifts(
@@ -204,25 +188,22 @@ def fit_drifts(record: MeasurementRecord, d1: float = 0.0) -> np.ndarray:
 
 def estimate_acov_method(
     record: MeasurementRecord,
-    ell: int = 20,
+    ell: int | None = None,
     m_max: int | None = None,
     d1: float = 0.0,
 ) -> EstimateReport:
-    """Full ACOV pipeline: grid, ACOV estimates, Wishart fit, drift fit.
+    """Full ACOV pipeline: grid (``default_grid``), ACOV estimates, Wishart
+    fit, drift fit.
 
     On a masked record a rank-loss UnidentifiableError also names each
     channel's valid fraction and the averaging factors the mask dropped.
     """
     if not np.isfinite(d1):
         raise ValueError(f"pivot drift d1 must be finite, got {d1}")
-    if m_max is None:
-        m_max = record.n_steps // 2
-    if m_max < 1:
-        raise ValueError(f"record too short for ACOV estimation (N={record.n_steps})")
     n = record.n_z + 1
-    acov = acov_grid(record, log_spaced_grid(ell, m_max, record.Ts))
+    acov = acov_grid(record, default_grid(record.n_steps, record.Ts, ell, m_max))
     try:
-        theta_a, diagnostics = solve_theta_a(build_regression(acov, n))
+        theta_a, diagnostics = solve_theta_a(acov, n)
     except UnidentifiableError as exc:
         if record.valid is None:
             raise

@@ -7,10 +7,10 @@ state and measurement noises. Each channel's second differences
     Zbar_k = Am Z_k,   Am = B kron I_{n_z},
 
 with B the (L-2) x L band of (1, -2, 1) rows, are free of the state.
-Their mean is linear in the drifts and their second moment linear in q1,
-q2 and the unique elements of R, both in closed form, so both stages
-reduce to least-squares solves of known maps; the moments are fitted by
-``wishart_fit`` with nu the number of residue windows.
+Each of their L-2 rows of channel i has mean (d_{i+1} - d_1) ts^2, so the
+drifts are a row average; their second moment is linear in q1, q2 and
+the unique elements of R in closed form, and is fitted by ``wishart_fit``
+with nu the number of residue windows.
 
 A masked record (``MeasurementRecord.valid``) keeps only the windows whose
 L samples at the MDM period are valid on every channel.
@@ -25,7 +25,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NoResidueError, UnidentifiableError
 from .model import clock_noise_cov, ensemble_structure, params_from_theta_alpha
-from .numerics import weighted_least_squares, wishart_fit
+from .numerics import wishart_fit
 from .report import EstimateReport
 from .simulate import MeasurementRecord
 
@@ -197,12 +197,14 @@ def solve_drifts_from_mean(
     mean: np.ndarray, system: MdmSystem, d1: float = 0.0
 ) -> tuple[np.ndarray, dict]:
     """Drifts d^(2..n) from a residue mean, with the pivot drift known.
-    The map of d^(2..n) is ts^2 times L-2 stacked identities, so its rank
-    is full for every window."""
+
+    The map of d^(2..n) is ts^2 times L-2 stacked identities, so the
+    least-squares drifts are d1 plus the average of the L-2 rows over
+    ts^2; ``residual`` is the norm of the mean left unexplained."""
     mean = np.asarray(mean, dtype=float).ravel()
-    rhs = mean - system.drift_map[:, 0] * d1
-    x, diag = weighted_least_squares(system.drift_map[:, 1:], rhs, np.ones(mean.size))
-    return x, {"residual": diag.residual_norm, "cond": diag.condition_number}
+    drifts = d1 + mean.reshape(system.L - 2, system.n_z).mean(axis=0) / system.Ts**2
+    residual = mean - residue_mean_from_drifts(system, np.concatenate([[d1], drifts]))
+    return drifts, {"residual": float(np.linalg.norm(residual))}
 
 
 def solve_theta_alpha_from_moment(
@@ -267,7 +269,6 @@ def estimate_mdm(
     theta_alpha, diagnostics = estimate_theta_alpha(residues, drifts, system, d1=d1)
 
     diagnostics["drift_residual"] = drift_diag["residual"]
-    diagnostics["drift_cond"] = drift_diag["cond"]
     diagnostics["L"] = system.L
     diagnostics["ts_target_s"] = system.Ts
     diagnostics["n_residue_dim"] = system.n_residue

@@ -35,8 +35,8 @@ class EstimateReport:
     of the second moments), its ``cond``, ``rank`` and ``se``, and
     ``clamped`` (names of entries raised to the positive floor). The
     ``acov`` method adds ``ell`` and ``m_max``; the ``mdm`` method adds
-    ``drift_residual``, ``drift_cond``, ``L``, ``ts_target_s`` and
-    ``n_residue_dim``. Both add
+    ``drift_residual`` (norm of the residue mean its drifts leave),
+    ``L``, ``ts_target_s`` and ``n_residue_dim``. Both add
     ``valid_fraction`` (valid samples per channel) for a masked record,
     and ``acov`` then adds ``dropped_m`` (averaging factors of its grid
     that some channel pair had no valid second difference for).

@@ -36,9 +36,9 @@ __all__ = [
     "TauGrid",
     "AcovEstimate",
     "log_spaced_grid",
+    "default_grid",
     "analytic_acov",
     "clock_avar",
-    "acov_variance",
     "acov_grid",
     "write_acov_csv",
 ]
@@ -80,6 +80,18 @@ def log_spaced_grid(ell: int, m_max: int, ts: float) -> TauGrid:
     return TauGrid(m_values=m, Ts=ts)
 
 
+def default_grid(
+    n_steps: int, ts: float, ell: int | None = None, m_max: int | None = None
+) -> TauGrid:
+    """The ACOV grid of a record of n_steps steps: ``log_spaced_grid`` of
+    ell factors (20 when None) up to m_max (N // 2 when None)."""
+    if m_max is None:
+        if n_steps < 2:
+            raise ValueError(f"record too short for ACOV estimation (N={n_steps})")
+        m_max = n_steps // 2
+    return log_spaced_grid(20 if ell is None else int(ell), int(m_max), ts)
+
+
 def analytic_acov(params: EnsembleParams, i: int, j: int, tau: float) -> float:
     """Model-implied Allan covariance of measurement channels i and j.
 
@@ -107,32 +119,15 @@ def clock_avar(q1: float, q2: float, d: float, tau):
     return q1 / tau + q2 * tau / 3.0 + d**2 * tau**2 / 2.0
 
 
-def acov_variance(
-    sigma2: float | np.ndarray, n_steps: int, m: int | np.ndarray
-) -> float | np.ndarray:
-    """Wishart variance (s_ii s_jj + s_ij^2)/nu of ACOVs s, nu = N/m.
-
-    ``sigma2`` is laid out as AcovEstimate.sigma2 (pair rows by one column
-    per m), or is one AVAR, whose variance is the chi-square 2 s^2/nu (NIST
-    SP 1065); nu = N/m is the conservative random-walk choice of degrees
-    of freedom.
-    """
-    m = np.asarray(m)
-    if n_steps < 2 * m.max():
-        raise ValueError(f"need N >= 2m, got N={n_steps}, m={m.max()}")
-    s = np.asarray(sigma2, dtype=float)
-    return wishart_variance(s.reshape(-1, m.size), m / n_steps).reshape(s.shape)
-
-
 @dataclass(frozen=True)
 class AcovEstimate:
     """ACOV estimates for all channel pairs over a tau grid.
 
     Rows of sigma2/var follow the row-major channel pairs of
     upper_triangle_pairs(n_z); columns follow grid.taus. ``scale`` holds
-    1/nu of each estimate, m/N as in ``acov_variance``, and ``counts`` the
-    valid second differences behind it, both in the same layout; for a
-    masked record (``counts`` not None) nu is scaled by counts/(N - 2m + 1).
+    1/nu of each estimate, m/N, and ``counts`` the valid second
+    differences behind it, both in the same layout; for a masked record
+    (``counts`` not None) nu is scaled by counts/(N - 2m + 1).
     ``dropped_m`` lists the requested averaging factors that some pair had
     no valid column for; they are not in ``grid``.
     """
@@ -146,7 +141,9 @@ class AcovEstimate:
 
     @property
     def var(self) -> np.ndarray:
-        """Wishart variance of each estimate (``acov_variance``)."""
+        """Wishart variance (s_ii s_jj + s_ij^2)/nu of each estimate
+        (``wishart_variance``), for one AVAR the chi-square 2 s^2/nu (NIST
+        SP 1065); nu = N/m is the conservative random-walk choice."""
         return wishart_variance(self.sigma2, self.scale)
 
 

@@ -112,18 +112,17 @@ class TestThetaA:
 class TestBuildRegression:
     def test_year_scale_dimensions(self, maser_params):
         est = analytic_estimate(maser_params, YEAR_GRID, YEAR_STEPS)
-        system = build_regression(est, 4)
-        assert system.Phi.shape == (120, 20)
-        assert system.sigma2.shape == (6, 20)
-        assert system.scale.shape == (6, 20)
+        assert build_regression(est, 4).shape == (120, 20)
+        assert est.sigma2.shape == (6, 20)
+        assert est.scale.shape == (6, 20)
 
     def test_stacked_exactness(self, maser_params):
         # analytic ACOVs satisfy z_a = Phi theta_a to machine precision
         est = analytic_estimate(maser_params, YEAR_GRID, YEAR_STEPS)
-        system = build_regression(est, 4)
+        Phi = build_regression(est, 4)
         ta = theta_a_from_params(maser_params)
-        z_a = system.sigma2.ravel()
-        rel = np.linalg.norm(z_a - system.Phi @ ta) / np.linalg.norm(z_a)
+        z_a = est.sigma2.ravel()
+        rel = np.linalg.norm(z_a - Phi @ ta) / np.linalg.norm(z_a)
         assert rel <= 1e-12
 
     def test_single_avar_row_pattern(self):
@@ -132,11 +131,11 @@ class TestBuildRegression:
         )
         grid = log_spaced_grid(2, 2, 1.0)  # m = 1, 2
         est = analytic_estimate(params, grid, 100)
-        system = build_regression(est, 2)
+        Phi = build_regression(est, 2)
         tau = grid.taus[0]
         # columns: q1^(1), q1^(2), q2^(1), q2^(2), r_11, f_11
         np.testing.assert_allclose(
-            system.Phi[0],
+            Phi[0],
             [1 / tau, 1 / tau, tau / 3, tau / 3, 3 / tau**2, tau**2 / 2],
         )
 
@@ -152,8 +151,7 @@ class TestSolveThetaA:
         for _ in range(5):
             params = random_params(rng, int(rng.integers(3, 6)))
             grid = log_spaced_grid(12, 4096, 1.0)
-            system = build_regression(analytic_estimate(params, grid, 10_000), params.n)
-            ta_hat, diag = solve_theta_a(system)
+            ta_hat, diag = solve_theta_a(analytic_estimate(params, grid, 10_000), params.n)
             ta_true = theta_a_from_params(params)
             err = np.abs(ta_hat - ta_true) / np.abs(ta_true).max()
             assert err.max() < 1e-10
@@ -161,10 +159,7 @@ class TestSolveThetaA:
 
     def test_exact_recovery_maser_scale(self, maser_params):
         # r components sit at the float64 representation floor (see ledger)
-        system = build_regression(
-            analytic_estimate(maser_params, YEAR_GRID, YEAR_STEPS), 4
-        )
-        ta_hat, _ = solve_theta_a(system)
+        ta_hat, _ = solve_theta_a(analytic_estimate(maser_params, YEAR_GRID, YEAR_STEPS), 4)
         ta_true = theta_a_from_params(maser_params)
         rel = np.abs(ta_hat - ta_true) / np.abs(ta_true)
         r_entries = range(8, 14)  # [q1 x 4, q2 x 4, r upper, f upper]
@@ -178,23 +173,22 @@ class TestSolveThetaA:
         # order in which rows and columns are stacked
         _, record = simulate_ensemble(maser_model, 630_000, seed=1000, keep_states=False)
         acov = acov_grid(record, log_spaced_grid(20, 315_000, 5.0))
-        system = build_regression(acov, 4)
-        z_a, w = system.sigma2.ravel(), 1.0 / acov.var.ravel()
-        x0, _ = weighted_least_squares(system.Phi, z_a, w)
+        Phi = build_regression(acov, 4)
+        z_a, w = acov.sigma2.ravel(), 1.0 / acov.var.ravel()
+        x0, _ = weighted_least_squares(Phi, z_a, w)
         rng = np.random.default_rng(7)
         for _ in range(20):
-            rows = rng.permutation(system.Phi.shape[0])
-            cols = rng.permutation(system.Phi.shape[1])
-            x_perm, _ = weighted_least_squares(system.Phi[rows][:, cols], z_a[rows], w[rows])
+            rows = rng.permutation(Phi.shape[0])
+            cols = rng.permutation(Phi.shape[1])
+            x_perm, _ = weighted_least_squares(Phi[rows][:, cols], z_a[rows], w[rows])
             x = np.empty_like(x_perm)
             x[cols] = x_perm
             assert np.max(np.abs(x - x0) / np.abs(x0)) < 1e-12
 
     def test_too_few_taus_unidentifiable(self, maser_params):
         grid = log_spaced_grid(2, 100, 5.0)
-        system = build_regression(analytic_estimate(maser_params, grid, 1000), 4)
         with pytest.raises(UnidentifiableError):
-            solve_theta_a(system)
+            solve_theta_a(analytic_estimate(maser_params, grid, 1000), 4)
 
     def test_two_clock_split_unidentifiable(self):
         # with a single channel the pivot/non-pivot noise split is not
@@ -203,28 +197,24 @@ class TestSolveThetaA:
             clocks=(ClockParams(1.0, 1.0), ClockParams(2.0, 0.5)), R=np.array([[0.3]])
         )
         grid = log_spaced_grid(8, 256, 1.0)
-        system = build_regression(analytic_estimate(params, grid, 1000), 2)
         with pytest.raises(UnidentifiableError) as exc_info:
-            solve_theta_a(system)
+            solve_theta_a(analytic_estimate(params, grid, 1000), 2)
         assert exc_info.value.null_directions.shape[0] >= 1
 
     def test_negative_variance_entry_clamped(self, maser_params):
-        system = build_regression(
-            analytic_estimate(maser_params, YEAR_GRID, YEAR_STEPS), 4
-        )
+        est = analytic_estimate(maser_params, YEAR_GRID, YEAR_STEPS)
         ta_true = theta_a_from_params(maser_params)
         bad = ta_true.copy()
         bad[8] = -bad[8]  # flip r_11 negative
-        system_bad = replace(system, sigma2=(system.Phi @ bad).reshape(system.sigma2.shape))
-        ta_hat, diag = solve_theta_a(system_bad)
+        est_bad = replace(est, sigma2=(build_regression(est, 4) @ bad).reshape(est.sigma2.shape))
+        ta_hat, diag = solve_theta_a(est_bad, 4)
         assert "r_11" in diag["clamped"]
         assert ta_hat[8] > 0.0
 
     def test_single_run_estimate_quality(self, maser_model, maser_params):
         _, record = simulate_ensemble(maser_model, 200_000, seed=1, keep_states=False)
         grid = log_spaced_grid(20, 100_000, 5.0)
-        system = build_regression(acov_grid(record, grid), 4)
-        ta_hat, _ = solve_theta_a(system)
+        ta_hat, _ = solve_theta_a(acov_grid(record, grid), 4)
         assert abs(ta_hat[1] - 1.5e-27) / 1.5e-27 < 0.15
 
     def test_optimality_beats_truth_on_data(self, maser_model, maser_params):
@@ -233,16 +223,14 @@ class TestSolveThetaA:
         # weights (the Wishart variance of the first solve's clamped fit)
         _, record = simulate_ensemble(maser_model, 50_000, seed=2, keep_states=False)
         acov = acov_grid(record, log_spaced_grid(15, 20_000, 5.0))
-        system = build_regression(acov, 4)
-        ta_hat, diag = solve_theta_a(system)
-        z_a = system.sigma2.ravel()
-        first, first_diag = weighted_least_squares(system.Phi, z_a, 1.0 / acov.var.ravel())
+        Phi = build_regression(acov, 4)
+        ta_hat, diag = solve_theta_a(acov, 4)
+        z_a = acov.sigma2.ravel()
+        first, first_diag = weighted_least_squares(Phi, z_a, 1.0 / acov.var.ravel())
         clamp_negative_variances(first, first_diag.se, 4)
-        fitted = (system.Phi @ first).reshape(system.sigma2.shape)
-        sqrt_w = np.sqrt(1.0 / wishart_variance(fitted, system.scale).ravel())
-        resid_truth = np.linalg.norm(
-            sqrt_w * (z_a - system.Phi @ theta_a_from_params(maser_params))
-        )
+        fitted = (Phi @ first).reshape(acov.sigma2.shape)
+        sqrt_w = np.sqrt(1.0 / wishart_variance(fitted, acov.scale).ravel())
+        resid_truth = np.linalg.norm(sqrt_w * (z_a - Phi @ theta_a_from_params(maser_params)))
         assert diag["residual"] <= resid_truth + 1e-12
 
     def test_clock_permutation_equivariance(self, maser_params):
@@ -254,10 +242,8 @@ class TestSolveThetaA:
         permuted = EnsembleParams(clocks=clocks, R=R_perm)
 
         grid = log_spaced_grid(12, 65_536, 5.0)
-        sys_orig = build_regression(analytic_estimate(maser_params, grid, 200_000), 4)
-        sys_perm = build_regression(analytic_estimate(permuted, grid, 200_000), 4)
-        ta_orig, _ = solve_theta_a(sys_orig)
-        ta_perm, _ = solve_theta_a(sys_perm)
+        ta_orig, _ = solve_theta_a(analytic_estimate(maser_params, grid, 200_000), 4)
+        ta_perm, _ = solve_theta_a(analytic_estimate(permuted, grid, 200_000), 4)
         np.testing.assert_allclose(
             ta_perm[1:4],
             ta_orig[1:4][chan_perm],
@@ -441,7 +427,7 @@ class TestEstimateAcovMethod:
         masked, _ = remove_outliers(quantised_record(record), k=5.0)
         acov = acov_grid(masked, log_spaced_grid(20, 1000, 5.0))
         with pytest.raises(UnidentifiableError) as fit_err:
-            solve_theta_a(build_regression(acov, 4))
+            solve_theta_a(acov, 4)
         with pytest.raises(UnidentifiableError, match="valid fractions") as err:
             estimate_acov_method(masked)
         assert str(err.value).startswith(f"{fit_err.value}; ")
@@ -458,8 +444,7 @@ class TestExactPipelineInvariant:
             n = int(rng.integers(3, 6))
             params = random_params(rng, n)
             grid = log_spaced_grid(12, 4096, 1.0)
-            system = build_regression(analytic_estimate(params, grid, 10_000), n)
-            ta_hat, _ = solve_theta_a(system)
+            ta_hat, _ = solve_theta_a(analytic_estimate(params, grid, 10_000), n)
             delta_true = params.drifts()[1:] - params.clocks[0].d
             d_hat, _ = recover_drifts(
                 upper_to_symmetric(ta_hat[n * (n + 3) // 2 :], n - 1),
@@ -478,10 +463,7 @@ class TestExactPipelineInvariant:
             assert np.abs(theta_hat - theta_true).max() / scale < 1e-8
 
     def test_full_pipeline_on_exact_data_maser(self, maser_params):
-        system = build_regression(
-            analytic_estimate(maser_params, YEAR_GRID, YEAR_STEPS), 4
-        )
-        ta_hat, _ = solve_theta_a(system)
+        ta_hat, _ = solve_theta_a(analytic_estimate(maser_params, YEAR_GRID, YEAR_STEPS), 4)
         d_hat, _ = recover_drifts(
             upper_to_symmetric(ta_hat[14:], 3), d1=0.0, sign_hint=np.ones(3)
         )

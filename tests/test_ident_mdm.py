@@ -311,6 +311,37 @@ class TestDriftEstimation:
         d_hat, _ = solve_drifts_from_mean(mean, system, d1=0.0)
         np.testing.assert_allclose(d_hat, [0.3], rtol=1e-12)
 
+    @staticmethod
+    def assert_matches_lstsq(mean, system, d1):
+        d_hat, diag = solve_drifts_from_mean(mean, system, d1=d1)
+        rhs = mean - system.drift_map[:, 0] * d1
+        x, *_ = np.linalg.lstsq(system.drift_map[:, 1:], rhs, rcond=None)
+        assert np.max(np.abs(d_hat - x)) <= 1e-13 * np.max(np.abs(x))
+        residual = np.linalg.norm(rhs - system.drift_map[:, 1:] @ x)
+        # L = 3 leaves no residual: both are rounding of the mean
+        assert abs(diag["residual"] - residual) <= 1e-14 * np.linalg.norm(mean)
+
+    @pytest.mark.parametrize("n, ts, L", MAP_CASES)
+    def test_closed_form_matches_lstsq(self, n, ts, L):
+        # the row average is the least-squares solution of the stacked map,
+        # also for a mean that no drift vector explains exactly
+        rng = np.random.default_rng(L * 10 + n)
+        system = build_mdm_system(n, ts, L)
+        drifts = rng.normal(size=n)
+        mean = residue_mean_from_drifts(system, drifts)
+        mean = mean + 0.1 * ts**2 * rng.normal(size=mean.size)
+        self.assert_matches_lstsq(mean, system, drifts[0])
+
+    def test_closed_form_matches_lstsq_on_masked_record(self, maser_model):
+        _, record = simulate_ensemble(maser_model, 40_000, seed=61, keep_states=False)
+        valid = np.ones(record.Z.shape, dtype=bool)
+        valid[1, 7000:12000] = False
+        masked = MeasurementRecord(Ts=5.0, Z=record.Z, valid=valid)
+        system = build_mdm_system(4, 250.0, 5)
+        residues = compute_residues(masked, system)
+        assert residues.shape[1] < compute_residues(record, system).shape[1]
+        self.assert_matches_lstsq(residues.mean(axis=1), system, 2e-21)
+
 
 class TestThetaAlphaEstimation:
     def test_exact_moment_round_trip_balanced(self):
@@ -394,7 +425,7 @@ class TestEstimateMdm:
         diag = report.diagnostics
         assert set(diag) == {
             "residual", "cond", "rank", "se", "clamped", "drift_residual",
-            "drift_cond", "L", "ts_target_s", "n_residue_dim",
+            "L", "ts_target_s", "n_residue_dim",
         }
         assert diag["L"] == 5
         assert diag["ts_target_s"] == 250.0

@@ -8,10 +8,10 @@ from chronident import (
     EnsembleParams,
     MeasurementRecord,
     acov_grid,
-    acov_variance,
     analytic_acov,
     assemble_ensemble,
     clock_avar,
+    default_grid,
     log_spaced_grid,
     simulate_ensemble,
 )
@@ -22,6 +22,7 @@ from chronident.stability import (
     write_acov_csv,
 )
 from chronident.errors import UnidentifiableError
+from chronident.numerics import wishart_variance
 from conftest import gapped_record, random_params
 
 
@@ -57,7 +58,7 @@ class TestEmpiricalAcov:
         est = _acov(record, 1, 1, 1)
         expected = 3.0 * r11 / 5.0**2
         np.testing.assert_allclose(expected, 1.08e-35)
-        std = np.sqrt(acov_variance(est, n_steps, 1))
+        std = np.sqrt(wishart_variance(np.array([[est]]), 1 / n_steps))[0, 0]
         assert abs(est - expected) <= 3.0 * std
 
     def test_scale_equivariance(self, maser_model):
@@ -172,22 +173,20 @@ class TestAnalyticAcov:
 
 class TestAcovVariance:
     def test_reference_value(self):
-        # chi-square variance 2 sigma^4 / nu with nu = N/m
-        var = acov_variance(2.5e-30, 6_312_000, 200)
+        # one AVAR: chi-square variance 2 sigma^4 / nu with nu = N/m
+        var = wishart_variance(np.array([[2.5e-30]]), 200 / 6_312_000)[0, 0]
         np.testing.assert_allclose(var, 2.0 * (2.5e-30) ** 2 * 200 / 6_312_000)
         np.testing.assert_allclose(var, 3.961e-64, rtol=1e-3)
 
     def test_zero_estimate_gets_positive_floor(self):
-        assert acov_variance(0.0, 1000, 10) > 0.0
+        assert wishart_variance(np.zeros((1, 1)), 10 / 1000)[0, 0] > 0.0
 
     def test_negative_cross_estimate_uses_magnitude(self):
-        var = acov_variance(-1e-36, 1000, 10)
-        assert var == acov_variance(1e-36, 1000, 10)
-        assert var > 0.0
-
-    def test_m_too_large(self):
-        with pytest.raises(ValueError):
-            acov_variance(1.0, 100, 51)
+        # vech rows (1,1), (1,2), (2,2) of one 2 x 2 ACOV matrix
+        vech = np.array([[2e-36], [-1e-36], [3e-36]])
+        var = wishart_variance(vech, 10 / 1000)
+        assert np.array_equal(var, wishart_variance(np.abs(vech), 10 / 1000))
+        assert var[1, 0] > 0.0
 
 
 class TestTauGrid:
@@ -220,6 +219,17 @@ class TestTauGrid:
             log_spaced_grid(1, 100, 1.0)
         with pytest.raises(ValueError):
             TauGrid(m_values=np.array([3, 2]), Ts=1.0)
+
+    def test_default_grid(self):
+        # 20 factors up to N // 2 unless given; estimate, avar and
+        # montecarlo all take their grid from here
+        default = default_grid(20_001, 5.0)
+        np.testing.assert_array_equal(default.m_values, log_spaced_grid(20, 10_000, 5.0).m_values)
+        assert default.Ts == 5.0
+        given = default_grid(20_001, 5.0, ell=5, m_max=16)
+        np.testing.assert_array_equal(given.m_values, [1, 2, 4, 8, 16])
+        with pytest.raises(ValueError, match="record too short"):
+            default_grid(1, 5.0)
 
 
 class TestAcovGrid:
@@ -292,7 +302,7 @@ class TestAcovGrid:
                 expected = (s_ii * s_jj + s_ij**2) * (m / 5000) + 1e-100
                 np.testing.assert_allclose(est.var[row, p], expected, rtol=1e-15)
                 if i == j:
-                    assert est.var[row, p] == acov_variance(float(s_ii), 5000, int(m))
+                    assert est.var[row, p] == wishart_variance(np.array([[s_ii]]), m / 5000)[0, 0]
 
     def test_peak_memory_below_record_size(self, maser_model):
         # no full-length second-difference temporaries

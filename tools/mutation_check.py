@@ -9,8 +9,8 @@ survives. Usage:
 
 The copies go to a fresh directory under DIR (the system temporary
 directory by default) and are removed afterwards. Each run of the suite
-takes up to about a minute on two CPUs, so the eight mutants take up to
-about eight minutes. The exit status is 1 if any mutant survives.
+takes up to about a minute on two CPUs, so the nine mutants take up to
+about nine minutes. The exit status is 1 if any mutant survives.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ MUTANTS = [
     (
         "ACOV se x100",
         ACOV,
-        "    return wishart_fit(system.Phi, system.sigma2, system.scale, system.n)\n",
-        "    x, diag = wishart_fit(system.Phi, system.sigma2, system.scale, system.n)\n"
+        "    return wishart_fit(build_regression(acov, n), acov.sigma2, acov.scale, n)\n",
+        "    x, diag = wishart_fit(build_regression(acov, n), acov.sigma2, acov.scale, n)\n"
         "    diag[\"se\"] = 100.0 * diag[\"se\"]\n"
         "    return x, diag\n",
     ),
@@ -63,6 +63,12 @@ MUTANTS = [
         MDM,
         "    centred = residues - correction[:, None]\n",
         "    centred = residues\n",
+    ),
+    (
+        "MDM drifts without the pivot drift",
+        MDM,
+        "    drifts = d1 + mean.reshape(system.L - 2, system.n_z).mean(axis=0) / system.Ts**2\n",
+        "    drifts = mean.reshape(system.L - 2, system.n_z).mean(axis=0) / system.Ts**2\n",
     ),
     (
         "MDM se x100",
