@@ -47,15 +47,34 @@ EXIT_NUMERICAL = 4
 log = logging.getLogger("chronident")
 
 
-@dataclass
+# each method's estimator and the EstimationOptions fields it takes, with their types
+_ESTIMATORS = {
+    "acov": (estimate_acov_method, {"ell": int, "m_max": int, "d1": float}),
+    "mdm": (estimate_mdm, {"L": int, "ts_target_s": float, "d1": float}),
+}
+METHODS = tuple(_ESTIMATORS)
+
+
+@dataclass(frozen=True)
 class EstimationOptions:
+    """The method and its settings, checked when built; None leaves a setting to the estimator."""
+
     method: str = "acov"
     ell: int | None = None
     m_max: int | None = None
-    L: int = 5
-    ts_target_s: float = 5000.0
-    d1: float = 0.0
+    L: int | None = None
+    ts_target_s: float | None = None
+    d1: float | None = None
     outlier_k: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.method not in METHODS:
+            names = " or ".join(map(repr, METHODS))
+            raise ValueError(f"method must be {names}, got '{self.method}'")
+        if self.d1 is not None and not np.isfinite(float(self.d1)):
+            raise ValueError(f"pivot drift d1 must be finite, got {float(self.d1)}")
+        if self.outlier_k is not None and not float(self.outlier_k) > 0.0:
+            raise ValueError(f"threshold k must be > 0, got {float(self.outlier_k)}")
 
 
 def _setup_logging() -> None:
@@ -69,17 +88,11 @@ def _options_from(extras: dict, args: argparse.Namespace) -> EstimationOptions:
     est = extras.get("estimation", {})
     if not isinstance(est, dict):
         raise ValueError("config field 'estimation' must be an object")
-    unknown = sorted(set(est) - {f.name for f in fields(EstimationOptions)})
-    if unknown:
+    names = {f.name for f in fields(EstimationOptions)}
+    if unknown := sorted(set(est) - names):
         raise ValueError(f"unknown key(s) in config field 'estimation': {', '.join(unknown)}")
-    opts = EstimationOptions()
-    for name in (f.name for f in fields(EstimationOptions)):
-        for source in (est, vars(args)):
-            if source.get(name) is not None:
-                setattr(opts, name, source[name])
-    if opts.method not in ("acov", "mdm"):
-        raise ValueError(f"method must be 'acov' or 'mdm', got '{opts.method}'")
-    return opts
+    chosen = {n: src[n] for src in (est, vars(args)) for n in names if src.get(n) is not None}
+    return EstimationOptions(**chosen)
 
 
 def _filter_outliers(record: MeasurementRecord, k: float | None) -> MeasurementRecord:
@@ -96,13 +109,11 @@ def _filter_outliers(record: MeasurementRecord, k: float | None) -> MeasurementR
 
 
 def run_estimation(record: MeasurementRecord, opts: EstimationOptions) -> EstimateReport:
-    """Apply optional preprocessing, then the selected method."""
+    """Apply optional preprocessing, then the selected method with the options that are set."""
     record = _filter_outliers(record, opts.outlier_k)
-    if opts.method == "acov":
-        return estimate_acov_method(record, ell=opts.ell, m_max=opts.m_max, d1=float(opts.d1))
-    return estimate_mdm(
-        record, L=int(opts.L), ts_target_s=float(opts.ts_target_s), d1=float(opts.d1)
-    )
+    estimate, kinds = _ESTIMATORS[opts.method]
+    settings = {n: getattr(opts, n) for n in kinds}
+    return estimate(record, **{n: kinds[n](v) for n, v in settings.items() if v is not None})
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -122,8 +133,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    record = read_measurements_csv(args.input)
     opts = _options_from({}, args)
+    record = read_measurements_csv(args.input)
     report = run_estimation(record, opts)
     if args.out:
         write_report_json(report, args.out)
@@ -145,15 +156,9 @@ def cmd_avar(args: argparse.Namespace) -> int:
 def _mc_worker(payload: tuple) -> tuple[int, dict]:
     """Simulate one run, mask its outliers once if asked, and estimate with
     every requested method."""
-    run_idx, seed, params, ts, n_steps, options, methods = payload
-    _, record = simulate_ensemble(
-        assemble_ensemble(params, ts), n_steps, seed, keep_states=False
-    )
-    try:
-        record = _filter_outliers(record, options.outlier_k)
-    except Exception as exc:  # every method's run fails alike
-        error = f"{type(exc).__name__}: {exc}"
-        return run_idx, {method: {"theta": None, "error": error} for method in methods}
+    run_idx, seed, model, n_steps, options, methods = payload
+    _, record = simulate_ensemble(model, n_steps, seed, keep_states=False)
+    record = _filter_outliers(record, options.outlier_k)
     results: dict = {}
     for method in methods:
         try:
@@ -179,19 +184,20 @@ def run_monte_carlo(
     Returns {method: summary} where summary carries per-parameter stats
     and per-clock AVAR curves (truth, MC-mean estimate, 2.5/97.5
     percentile bands across runs). Aggregation order is fixed by run
-    index, so results are independent of the concurrency level.
+    index, so results are independent of the concurrency level. The
+    methods, model and tau grid are checked before any run is simulated.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
-    # the estimators' own checks, made once before any run is simulated
-    d1, k = float(options.d1), options.outlier_k
-    if not np.isfinite(d1):
-        raise ValueError(f"pivot drift d1 must be finite, got {d1}")
-    if k is not None and not float(k) > 0.0:
-        raise ValueError(f"threshold k must be > 0, got {float(k)}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    for method in methods:  # EstimationOptions checks each name
+        replace(options, method=method)
+    model = assemble_ensemble(params, ts)
+    taus = default_grid(int(n_steps), ts, options.ell, options.m_max).taus
     n = params.n
     payloads = [
-        (i, derive_run_seed(master_seed, i), params, ts, int(n_steps), options, list(methods))
+        (i, derive_run_seed(master_seed, i), model, int(n_steps), options, list(methods))
         for i in range(runs)
     ]
     if jobs > 1:
@@ -200,7 +206,6 @@ def run_monte_carlo(
     else:
         raw = [_mc_worker(p) for p in payloads]
 
-    taus = default_grid(int(n_steps), ts, options.ell, options.m_max).taus
     truth = pack_theta(params)
     summaries: dict = {}
     for method in methods:
@@ -318,7 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     # flags shared by estimate and montecarlo; each dest is an EstimationOptions field
     est = argparse.ArgumentParser(add_help=False)
-    est.add_argument("--method", choices=["acov", "mdm"], default=None)
+    est.add_argument("--method", choices=METHODS, default=None)
     est.add_argument("--ell", type=int, default=None)
     est.add_argument("--m-max", dest="m_max", type=int, default=None)
     est.add_argument("--L", dest="L", type=int, default=None)

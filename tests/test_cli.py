@@ -1,3 +1,4 @@
+import inspect
 import json
 import logging
 import os
@@ -29,6 +30,7 @@ from chronident.cli import (
     run_monte_carlo,
     write_mc_outputs,
 )
+from chronident.ident_mdm import estimate_mdm
 from chronident.model import dump_ensemble_config
 
 from conftest import quantised_record
@@ -200,6 +202,30 @@ class TestEstimateCommand:
         code = main(["estimate", str(measurement_path), *flags, "--out", str(out)])
         assert code == EXIT_INVALID_INPUT
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--outlier-k", "-1"], "threshold k must be > 0, got -1.0"),
+            (["--d1", "nan"], "pivot drift d1 must be finite, got nan"),
+        ],
+        ids=["outlier_k", "d1"],
+    )
+    def test_bad_option_fails_before_reading(self, tmp_path, capsys, monkeypatch, flags, message):
+        calls = []
+        monkeypatch.setattr(cli, "read_measurements_csv", lambda path: calls.append(path))
+        code = main(["estimate", str(tmp_path / "meas.csv"), "--method", "mdm", *flags])
+        assert code == EXIT_INVALID_INPUT
+        assert calls == []
+        assert message in capsys.readouterr().err
+
+    def test_mdm_defaults_are_the_estimators(self, measurement_path, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["estimate", str(measurement_path), "--method", "mdm", "--out", str(out)]) == 0
+        diagnostics = json.loads(out.read_text())["diagnostics"]
+        defaults = inspect.signature(estimate_mdm).parameters
+        assert diagnostics["L"] == defaults["L"].default
+        assert diagnostics["ts_target_s"] == defaults["ts_target_s"].default
 
     def test_too_short_file_exit_code(self, tmp_path):
         path = tmp_path / "short.csv"
@@ -452,8 +478,11 @@ class TestMonteCarloCommand:
                 {"method": "mdm", "ts_target": 100},
                 "unknown key(s) in config field 'estimation': ts_target",
             ),
+            ([], {"method": "acvo"}, "method must be 'acov' or 'mdm', got 'acvo'"),
+            ([], {"ell": 1}, "ell must be >= 2, got 1"),
+            (["--jobs", "0"], {}, "jobs must be >= 1, got 0"),
         ],
-        ids=["d1", "outlier_k", "unknown_key"],
+        ids=["d1", "outlier_k", "unknown_key", "method", "ell", "jobs"],
     )
     def test_bad_option_fails_before_simulating(
         self, tmp_path, capsys, monkeypatch, maser_params, flags, estimation, message
@@ -473,6 +502,28 @@ class TestMonteCarloCommand:
         assert not out_dir.exists()
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "methods, jobs, message",
+        [
+            (["accov"], 1, "method must be 'acov' or 'mdm', got 'accov'"),
+            (["acov"], -4, "jobs must be >= 1, got -4"),
+        ],
+        ids=["method", "jobs"],
+    )
+    def test_library_rejects_before_simulating(
+        self, monkeypatch, maser_params, methods, jobs, message
+    ):
+        calls = []
+        monkeypatch.setattr(
+            "chronident.cli.simulate_ensemble", lambda *args, **kwargs: calls.append(args)
+        )
+        with pytest.raises(ValueError, match=message):
+            run_monte_carlo(
+                maser_params, 5.0, 2000, EstimationOptions(), methods, runs=2, master_seed=1,
+                jobs=jobs,
+            )
+        assert calls == []
+
 
 @pytest.fixture(scope="class")
 def long_csv(tmp_path_factory, maser_model):
@@ -487,6 +538,22 @@ def long_csv(tmp_path_factory, maser_model):
 
 
 class TestRunEstimation:
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError, match="method must be 'acov' or 'mdm', got 'acvo'"):
+            EstimationOptions(method="acvo")
+
+    def test_config_text_values_take_the_estimators_types(self, maser_model):
+        # a config may spell a number as JSON text; the estimator gets it as
+        # the type it takes, as it does from a flag
+        _, record = simulate_ensemble(maser_model, 5000, seed=8, keep_states=False)
+        for typed, text in [
+            (dict(method="acov", ell=10, d1=0.0), dict(method="acov", ell="10", d1="0")),
+            (dict(method="mdm", L=5, ts_target_s=100.0), dict(method="mdm", L="5", ts_target_s="100")),
+        ]:
+            expected = run_estimation(record, EstimationOptions(**typed)).theta
+            got = run_estimation(record, EstimationOptions(**text)).theta
+            assert got.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("method", ["acov", "mdm"])
     def test_spike_at_middle_sample_of_even_record(self, maser_model, method):
         # the default m_max = N/2 has one column, from samples 0, N/2 and N;

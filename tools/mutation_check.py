@@ -1,4 +1,5 @@
-"""Mutation check of the outlier filter's median selection and the estimators.
+"""Mutation check of the outlier filter's median selection, the estimators
+and the estimation options' checks.
 
 Each mutant below is applied to a copy of the working tree as it is
 (without hidden files and directories), and the tier-1 suite runs on the
@@ -9,8 +10,8 @@ survives. Usage:
 
 The copies go to a fresh directory under DIR (the system temporary
 directory by default) and are removed afterwards. Each run of the suite
-takes up to about a minute on two CPUs, so the nine mutants take up to
-about nine minutes. The exit status is 1 if any mutant survives.
+takes up to about a minute on two CPUs, so the eleven mutants take up
+to about eleven minutes. The exit status is 1 if any mutant survives.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ SIMULATE = Path("src/chronident/simulate.py")
 ACOV = Path("src/chronident/ident_acov.py")
 MDM = Path("src/chronident/ident_mdm.py")
 NUMERICS = Path("src/chronident/numerics.py")
+CLI = Path("src/chronident/cli.py")
 
 # (name, target file, text in it, replacement)
 MUTANTS = [
@@ -85,6 +87,22 @@ MUTANTS = [
         "        w = 1.0 / wishart_variance(moments, scale).ravel()\n",
         "        w = (np.ones(sample.size) if design.shape[1] == n * (n + 1)\n"
         "             else 1.0 / wishart_variance(moments, scale).ravel())\n",
+    ),
+    (
+        "options accept any method name",
+        CLI,
+        "        if self.method not in METHODS:\n"
+        "            names = \" or \".join(map(repr, METHODS))\n"
+        "            raise ValueError(f\"method must be {names}, got '{self.method}'\")\n",
+        "",
+    ),
+    (
+        # the estimators still reject a non-finite d1, but only once a record is read or simulated
+        "options accept a non-finite d1",
+        CLI,
+        "        if self.d1 is not None and not np.isfinite(float(self.d1)):\n"
+        "            raise ValueError(f\"pivot drift d1 must be finite, got {float(self.d1)}\")\n",
+        "",
     ),
 ]
 
