@@ -47,12 +47,13 @@ EXIT_NUMERICAL = 4
 log = logging.getLogger("chronident")
 
 
-# each method's estimator and the EstimationOptions fields it takes, with their types
+# each method's estimator and the EstimationOptions fields it takes
 _ESTIMATORS = {
-    "acov": (estimate_acov_method, {"ell": int, "m_max": int, "d1": float}),
-    "mdm": (estimate_mdm, {"L": int, "ts_target_s": float, "d1": float}),
+    "acov": (estimate_acov_method, ("ell", "m_max", "d1")),
+    "mdm": (estimate_mdm, ("L", "ts_target_s", "d1")),
 }
 METHODS = tuple(_ESTIMATORS)
+_NUMBERS = {"L": int, "ts_target_s": float, "d1": float}  # default_grid converts ell and m_max
 
 
 @dataclass(frozen=True)
@@ -111,9 +112,9 @@ def _filter_outliers(record: MeasurementRecord, k: float | None) -> MeasurementR
 def run_estimation(record: MeasurementRecord, opts: EstimationOptions) -> EstimateReport:
     """Apply optional preprocessing, then the selected method with the options that are set."""
     record = _filter_outliers(record, opts.outlier_k)
-    estimate, kinds = _ESTIMATORS[opts.method]
-    settings = {n: getattr(opts, n) for n in kinds}
-    return estimate(record, **{n: kinds[n](v) for n, v in settings.items() if v is not None})
+    estimate, names = _ESTIMATORS[opts.method]
+    settings = {n: getattr(opts, n) for n in names if getattr(opts, n) is not None}
+    return estimate(record, **{n: _NUMBERS.get(n, lambda v: v)(v) for n, v in settings.items()})
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -154,18 +155,21 @@ def cmd_avar(args: argparse.Namespace) -> int:
 
 
 def _mc_worker(payload: tuple) -> tuple[int, dict]:
-    """Simulate one run, mask its outliers once if asked, and estimate with
-    every requested method."""
-    run_idx, seed, model, n_steps, options, methods = payload
+    """Simulate one run, mask its outliers once if asked, then estimate with each method."""
+    run_idx, seed, model, n_steps, outlier_k, per_method = payload
     _, record = simulate_ensemble(model, n_steps, seed, keep_states=False)
-    record = _filter_outliers(record, options.outlier_k)
+    try:  # remove_outliers rejects a channel with more than half its samples flagged
+        record = _filter_outliers(record, outlier_k)
+    except Exception as exc:  # every method's run fails alike
+        error = f"{type(exc).__name__}: {exc}"
+        return run_idx, {opts.method: {"theta": None, "error": error} for opts in per_method}
     results: dict = {}
-    for method in methods:
+    for opts in per_method:
         try:
-            report = run_estimation(record, replace(options, method=method, outlier_k=None))
-            results[method] = {"theta": report.theta.tolist(), "error": None}
+            report = run_estimation(record, opts)
+            results[opts.method] = {"theta": report.theta.tolist(), "error": None}
         except Exception as exc:  # recorded, excluded from stats
-            results[method] = {"theta": None, "error": f"{type(exc).__name__}: {exc}"}
+            results[opts.method] = {"theta": None, "error": f"{type(exc).__name__}: {exc}"}
     return run_idx, results
 
 
@@ -191,13 +195,13 @@ def run_monte_carlo(
         raise ValueError(f"runs must be >= 1, got {runs}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    for method in methods:  # EstimationOptions checks each name
-        replace(options, method=method)
+    # EstimationOptions checks each name; the outliers are masked once per run, before every method
+    per_method = [replace(options, method=m, outlier_k=None) for m in methods]
     model = assemble_ensemble(params, ts)
     taus = default_grid(int(n_steps), ts, options.ell, options.m_max).taus
     n = params.n
     payloads = [
-        (i, derive_run_seed(master_seed, i), model, int(n_steps), options, list(methods))
+        (i, derive_run_seed(master_seed, i), model, int(n_steps), options.outlier_k, per_method)
         for i in range(runs)
     ]
     if jobs > 1:

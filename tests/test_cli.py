@@ -468,6 +468,33 @@ class TestMonteCarloCommand:
         assert len(summary["failed_runs"]) == 2
         assert "UnidentifiableError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_filter_rejected_runs_recorded(self, maser_params, jobs):
+        # a valid k below about 1 flags more than half of a Gaussian record,
+        # which remove_outliers rejects only once a run is simulated: each
+        # run is recorded as failed for every method and the study returns
+        opts = EstimationOptions(ell=10, ts_target_s=100.0, outlier_k=0.5)
+        summaries = run_monte_carlo(
+            maser_params, 5.0, 4000, opts, ["acov", "mdm"], runs=2, master_seed=1, jobs=jobs
+        )
+        for summary in summaries.values():
+            assert summary["runs_succeeded"] == 0
+            assert [f["run"] for f in summary["failed_runs"]] == [0, 1]
+            assert all(f["error"].startswith("ChannelUnusableError") for f in summary["failed_runs"])
+
+    def test_filter_rejecting_every_run_writes_summary(self, tmp_path, capsys, maser_params):
+        config = tmp_path / "scenario.json"
+        dump_ensemble_config(
+            maser_params, 5.0, config, n_steps=4000, estimation={"ell": 10, "outlier_k": 0.5}
+        )
+        out_dir = tmp_path / "mc"
+        code = main(["montecarlo", "--config", str(config), "--runs", "2", "--out", str(out_dir)])
+        assert code == EXIT_INVALID_INPUT
+        summary = json.loads((out_dir / "mc_summary.json").read_text())
+        assert summary["runs_succeeded"] == 0
+        assert len(summary["failed_runs"]) == 2
+        assert "ChannelUnusableError" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "flags, estimation, message",
         [

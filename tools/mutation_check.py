@@ -10,8 +10,8 @@ survives. Usage:
 
 The copies go to a fresh directory under DIR (the system temporary
 directory by default) and are removed afterwards. Each run of the suite
-takes up to about a minute on two CPUs, so the eleven mutants take up
-to about eleven minutes. The exit status is 1 if any mutant survives.
+takes up to about a minute on two CPUs, so the twelve mutants take up
+to about twelve minutes. The exit status is 1 if any mutant survives.
 """
 
 from __future__ import annotations
@@ -103,6 +103,18 @@ MUTANTS = [
         "        if self.d1 is not None and not np.isfinite(float(self.d1)):\n"
         "            raise ValueError(f\"pivot drift d1 must be finite, got {float(self.d1)}\")\n",
         "",
+    ),
+    (
+        # remove_outliers can reject a channel only once a run is simulated
+        "a run the outlier filter rejects ends the study",
+        CLI,
+        "    try:  # remove_outliers rejects a channel with more than half its samples flagged\n"
+        "        record = _filter_outliers(record, outlier_k)\n"
+        "    except Exception as exc:  # every method's run fails alike\n"
+        "        error = f\"{type(exc).__name__}: {exc}\"\n"
+        "        return run_idx, {opts.method: {\"theta\": None, \"error\": error}"
+        " for opts in per_method}\n",
+        "    record = _filter_outliers(record, outlier_k)\n",
     ),
 ]
 
