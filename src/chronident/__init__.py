@@ -42,7 +42,6 @@ from .model import (
     theta_alpha_from_params,
     unpack_theta,
 )
-from .numerics import LsDiagnostics, weighted_least_squares
 from .report import EstimateReport, write_report_json
 from .simulate import (
     MeasurementRecord,

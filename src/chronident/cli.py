@@ -37,7 +37,7 @@ from .simulate import (
     simulate_ensemble,
     write_measurements_csv,
 )
-from .stability import acov_grid, clock_avar, default_grid, write_acov_csv
+from .stability import acov_grid, clock_avar, default_grid, integral, write_acov_csv
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
@@ -53,12 +53,12 @@ _ESTIMATORS = {
     "mdm": (estimate_mdm, ("L", "ts_target_s", "d1")),
 }
 METHODS = tuple(_ESTIMATORS)
-_NUMBERS = {"L": int, "ts_target_s": float, "d1": float}  # default_grid converts ell and m_max
 
 
 @dataclass(frozen=True)
 class EstimationOptions:
-    """The method and its settings, checked when built; None leaves a setting to the estimator."""
+    """The method and its settings, checked and converted to the estimators' types when
+    built (text such as "5" included); None leaves a setting to the estimator."""
 
     method: str = "acov"
     ell: int | None = None
@@ -72,10 +72,16 @@ class EstimationOptions:
         if self.method not in METHODS:
             names = " or ".join(map(repr, METHODS))
             raise ValueError(f"method must be {names}, got '{self.method}'")
-        if self.d1 is not None and not np.isfinite(float(self.d1)):
-            raise ValueError(f"pivot drift d1 must be finite, got {float(self.d1)}")
-        if self.outlier_k is not None and not float(self.outlier_k) > 0.0:
-            raise ValueError(f"threshold k must be > 0, got {float(self.outlier_k)}")
+        for name in ("ell", "m_max", "L"):
+            if (value := getattr(self, name)) is not None:
+                object.__setattr__(self, name, integral(value, name))
+        for name in ("ts_target_s", "d1", "outlier_k"):
+            if (value := getattr(self, name)) is not None:
+                object.__setattr__(self, name, float(value))
+        if self.d1 is not None and not np.isfinite(self.d1):
+            raise ValueError(f"pivot drift d1 must be finite, got {self.d1}")
+        if self.outlier_k is not None and not self.outlier_k > 0.0:
+            raise ValueError(f"threshold k must be > 0, got {self.outlier_k}")
 
 
 def _setup_logging() -> None:
@@ -100,7 +106,7 @@ def _filter_outliers(record: MeasurementRecord, k: float | None) -> MeasurementR
     """The record with its spikes masked by remove_outliers, or as it is for k None."""
     if k is None:
         return record
-    record, outliers = remove_outliers(record, k=float(k))
+    record, outliers = remove_outliers(record, k=k)
     log.info(
         "outlier filter flagged %d samples (per channel: %s)",
         outliers.total,
@@ -113,8 +119,7 @@ def run_estimation(record: MeasurementRecord, opts: EstimationOptions) -> Estima
     """Apply optional preprocessing, then the selected method with the options that are set."""
     record = _filter_outliers(record, opts.outlier_k)
     estimate, names = _ESTIMATORS[opts.method]
-    settings = {n: getattr(opts, n) for n in names if getattr(opts, n) is not None}
-    return estimate(record, **{n: _NUMBERS.get(n, lambda v: v)(v) for n, v in settings.items()})
+    return estimate(record, **{n: getattr(opts, n) for n in names if getattr(opts, n) is not None})
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:

@@ -1,112 +1,28 @@
-"""Shared numerical kernels.
+"""The two-pass Wishart fit that both identification methods share.
 
-The weighted least-squares kernel forms no normal equations: it scales
-every column to unit norm before its one SVD, because the regressors mix
-basis functions spanning many orders of magnitude in tau, and derives the
-solution, standard errors and null directions from that one decomposition.
+The fit forms no normal equations: it scales every column of the
+weighted design to unit norm before its one SVD per pass, because the
+regressors mix basis functions spanning many orders of magnitude in tau,
+and takes the rank, solution, standard errors and null directions from
+that one decomposition.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import UnidentifiableError
 from .model import clamp_negative_variances
 
-__all__ = [
-    "LsDiagnostics",
-    "weighted_least_squares",
-    "wishart_variance",
-    "wishart_fit",
-]
+__all__ = ["wishart_variance", "wishart_fit"]
 
 # singular values below this fraction of the largest count as zero
 _RCOND = 1e-12
 
 # keeps the weights of an all-zero moment finite
 _VAR_FLOOR_ABS = 1e-100
-
-
-@dataclass
-class LsDiagnostics:
-    """Residual, conditioning and uncertainty of a least-squares solve.
-
-    se              : sqrt(diag((A^T W A)^-1)); when rank deficient, taken
-                      from the pseudo-inverse in column-scaled coordinates,
-                      and inf everywhere when the rank is 0
-    null_directions : unit rows spanning the right null space of W^{1/2} A
-    """
-
-    residual_norm: float
-    condition_number: float
-    rank: int
-    se: np.ndarray
-    null_directions: np.ndarray
-
-
-def weighted_least_squares(
-    A: np.ndarray,
-    b: np.ndarray,
-    w: np.ndarray,
-) -> tuple[np.ndarray, LsDiagnostics]:
-    """Minimize ||W^{1/2} (b - A x)||^2 with W = diag(w), w > 0.
-
-    Solved via one SVD of W^{1/2} A with unit-norm columns (least norm in
-    those scaled coordinates when rank deficient). The solution gets one
-    refinement step on the same factors, with the residual formed in
-    extended precision: at maser scale the smallest parameters sit at the
-    rounding floor of b, and the step makes the answer independent of row
-    and column order.
-    """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float).ravel()
-    w = np.asarray(w, dtype=float).ravel()
-    if A.ndim != 2 or A.shape[0] != b.size:
-        raise ValueError(f"incompatible shapes A {A.shape}, b {b.shape}")
-    if w.size != b.size:
-        raise ValueError(f"weight vector has length {w.size}, expected {b.size}")
-    if np.any(w <= 0) or not np.all(np.isfinite(w)):
-        raise ValueError("weights must be positive and finite")
-
-    sqrt_w = np.sqrt(w)
-    B = A * sqrt_w[:, None]
-    rhs = b * sqrt_w
-    scale = np.linalg.norm(B, axis=0)
-    scale[scale == 0.0] = 1.0
-    Bs = B / scale
-
-    # a wide system needs the full V for its null space
-    U, s, Vt = np.linalg.svd(Bs, full_matrices=Bs.shape[0] < Bs.shape[1])
-    rank = int(np.sum(s > _RCOND * s[0])) if s.size and s[0] > 0.0 else 0
-    U_r, s_r, V_r = U[:, :rank], s[:rank], Vt[:rank]
-
-    def solve(r: np.ndarray) -> np.ndarray:
-        return V_r.T @ ((U_r.T @ r) / s_r)
-
-    y = solve(rhs)
-    ext = np.longdouble
-    resid = rhs.astype(ext) - Bs.astype(ext) @ y.astype(ext)
-    y = y + solve(resid.astype(float))
-    x = y / scale
-
-    if rank:
-        se = np.sqrt(((V_r / s_r[:, None]) ** 2).sum(axis=0)) / scale
-    else:
-        se = np.full(A.shape[1], np.inf)
-    null_rows = Vt[rank:] / scale
-    null_rows /= np.linalg.norm(null_rows, axis=1, keepdims=True)
-
-    cond = float(s[0] / s[rank - 1]) if rank > 0 else np.inf
-    return x, LsDiagnostics(
-        residual_norm=float(np.linalg.norm(rhs - B @ x)),
-        condition_number=cond,
-        rank=rank,
-        se=se,
-        null_directions=null_rows,
-    )
 
 
 def wishart_variance(sample: np.ndarray, scale) -> np.ndarray:
@@ -129,29 +45,54 @@ def wishart_fit(design: np.ndarray, sample: np.ndarray, scale, n: int) -> tuple[
     ``sample`` and ``scale`` are laid out as in ``wishart_variance`` and
     ``design`` has one row per entry of ``sample.ravel()``; theta is laid
     out as ``clamp_negative_variances`` expects for n clocks. The first
-    solve weights each entry by the inverse Wishart variance of the sample,
-    the second by that of the fitted moments; after each solve negative
-    variance-like entries are clamped. Returns theta and the second solve's
-    ``residual``, ``cond``, ``rank``, ``se`` and ``clamped``. Below full
-    column rank an UnidentifiableError carries the null directions.
+    pass weights each entry by the inverse Wishart variance w of the
+    sample, the second by that of the fitted moments. Each pass minimises
+    ||W^{1/2} (sample - design theta)|| with one refinement step on the
+    same factors, its residual formed in extended precision: at maser
+    scale the smallest parameters sit at the rounding floor of the sample,
+    and the step makes the answer independent of row and column order.
+    Negative variance-like entries are then clamped. Returns theta and the
+    second pass's weighted ``residual`` (of the unclamped solution),
+    ``cond``, ``rank``, ``se`` = sqrt(diag((A^T W A)^-1)) and ``clamped``.
+    Below full column rank an UnidentifiableError carries the unit null
+    directions of W^{1/2} design.
     """
+    design = np.asarray(design, dtype=float)
     sample = np.asarray(sample, dtype=float)
+    b = sample.ravel()
+    if design.ndim != 2 or design.shape[0] != b.size:
+        raise ValueError(f"incompatible shapes design {design.shape}, sample {sample.shape}")
     moments = sample
     for _ in range(2):
-        w = 1.0 / wishart_variance(moments, scale).ravel()
-        x, diag = weighted_least_squares(design, sample.ravel(), w)
-        if diag.rank < design.shape[1]:
+        sqrt_w = np.sqrt(1.0 / wishart_variance(moments, scale).ravel())
+        B = design * sqrt_w[:, None]
+        rhs = b * sqrt_w
+        col = np.linalg.norm(B, axis=0)
+        col[col == 0.0] = 1.0
+        Bs = B / col
+        # a wide design needs the full V for its null space
+        U, s, Vt = np.linalg.svd(Bs, full_matrices=Bs.shape[0] < Bs.shape[1])
+        rank = int(np.sum(s > _RCOND * s[0])) if s.size else 0
+        if rank < design.shape[1]:
+            null = Vt[rank:] / col
             raise UnidentifiableError(
-                f"rank {diag.rank} < {design.shape[1]} parameters; "
-                f"{design.shape[1] - diag.rank} unidentifiable direction(s)",
-                null_directions=diag.null_directions,
+                f"rank {rank} < {design.shape[1]} parameters; "
+                f"{design.shape[1] - rank} unidentifiable direction(s)",
+                null_directions=null / np.linalg.norm(null, axis=1, keepdims=True),
             )
-        clamped = clamp_negative_variances(x, diag.se, n)
+        y = Vt.T @ ((U.T @ rhs) / s)
+        ext = np.longdouble
+        resid = rhs.astype(ext) - Bs.astype(ext) @ y.astype(ext)
+        y = y + Vt.T @ ((U.T @ resid.astype(float)) / s)
+        x = y / col
+        se = np.sqrt(((Vt / s[:, None]) ** 2).sum(axis=0)) / col
+        residual = float(np.linalg.norm(rhs - B @ x))
+        clamped = clamp_negative_variances(x, se, n)
         moments = (design @ x).reshape(sample.shape)
     return x, {
-        "residual": diag.residual_norm,
-        "cond": diag.condition_number,
-        "rank": diag.rank,
-        "se": diag.se,
+        "residual": residual,
+        "cond": float(s[0] / s[-1]),
+        "rank": rank,
+        "se": se,
         "clamped": clamped,
     }

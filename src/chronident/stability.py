@@ -80,6 +80,16 @@ def log_spaced_grid(ell: int, m_max: int, ts: float) -> TauGrid:
     return TauGrid(m_values=m, Ts=ts)
 
 
+def integral(value, name: str) -> int:
+    """``value`` (a number, or its text such as "5" or "5.0") as an int;
+    a value with a fractional part raises ValueError instead of being
+    truncated."""
+    number = float(value)
+    if not number.is_integer():
+        raise ValueError(f"{name} must be an integer, got {value}")
+    return int(number)
+
+
 def default_grid(
     n_steps: int, ts: float, ell: int | None = None, m_max: int | None = None
 ) -> TauGrid:
@@ -89,7 +99,8 @@ def default_grid(
         if n_steps < 2:
             raise ValueError(f"record too short for ACOV estimation (N={n_steps})")
         m_max = n_steps // 2
-    return log_spaced_grid(20 if ell is None else int(ell), int(m_max), ts)
+    ell = 20 if ell is None else integral(ell, "ell")
+    return log_spaced_grid(ell, integral(m_max, "m_max"), ts)
 
 
 def analytic_acov(params: EnsembleParams, i: int, j: int, tau: float) -> float:

@@ -508,8 +508,18 @@ class TestMonteCarloCommand:
             ([], {"method": "acvo"}, "method must be 'acov' or 'mdm', got 'acvo'"),
             ([], {"ell": 1}, "ell must be >= 2, got 1"),
             (["--jobs", "0"], {}, "jobs must be >= 1, got 0"),
+            (
+                [],
+                {"method": "mdm", "L": 5.5, "ts_target_s": 100.0},
+                "L must be an integer, got 5.5",
+            ),
+            ([], {"ell": 15.7}, "ell must be an integer, got 15.7"),
+            ([], {"m_max": 1000.9}, "m_max must be an integer, got 1000.9"),
         ],
-        ids=["d1", "outlier_k", "unknown_key", "method", "ell", "jobs"],
+        ids=[
+            "d1", "outlier_k", "unknown_key", "method", "ell", "jobs",
+            "L_fraction", "ell_fraction", "m_max_fraction",
+        ],
     )
     def test_bad_option_fails_before_simulating(
         self, tmp_path, capsys, monkeypatch, maser_params, flags, estimation, message

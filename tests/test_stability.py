@@ -231,6 +231,16 @@ class TestTauGrid:
         with pytest.raises(ValueError, match="record too short"):
             default_grid(1, 5.0)
 
+    def test_default_grid_takes_integral_values_only(self):
+        # a whole number given as a float or as text is taken; a fraction
+        # is rejected instead of truncated
+        given = default_grid(20_001, 5.0, ell=5.0, m_max="16")
+        np.testing.assert_array_equal(given.m_values, [1, 2, 4, 8, 16])
+        with pytest.raises(ValueError, match="ell must be an integer, got 15.7"):
+            default_grid(20_001, 5.0, ell=15.7)
+        with pytest.raises(ValueError, match="m_max must be an integer, got 1000.9"):
+            default_grid(20_001, 5.0, m_max=1000.9)
+
 
 class TestAcovGrid:
     def test_pair_count_and_order(self, maser_model):
