@@ -8,6 +8,7 @@ environment variable (debug/info/warning/error).
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import logging
 import os
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import NoResidueError, UnidentifiableError
 from .ident_acov import estimate_acov_method
-from .ident_mdm import estimate_mdm
+from .ident_mdm import build_mdm_system, estimate_mdm, resampling_stride
 from .model import (
     EnsembleParams,
     assemble_ensemble,
@@ -115,19 +116,33 @@ def _filter_outliers(record: MeasurementRecord, k: float | None) -> MeasurementR
     return record
 
 
+def _settings(opts: EstimationOptions) -> dict:
+    """The options that are set among those the selected method's estimator takes."""
+    return {n: v for n in _ESTIMATORS[opts.method][1] if (v := getattr(opts, n)) is not None}
+
+
 def run_estimation(record: MeasurementRecord, opts: EstimationOptions) -> EstimateReport:
     """Apply optional preprocessing, then the selected method with the options that are set."""
     record = _filter_outliers(record, opts.outlier_k)
-    estimate, names = _ESTIMATORS[opts.method]
-    return estimate(record, **{n: getattr(opts, n) for n in names if getattr(opts, n) is not None})
+    return _ESTIMATORS[opts.method][0](record, **_settings(opts))
+
+
+def _check_mdm_settings(n: int, ts: float, n_steps: int, opts: EstimationOptions) -> None:
+    """Build the MDM system of a study (cached for its runs) and check that
+    records of n_steps steps every ts seconds can be resampled to its
+    period; the settings left unset take estimate_mdm's defaults."""
+    settings = inspect.signature(estimate_mdm).bind_partial(**_settings(opts))
+    settings.apply_defaults()
+    system = build_mdm_system(n, settings.arguments["ts_target_s"], settings.arguments["L"])
+    resampling_stride(system, ts, n_steps + 1)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     params, ts, extras = load_ensemble_config(args.config)
     if "n_steps" not in extras:
         raise ValueError("config field 'n_steps' is required for simulation")
-    n_steps = int(extras["n_steps"])
-    seed = args.seed if args.seed is not None else int(extras.get("seed", 0))
+    n_steps = integral(extras["n_steps"], "n_steps")
+    seed = args.seed if args.seed is not None else integral(extras.get("seed", 0), "seed")
     model = assemble_ensemble(params, ts)
     _, record = simulate_ensemble(model, n_steps, seed, keep_states=False)
     write_measurements_csv(record, args.out)
@@ -194,8 +209,10 @@ def run_monte_carlo(
     and per-clock AVAR curves (truth, MC-mean estimate, 2.5/97.5
     percentile bands across runs). Aggregation order is fixed by run
     index, so results are independent of the concurrency level. The
-    methods, model and tau grid are checked before any run is simulated.
+    methods, model, tau grid and MDM settings are checked before any run
+    is simulated.
     """
+    n_steps = integral(n_steps, "n_steps")
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     if jobs < 1:
@@ -203,10 +220,13 @@ def run_monte_carlo(
     # EstimationOptions checks each name; the outliers are masked once per run, before every method
     per_method = [replace(options, method=m, outlier_k=None) for m in methods]
     model = assemble_ensemble(params, ts)
-    taus = default_grid(int(n_steps), ts, options.ell, options.m_max).taus
+    taus = default_grid(n_steps, ts, options.ell, options.m_max).taus
+    for opts in per_method:  # settings that would fail every run alike
+        if opts.method == "mdm":
+            _check_mdm_settings(params.n, ts, n_steps, opts)
     n = params.n
     payloads = [
-        (i, derive_run_seed(master_seed, i), model, int(n_steps), options.outlier_k, per_method)
+        (i, derive_run_seed(master_seed, i), model, n_steps, options.outlier_k, per_method)
         for i in range(runs)
     ]
     if jobs > 1:
@@ -260,7 +280,7 @@ def run_monte_carlo(
             }
         summary.update(
             n=n,
-            n_steps=int(n_steps),
+            n_steps=n_steps,
             ts_seconds=ts,
             parameter_names=theta_names(n),
             truth=truth.tolist(),
@@ -295,11 +315,11 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
     if "n_steps" not in extras:
         raise ValueError("config field 'n_steps' is required for a Monte-Carlo study")
     opts = _options_from(extras, args)
-    seed = args.seed if args.seed is not None else int(extras.get("seed", 0))
+    seed = args.seed if args.seed is not None else integral(extras.get("seed", 0), "seed")
     summaries = run_monte_carlo(
         params,
         ts,
-        int(extras["n_steps"]),
+        integral(extras["n_steps"], "n_steps"),
         opts,
         [opts.method],
         runs=args.runs,

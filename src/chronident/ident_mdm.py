@@ -18,13 +18,19 @@ L samples at the MDM period are valid on every channel.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NoResidueError, UnidentifiableError
-from .model import clock_noise_cov, ensemble_structure, params_from_theta_alpha
+from .model import (
+    clock_noise_cov,
+    ensemble_structure,
+    params_from_theta_alpha,
+    upper_triangle_indices,
+)
 from .numerics import wishart_fit
 from .report import EstimateReport
 from .simulate import MeasurementRecord
@@ -32,6 +38,7 @@ from .simulate import MeasurementRecord
 __all__ = [
     "MdmSystem",
     "build_mdm_system",
+    "resampling_stride",
     "compute_residues",
     "residue_mean_from_drifts",
     "residue_second_moment_from_cov",
@@ -87,18 +94,21 @@ def _residue_moments(L: int, ts: float, blocks: np.ndarray, R: np.ndarray) -> np
     gamma = np.stack([ts**2 * c + 2.0 * a - 2.0 * ts * b, ts * b - a, zero, zero], axis=-1)
     rho = np.array([6.0, -4.0, 1.0, 0.0])
     n_z = blocks.shape[-3] - 1
-    rows, cols = np.triu_indices((L - 2) * n_z)
+    rows, cols = upper_triangle_indices((L - 2) * n_z)
     (s, i), (t, j) = np.divmod(rows, n_z), np.divmod(cols, n_z)
     lag = np.minimum(t - s, 3)
     return gamma[..., 0, lag] + (i == j) * gamma[..., i + 1, lag] + rho[lag] * R[..., i, j]
 
 
+@functools.lru_cache
 def build_mdm_system(n: int, ts: float, L: int) -> MdmSystem:
     """Assemble the stencil and the moment maps for n clocks sampled
     every ts seconds and window L.
 
     Only the model structure enters; the noise parameters being estimated
-    never do. Raises NoResidueError for L = 2, whose window holds no
+    never do, so the system is built once per (n, ts, L) and cached: every
+    call with the same arguments returns the same object, whose arrays are
+    read-only. Raises NoResidueError for L = 2, whose window holds no
     second difference (rank(O) = 2(n-1) fills all of its rows).
     """
     if int(L) != L or L < 2:
@@ -119,12 +129,12 @@ def build_mdm_system(n: int, ts: float, L: int) -> MdmSystem:
     blocks = np.zeros((n_q + n_r, n, 2, 2))
     blocks[np.arange(n_q), np.tile(np.arange(n), 2)] = np.repeat(unit, n, axis=0)
     unit_r = np.zeros((n_q + n_r, n_z, n_z))
-    i, j = np.triu_indices(n_z)
+    i, j = upper_triangle_indices(n_z)
     unit_r[n_q + np.arange(n_r), i, j] = unit_r[n_q + np.arange(n_r), j, i] = 1.0
 
     # a clock's phase second difference has mean d ts^2
     drift_rows = ts**2 * np.hstack([-np.ones((n_z, 1)), np.eye(n_z)])
-    return MdmSystem(
+    system = MdmSystem(
         O=np.vstack([H @ np.linalg.matrix_power(F, l) for l in range(L)]),
         Am=np.kron(np.diff(np.eye(L), 2, axis=0), np.eye(n_z)),
         drift_map=np.tile(drift_rows, (L - 2, 1)),
@@ -133,13 +143,32 @@ def build_mdm_system(n: int, ts: float, L: int) -> MdmSystem:
         L=L,
         n=n,
     )
+    for array in (system.O, system.Am, system.drift_map, system.theta_map):
+        array.flags.writeable = False
+    return system
+
+
+def resampling_stride(system: MdmSystem, ts: float, n_samples: int) -> int:
+    """The stride f = system.Ts / ts that takes a record of n_samples
+    samples every ts seconds to system.Ts; ValueError unless f is an integer
+    and the ceil(n_samples / f) samples at system.Ts fill a window of L."""
+    ratio = system.Ts / ts
+    f = int(round(ratio))
+    if f < 1 or abs(ratio - f) > 1e-9 * f:
+        raise ValueError(f"MDM Ts={system.Ts} is not an integer multiple of record Ts={ts}")
+    if (samples := -(-n_samples // f)) < system.L:
+        raise ValueError(
+            f"record has {samples} samples at Ts={system.Ts}, need at least L={system.L}"
+        )
+    return f
 
 
 def compute_residues(record: MeasurementRecord, system: MdmSystem) -> np.ndarray:
     """Residues Zbar_k = Am [z_k; ...; z_{k+L-1}] of the record at system.Ts.
 
-    system.Ts must be an integer multiple f of the record's Ts; the
-    second differences of the strided view Z[:, ::f] are formed once,
+    system.Ts must be an integer multiple f of the record's Ts, with at
+    least L samples at system.Ts (``resampling_stride``); the second
+    differences of the strided view Z[:, ::f] are formed once,
     without copying the record, and each window offset is a slice of
     them. With M = ceil((N+1)/f) samples at system.Ts the shape is
     (n_aO, M-L+1), less the windows that hold a sample the record's mask
@@ -149,17 +178,8 @@ def compute_residues(record: MeasurementRecord, system: MdmSystem) -> np.ndarray
         raise ValueError(
             f"record has {record.n_z} channels, system expects {system.n_z}"
         )
-    ratio = system.Ts / record.Ts
-    f = int(round(ratio))
-    if f < 1 or abs(ratio - f) > 1e-9 * f:
-        raise ValueError(
-            f"MDM Ts={system.Ts} is not an integer multiple of record Ts={record.Ts}"
-        )
+    f = resampling_stride(system, record.Ts, record.Z.shape[1])
     Z = record.Z[:, ::f]
-    if Z.shape[1] < system.L:
-        raise ValueError(
-            f"record has {Z.shape[1]} samples at Ts={system.Ts}, need at least L={system.L}"
-        )
     count = Z.shape[1] - system.L + 1
     D = Z[:, 2:] - 2.0 * Z[:, 1:-1] + Z[:, :-2]
     residues = np.vstack([D[:, s : s + count] for s in range(system.L - 2)])
@@ -245,7 +265,7 @@ def estimate_theta_alpha(
     centred = residues - correction[:, None]
     count = centred.shape[1]
     outer = (centred @ centred.T) / count
-    return solve_theta_alpha_from_moment(outer[np.triu_indices(len(outer))], system, count)
+    return solve_theta_alpha_from_moment(outer[upper_triangle_indices(len(outer))], system, count)
 
 
 def estimate_mdm(

@@ -12,6 +12,7 @@ and measurement channel i compares clock i+1 against clock 1.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,6 +38,7 @@ __all__ = [
     "upper_to_symmetric",
     "symmetric_to_upper",
     "upper_triangle_pairs",
+    "upper_triangle_indices",
     "load_ensemble_config",
     "dump_ensemble_config",
 ]
@@ -199,9 +201,19 @@ def upper_triangle_pairs(size: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(1, size + 1) for j in range(i, size + 1)]
 
 
+@functools.lru_cache
+def upper_triangle_indices(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices (0-based) of the row-major upper triangle of a
+    size x size matrix, as ``np.triu_indices(size)``; built once per size and
+    read-only, since every caller shares them."""
+    rows, cols = np.triu_indices(size)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def symmetric_to_upper(mat: np.ndarray) -> np.ndarray:
     """Row-major upper-triangle elements of a square matrix."""
-    return np.asarray(mat, dtype=float)[np.triu_indices(len(mat))]
+    return np.asarray(mat, dtype=float)[upper_triangle_indices(len(mat))]
 
 
 def upper_to_symmetric(vec: np.ndarray, size: int) -> np.ndarray:
@@ -211,7 +223,7 @@ def upper_to_symmetric(vec: np.ndarray, size: int) -> np.ndarray:
     if vec.size != expected:
         raise ValueError(f"expected {expected} upper-triangle elements, got {vec.size}")
     out = np.zeros((size, size))
-    i, j = np.triu_indices(size)
+    i, j = upper_triangle_indices(size)
     out[i, j] = out[j, i] = vec
     return out
 

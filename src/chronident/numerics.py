@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import UnidentifiableError
-from .model import clamp_negative_variances
+from .model import clamp_negative_variances, upper_triangle_indices
 
 __all__ = ["wishart_variance", "wishart_fit"]
 
@@ -34,7 +34,7 @@ def wishart_variance(sample: np.ndarray, scale) -> np.ndarray:
     freedom, and broadcasts to sample's shape. An absolute floor keeps the
     variance of an all-zero moment positive.
     """
-    i, j = np.triu_indices((math.isqrt(8 * sample.shape[0] + 1) - 1) // 2)
+    i, j = upper_triangle_indices((math.isqrt(8 * sample.shape[0] + 1) - 1) // 2)
     diag = sample[i == j]
     return (diag[i] * diag[j] + sample**2) * scale + _VAR_FLOOR_ABS
 

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import UnidentifiableError
-from .model import EnsembleParams, upper_triangle_pairs
+from .model import EnsembleParams, upper_triangle_indices, upper_triangle_pairs
 from .numerics import wishart_variance
 from .simulate import _BLOCK, MeasurementRecord
 
@@ -158,49 +158,61 @@ class AcovEstimate:
         return wishart_variance(self.sigma2, self.scale)
 
 
+# columns of D_m formed and summed at a time: a quick record (N = 20 000)
+# is then one block per m, while a wider block was slower at full scale
+_WIDTH = 2 * _BLOCK
+
+
 def _second_difference_grams(
     Z: np.ndarray, m_values, valid: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Unnormalised Gram matrices D_m @ D_m.T, one per m, shape (len, n_z, n_z),
     and with a mask the per-pair counts of valid columns (None without one).
 
-    D_m[:, k] = (Z[:, k+2m] - 2 Z[:, k+m]) + Z[:, k] is formed _BLOCK
-    columns at a time in buffers shared by all m, so every element of D_m
-    is the same double as in a one-shot evaluation; only the summation
-    order of the inner products differs. The loop over blocks is the outer
-    one, so a block of Z is read for every m while it is in cache; each
-    Gram matrix still adds its blocks in increasing order. With a mask,
-    D_m[c, k] is set to zero (a masked copyto, half the time of a multiply
-    by the bool block) unless w_c[k] = valid[c, k] & valid[c, k+m] &
-    valid[c, k+2m], and each pair's valid columns are counted from
-    w_i & w_j block by block (half the time of an einsum of w with itself);
-    a block whose w is all True, as in a record with a few long gaps, adds
-    its width to every count and is summed as it is. Each block's products
-    are summed by einsum's own loop, not by BLAS: OpenBLAS may split each
-    block's syrk over threads of its own, and Monte-Carlo pool workers
-    already occupy every core.
+    D_m[:, k] = (Z[:, k+2m] - 2 Z[:, k+m]) + Z[:, k] is formed _WIDTH
+    columns at a time in one buffer shared by all m (2 Z[k+m] into it, then
+    Z[k+2m] minus it, then plus Z[k]), so every element of D_m is the same
+    double as in a one-shot evaluation; only the summation order of the
+    inner products differs. The loop over blocks is the outer one, so a
+    block of Z is read for every m while it is in cache; each Gram matrix
+    still adds its blocks in increasing order. A block adds only its
+    n_z(n_z+1)/2 distinct products, one einsum per superdiagonal (row i
+    against row i+s), and the lower triangle is mirrored once at the end.
+    With a mask, D_m[c, k] is set to zero (a masked copyto, half the time
+    of a multiply by the bool block) unless w_c[k] = valid[c, k] &
+    valid[c, k+m] & valid[c, k+2m], and each pair's valid columns are
+    counted from w_i & w_j block by block (half the time of an einsum of w
+    with itself); a block whose w is all True, as in a record with a few
+    long gaps, adds its width to every count and is summed as it is. The
+    products are summed by einsum's own loop, not by BLAS: OpenBLAS may
+    split a block's syrk over threads of its own, and Monte-Carlo pool
+    workers already occupy every core.
     """
     n_z, n_samples = Z.shape
-    d = np.empty((n_z, _BLOCK))
-    twice = np.empty((n_z, _BLOCK))
-    grams = np.zeros((len(m_values), n_z, n_z))
-    counts = None
+    m_values = np.asarray(m_values).tolist()  # int arithmetic below, not numpy scalars
+    # the distinct products by superdiagonal: s = 0 (the diagonal), then s = 1, ...
+    sizes = np.arange(n_z, 0, -1)
+    rows = np.concatenate([np.arange(size) for size in sizes])
+    cols = rows + np.repeat(np.arange(n_z), sizes)
+    ends = np.cumsum(sizes).tolist()
+    d = np.empty((n_z, _WIDTH))
+    products = np.empty(ends[-1])
+    upper = np.zeros((len(m_values), ends[-1]))
+    tally = None
     if valid is not None:
-        ok = np.empty((n_z, _BLOCK), dtype=bool)
+        ok = np.empty((n_z, _WIDTH), dtype=bool)
         bad = np.empty_like(ok)
-        both = np.empty(_BLOCK, dtype=bool)
-        counts = np.zeros_like(grams)
-        rows, cols = np.triu_indices(n_z)
-    for start in range(0, n_samples - 2 * m_values[0], _BLOCK):
+        both = np.empty(_WIDTH, dtype=bool)
+        tally = np.zeros_like(upper)
+    for start in range(0, n_samples - 2 * m_values[0], _WIDTH):
         for p, m in enumerate(m_values):
             count = n_samples - 2 * m
             if start >= count:
                 break  # m increases, so no later m reaches this block either
-            width = min(_BLOCK, count - start)
+            width = min(_WIDTH, count - start)
             db = d[:, :width]
-            tb = twice[:, :width]
-            np.multiply(Z[:, start + m : start + m + width], 2.0, out=tb)
-            np.subtract(Z[:, start + 2 * m : start + 2 * m + width], tb, out=db)
+            np.multiply(Z[:, start + m : start + m + width], 2.0, out=db)
+            np.subtract(Z[:, start + 2 * m : start + 2 * m + width], db, out=db)
             db += Z[:, start : start + width]
             if valid is not None:
                 ob = ok[:, :width]
@@ -209,23 +221,29 @@ def _second_difference_grams(
                 )
                 ob &= valid[:, start + 2 * m : start + 2 * m + width]
                 if ob.all():
-                    counts[p] += width
+                    tally[p] += width
                 else:
                     np.copyto(db, 0.0, where=np.logical_not(ob, out=bad[:, :width]))
-                    for i, j in zip(rows, cols):
+                    for k, (i, j) in enumerate(zip(rows, cols)):
                         pair_ok = (
                             ob[i] if i == j else np.logical_and(ob[i], ob[j], out=both[:width])
                         )
-                        counts[p, i, j] += np.count_nonzero(pair_ok)
-            grams[p] += np.einsum("ik,jk->ij", db, db)
-    if counts is not None:
-        counts[:, cols, rows] = counts[:, rows, cols]
+                        tally[p, k] += np.count_nonzero(pair_ok)
+            for s, end in enumerate(ends):
+                np.einsum("ik,ik->i", db[: n_z - s], db[s:], out=products[end - n_z + s : end])
+            upper[p] += products
+    grams = np.empty((len(m_values), n_z, n_z))
+    grams[:, rows, cols] = grams[:, cols, rows] = upper
+    counts = None
+    if tally is not None:
+        counts = np.empty_like(grams)
+        counts[:, rows, cols] = counts[:, cols, rows] = tally
     return grams, counts
 
 
 def _pair_rows(stack: np.ndarray) -> np.ndarray:
     """(len, n_z, n_z) matrices as upper-triangle pair rows by tau columns."""
-    rows, cols = np.triu_indices(stack.shape[-1])
+    rows, cols = upper_triangle_indices(stack.shape[-1])
     return stack[:, rows, cols].T
 
 
@@ -233,13 +251,14 @@ def acov_grid(record: MeasurementRecord, grid: TauGrid) -> AcovEstimate:
     """Evaluate all n_z(n_z+1)/2 channel pairs on the grid, with variances.
 
     At each m one Gram matrix of the second differences serves every pair.
-    It is accumulated over blocks of _BLOCK columns, so the cost is
-    O(len(grid) * n_z * N) time with O(n_z * _BLOCK) extra memory, and it
-    runs on the calling thread alone (no BLAS call), so process-pool
-    workers start no BLAS threads to compete for their cores. A masked
-    record uses only its valid second differences (module docstring); an
-    m at which some pair has none is dropped from the grid and listed in
-    ``dropped_m``, and UnidentifiableError is raised when no m is left.
+    It is accumulated over blocks of _WIDTH = 2 _BLOCK columns, with
+    n_z(n_z+1)/2 products per column, so the cost is O(len(grid) * n_z^2 * N)
+    time with O(n_z * _WIDTH) extra memory, and it runs on the calling
+    thread alone (no BLAS call), so process-pool workers start no BLAS
+    threads to compete for their cores. A masked record uses only its
+    valid second differences (module docstring); an m at which some pair
+    has none is dropped from the grid and listed in ``dropped_m``, and
+    UnidentifiableError is raised when no m is left.
     """
     n = record.n_steps
     if grid.m_values[-1] > n // 2:

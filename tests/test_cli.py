@@ -30,6 +30,7 @@ from chronident.cli import (
     run_monte_carlo,
     write_mc_outputs,
 )
+from chronident.errors import NoResidueError
 from chronident.ident_mdm import estimate_mdm
 from chronident.model import dump_ensemble_config
 
@@ -120,6 +121,24 @@ class TestSimulateCommand:
         config.write_text("{not json")
         code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_INVALID_INPUT
+
+    @pytest.mark.parametrize(
+        "extras, message",
+        [
+            ({"n_steps": 1000.7, "seed": 2.9}, "n_steps must be an integer, got 1000.7"),
+            ({"n_steps": 1000, "seed": 2.9}, "seed must be an integer, got 2.9"),
+        ],
+        ids=["n_steps", "seed"],
+    )
+    def test_fractional_config_value_is_invalid_input(
+        self, tmp_path, capsys, maser_params, extras, message
+    ):
+        config = tmp_path / "scenario.json"
+        dump_ensemble_config(maser_params, 5.0, config, **extras)
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == EXIT_INVALID_INPUT
+        assert not out.exists()
+        assert message in capsys.readouterr().err
 
 
 class TestEstimateCommand:
@@ -515,49 +534,103 @@ class TestMonteCarloCommand:
             ),
             ([], {"ell": 15.7}, "ell must be an integer, got 15.7"),
             ([], {"m_max": 1000.9}, "m_max must be an integer, got 1000.9"),
+            (
+                ["--method", "mdm", "--ts-target", "7"],
+                {},
+                "MDM Ts=7.0 is not an integer multiple of record Ts=5.0",
+            ),
+            (
+                ["--method", "mdm", "--ts-target", "5000", "--L", "30"],
+                {},
+                "record has 21 samples at Ts=5000.0, need at least L=30",
+            ),
         ],
         ids=[
             "d1", "outlier_k", "unknown_key", "method", "ell", "jobs",
-            "L_fraction", "ell_fraction", "m_max_fraction",
+            "L_fraction", "ell_fraction", "m_max_fraction", "ts_target", "window",
         ],
     )
     def test_bad_option_fails_before_simulating(
         self, tmp_path, capsys, monkeypatch, maser_params, flags, estimation, message
     ):
+        code = self._study_before_simulating(tmp_path, monkeypatch, maser_params, flags, estimation)
+        assert code == EXIT_INVALID_INPUT
+        assert message in capsys.readouterr().err
+
+    def test_window_without_residue_fails_before_simulating(
+        self, tmp_path, capsys, monkeypatch, maser_params
+    ):
+        # a window of L = 2 is unidentifiable in every run, as in estimate
+        flags = ["--method", "mdm", "--ts-target", "100", "--L", "2"]
+        code = self._study_before_simulating(tmp_path, monkeypatch, maser_params, flags, {})
+        assert code == EXIT_UNIDENTIFIABLE
+        assert "holds no second difference" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extras, message",
+        [
+            ({"n_steps": 1000.7, "seed": 2}, "n_steps must be an integer, got 1000.7"),
+            ({"n_steps": 1000, "seed": 2.9}, "seed must be an integer, got 2.9"),
+        ],
+        ids=["n_steps", "seed"],
+    )
+    def test_fractional_config_value_fails_before_simulating(
+        self, tmp_path, capsys, monkeypatch, maser_params, extras, message
+    ):
+        code = self._study_before_simulating(
+            tmp_path, monkeypatch, maser_params, [], {"ell": 10}, **extras
+        )
+        assert code == EXIT_INVALID_INPUT
+        assert message in capsys.readouterr().err
+
+    @staticmethod
+    def _study_before_simulating(tmp_path, monkeypatch, maser_params, flags, estimation, **extras):
+        """The exit status of a two-run montecarlo command, checking that it
+        simulated nothing and wrote no output directory."""
         calls = []
         monkeypatch.setattr(
             "chronident.cli.simulate_ensemble", lambda *args, **kwargs: calls.append(args)
         )
         config = tmp_path / "scenario.json"
-        dump_ensemble_config(maser_params, 5.0, config, n_steps=20_000, estimation=estimation)
+        extras = {"n_steps": 20_000, **extras}
+        dump_ensemble_config(maser_params, 5.0, config, estimation=estimation, **extras)
         out_dir = tmp_path / "mc"
         code = main(
             ["montecarlo", "--config", str(config), "--runs", "2", *flags, "--out", str(out_dir)]
         )
-        assert code == EXIT_INVALID_INPUT
         assert calls == []
         assert not out_dir.exists()
-        assert message in capsys.readouterr().err
+        return code
 
     @pytest.mark.parametrize(
-        "methods, jobs, message",
+        "methods, jobs, options, error, message",
         [
-            (["accov"], 1, "method must be 'acov' or 'mdm', got 'accov'"),
-            (["acov"], -4, "jobs must be >= 1, got -4"),
+            (["accov"], 1, {}, ValueError, "method must be 'acov' or 'mdm', got 'accov'"),
+            (["acov"], -4, {}, ValueError, "jobs must be >= 1, got -4"),
+            (
+                ["acov", "mdm"],
+                1,
+                {"ts_target_s": 7.0},
+                ValueError,
+                "MDM Ts=7.0 is not an integer multiple of record Ts=5.0",
+            ),
+            # estimate_mdm's default period, 5000 s, leaves 3 of 2001 samples
+            (["mdm"], 1, {}, ValueError, "record has 3 samples at Ts=5000.0, need at least L=5"),
+            (["mdm"], 1, {"L": 2, "ts_target_s": 100.0}, NoResidueError, "no second difference"),
         ],
-        ids=["method", "jobs"],
+        ids=["method", "jobs", "ts_target", "default_window", "no_residue"],
     )
     def test_library_rejects_before_simulating(
-        self, monkeypatch, maser_params, methods, jobs, message
+        self, monkeypatch, maser_params, methods, jobs, options, error, message
     ):
         calls = []
         monkeypatch.setattr(
             "chronident.cli.simulate_ensemble", lambda *args, **kwargs: calls.append(args)
         )
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(error, match=message):
             run_monte_carlo(
-                maser_params, 5.0, 2000, EstimationOptions(), methods, runs=2, master_seed=1,
-                jobs=jobs,
+                maser_params, 5.0, 2000, EstimationOptions(**options), methods, runs=2,
+                master_seed=1, jobs=jobs,
             )
         assert calls == []
 

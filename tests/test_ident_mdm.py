@@ -91,6 +91,13 @@ class TestBuildSystem:
         with pytest.raises(ValueError):
             build_mdm_system(3, 1.0, 1)
 
+    def test_system_is_cached_and_read_only(self):
+        system = build_mdm_system(4, 100.0, 5)
+        assert build_mdm_system(4, 100.0, 5) is system
+        for name in ("theta_map", "Am", "O", "drift_map"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(system, name)[0, 0] = 1.0
+
     def test_kronecker_identity(self):
         # (A e) kron (A e) = (A kron A)(e kron e) for the residue map
         A = reference_residue_map(build_mdm_system(3, 2.0, 4))

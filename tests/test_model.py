@@ -20,6 +20,7 @@ from chronident.model import (
     theta_alpha_from_params,
     theta_length,
     upper_to_symmetric,
+    upper_triangle_indices,
 )
 
 from conftest import random_params
@@ -201,6 +202,15 @@ class TestUpperTriangle:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             upper_to_symmetric(np.ones(4), 2)
+
+    def test_indices_are_cached_and_read_only(self):
+        rows, cols = upper_triangle_indices(5)
+        np.testing.assert_array_equal(rows, np.triu_indices(5)[0])
+        np.testing.assert_array_equal(cols, np.triu_indices(5)[1])
+        assert upper_triangle_indices(5)[0] is rows
+        for index in (rows, cols):
+            with pytest.raises(ValueError, match="read-only"):
+                index[0] = 1
 
 
 class TestValidation:

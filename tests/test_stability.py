@@ -17,6 +17,7 @@ from chronident import (
 )
 from chronident.stability import (
     _BLOCK,
+    _WIDTH,
     TauGrid,
     _second_difference_grams,
     write_acov_csv,
@@ -253,50 +254,57 @@ class TestAcovGrid:
         assert np.all(est.var > 0.0)
 
     def test_blocked_kernel_matches_one_shot_gram(self, maser_model):
-        # several blocks with a partial last one; the largest m leaves 2 columns
-        n_steps = 3 * _BLOCK + 1001
-        grid = TauGrid(m_values=np.array([1, 7, 1000, _BLOCK, n_steps // 2]), Ts=5.0)
+        # at m = 1 exactly one block of _WIDTH columns, one block and a
+        # one-column tail, and one block and a partial one; the largest m
+        # leaves 1 or 2 columns
         rng = np.random.default_rng(22)
         models = [
             assemble_ensemble(random_params(rng, 2, balanced=False), 5.0),
             maser_model,
             assemble_ensemble(random_params(rng, 6, balanced=False), 5.0),
         ]
-        for model in models:
-            _, record = simulate_ensemble(model, n_steps, seed=22, keep_states=False)
-            est = acov_grid(record, grid)
-            grams, counts = _second_difference_grams(record.Z, grid.m_values)
-            assert counts is None
-            Z = record.Z
-            for p, m in enumerate(grid.m_values):
-                assert np.array_equal(grams[p], grams[p].T)
-                D = Z[:, 2 * m :] - 2.0 * Z[:, m:-m] + Z[:, : -2 * m]
-                D_gram = D @ D.T
-                assert np.max(np.abs(grams[p] - D_gram)) <= 1e-12 * np.max(np.abs(D_gram))
-                G = D_gram / (2.0 * (m * 5.0) ** 2 * (n_steps - 2 * m + 1))
-                ref = np.array([G[i - 1, j - 1] for i, j in est.pairs])
-                assert np.max(np.abs(est.sigma2[:, p] - ref)) <= 1e-12 * np.max(np.abs(G))
+        for n_steps in (_WIDTH + 1, _WIDTH + 2, 3 * _BLOCK + 1001):
+            grid = TauGrid(m_values=np.unique([1, 7, 1000, _BLOCK, n_steps // 2]), Ts=5.0)
+            for model in models:
+                _, record = simulate_ensemble(model, n_steps, seed=22, keep_states=False)
+                est = acov_grid(record, grid)
+                grams, counts = _second_difference_grams(record.Z, grid.m_values)
+                assert counts is None
+                Z = record.Z
+                for p, m in enumerate(grid.m_values):
+                    assert np.array_equal(grams[p], grams[p].T)
+                    D = Z[:, 2 * m :] - 2.0 * Z[:, m:-m] + Z[:, : -2 * m]
+                    D_gram = D @ D.T
+                    assert np.max(np.abs(grams[p] - D_gram)) <= 1e-12 * np.max(np.abs(D_gram))
+                    G = D_gram / (2.0 * (m * 5.0) ** 2 * (n_steps - 2 * m + 1))
+                    ref = np.array([G[i - 1, j - 1] for i, j in est.pairs])
+                    assert np.max(np.abs(est.sigma2[:, p] - ref)) <= 1e-12 * np.max(np.abs(G))
 
     def test_block_outer_order_bit_identical_to_m_outer(self, maser_model):
         # each Gram matrix adds its blocks in the same order whichever loop
-        # is outside; m values below, at and above _BLOCK, the last leaving
-        # a partial block
-        n_steps = 4 * _BLOCK + 777
+        # is outside, one product vector per superdiagonal and block; m
+        # values below, at and above _WIDTH, the last leaving a partial block
+        n_steps = 2 * _WIDTH + 777
         m_values = TauGrid(
-            m_values=np.array([1, 3, 50, _BLOCK - 1, _BLOCK, _BLOCK + 5, 2 * _BLOCK, n_steps // 2]),
+            m_values=np.array([1, 3, 50, _BLOCK, _WIDTH - 1, _WIDTH, _WIDTH + 5, n_steps // 2]),
             Ts=5.0,
         ).m_values
         _, record = simulate_ensemble(maser_model, n_steps, seed=25, keep_states=False)
         Z = record.Z
-        reference = np.zeros((len(m_values), Z.shape[0], Z.shape[0]))
+        n_z = Z.shape[0]
+        reference = np.zeros((len(m_values), n_z, n_z))
         for G, m in zip(reference, m_values):
             count = Z.shape[1] - 2 * m
-            for start in range(0, count, _BLOCK):
-                width = min(_BLOCK, count - start)
+            for start in range(0, count, _WIDTH):
+                width = min(_WIDTH, count - start)
                 twice = Z[:, start + m : start + m + width] * 2.0
                 db = Z[:, start + 2 * m : start + 2 * m + width] - twice
                 db += Z[:, start : start + width]
-                G += np.einsum("ik,jk->ij", db, db)
+                for s in range(n_z):
+                    products = np.einsum("ik,ik->i", db[: n_z - s], db[s:])
+                    for i, value in enumerate(products):
+                        G[i, i + s] += value
+            G.T[np.triu_indices(n_z, 1)] = G[np.triu_indices(n_z, 1)]
         grams, _ = _second_difference_grams(Z, m_values)
         assert np.array_equal(grams, reference)
 

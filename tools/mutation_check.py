@@ -1,5 +1,5 @@
-"""Mutation check of the outlier filter's median selection, the estimators
-and the estimation options' checks.
+"""Mutation check of the outlier filter's median selection, the Gram
+kernel, the estimators and the estimation options' checks.
 
 Each mutant below is applied to a copy of the working tree as it is
 (without hidden files and directories), and the tier-1 suite runs on the
@@ -10,8 +10,8 @@ survives. Usage:
 
 The copies go to a fresh directory under DIR (the system temporary
 directory by default) and are removed afterwards. Each run of the suite
-takes up to about a minute on two CPUs, so the thirteen mutants take up
-to about thirteen minutes. The exit status is 1 if any mutant survives.
+takes up to about a minute on two CPUs, so the fifteen mutants take up
+to about fifteen minutes. The exit status is 1 if any mutant survives.
 ``tests/test_mutation_check.py``, which checks that each mutant's text
 occurs once in its target, is left out of the mutated runs.
 """
@@ -28,6 +28,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIMULATE = Path("src/chronident/simulate.py")
+STABILITY = Path("src/chronident/stability.py")
 ACOV = Path("src/chronident/ident_acov.py")
 MDM = Path("src/chronident/ident_mdm.py")
 NUMERICS = Path("src/chronident/numerics.py")
@@ -54,6 +55,21 @@ MUTANTS = [
         SIMULATE,
         "        gathered.partition([r for r in ranks if r < m])\n",
         "",
+    ),
+    (
+        "Gram kernel without the mirrored lower triangle",
+        STABILITY,
+        "    grams[:, rows, cols] = grams[:, cols, rows] = upper\n",
+        "    grams[:, rows, cols] = upper\n",
+    ),
+    (
+        # a record of one block per m is unaffected; a longer one loses its tail
+        "Gram kernel without the last partial block",
+        STABILITY,
+        "            width = min(_WIDTH, count - start)\n",
+        "            width = min(_WIDTH, count - start)\n"
+        "            if start and width < _WIDTH:\n"
+        "                break\n",
     ),
     (
         "ACOV se x100",
