@@ -13,7 +13,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -24,6 +23,7 @@ from .ident_acov import estimate_acov_method
 from .ident_mdm import build_mdm_system, estimate_mdm, resampling_stride
 from .model import (
     EnsembleParams,
+    as_float,
     assemble_ensemble,
     load_ensemble_config,
     pack_theta,
@@ -32,6 +32,7 @@ from .model import (
 from .report import EstimateReport, write_report_json
 from .simulate import (
     MeasurementRecord,
+    _in_order,
     derive_run_seed,
     read_measurements_csv,
     remove_outliers,
@@ -78,7 +79,7 @@ class EstimationOptions:
                 object.__setattr__(self, name, integral(value, name))
         for name in ("ts_target_s", "d1", "outlier_k"):
             if (value := getattr(self, name)) is not None:
-                object.__setattr__(self, name, float(value))
+                object.__setattr__(self, name, as_float(value, name))
         if self.d1 is not None and not np.isfinite(self.d1):
             raise ValueError(f"pivot drift d1 must be finite, got {self.d1}")
         if self.outlier_k is not None and not self.outlier_k > 0.0:
@@ -207,12 +208,15 @@ def run_monte_carlo(
 
     Returns {method: summary} where summary carries per-parameter stats
     and per-clock AVAR curves (truth, MC-mean estimate, 2.5/97.5
-    percentile bands across runs). Aggregation order is fixed by run
-    index, so results are independent of the concurrency level. The
+    percentile bands across runs). The runs are computed by _in_order on
+    min(jobs, runs) processes; each has its own seed and they are
+    aggregated by run index, so results do not depend on jobs or on
+    _in_order's fallback to this process. The
     methods, model, tau grid and MDM settings are checked before any run
     is simulated.
     """
     n_steps = integral(n_steps, "n_steps")
+    runs = integral(runs, "runs")
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     if jobs < 1:
@@ -229,11 +233,7 @@ def run_monte_carlo(
         (i, derive_run_seed(master_seed, i), model, n_steps, options.outlier_k, per_method)
         for i in range(runs)
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            raw = list(pool.map(_mc_worker, payloads))
-    else:
-        raw = [_mc_worker(p) for p in payloads]
+    raw = list(_in_order(_mc_worker, payloads, min(jobs, runs)))
 
     truth = pack_theta(params)
     summaries: dict = {}

@@ -300,6 +300,15 @@ def params_from_theta_alpha(theta_alpha: np.ndarray, drifts: np.ndarray) -> Ense
     )
 
 
+def as_float(value, name: str) -> float:
+    """``value`` (a number, or its text) as a float; a value of another type,
+    such as a JSON list or object, raises ValueError naming ``name``."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
+
+
 def load_ensemble_config(path: str | Path) -> tuple[EnsembleParams, float, dict]:
     """Read an ensemble configuration JSON file.
 
@@ -317,17 +326,19 @@ def load_ensemble_config(path: str | Path) -> tuple[EnsembleParams, float, dict]
             ClockParams(q1=float(c["q1"]), q2=float(c["q2"]), d=float(c.get("d", 0.0)))
             for c in raw["clocks"]
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"config field 'clocks' is malformed: {exc}") from exc
     if len(clocks) < 2:
         raise ValueError("config field 'clocks' must list at least 2 clocks")
-    n_z = len(clocks) - 1
-    R = upper_to_symmetric(np.asarray(raw["r_upper"], dtype=float), n_z)
+    try:
+        R = upper_to_symmetric(raw["r_upper"], len(clocks) - 1)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"config field 'r_upper' is malformed: {exc}") from exc
     params = EnsembleParams(clocks=clocks, R=R)
     params.validate()
-    ts = float(raw["ts_seconds"])
-    if ts <= 0.0:
-        raise ValueError(f"config field 'ts_seconds' must be > 0, got {ts}")
+    ts = as_float(raw["ts_seconds"], "config field 'ts_seconds'")
+    if not 0.0 < ts < np.inf:
+        raise ValueError(f"config field 'ts_seconds' must be finite and > 0, got {ts}")
     extras = {k: v for k, v in raw.items() if k not in ("ts_seconds", "clocks", "r_upper")}
     return params, ts, extras
 

@@ -402,30 +402,27 @@ def remove_outliers(
 def _csv_workers(tasks: int) -> int:
     """Pool size for CSV work: one worker per available CPU, at most one per task.
 
-    A daemonic process (a multiprocessing.Pool worker) may not start
-    children, and a platform without os.sched_getaffinity (macOS, Windows)
-    starts processes by spawning them, which needs the caller's main module
-    to be guarded; both do the work themselves.
+    A platform without os.sched_getaffinity (macOS, Windows) starts
+    processes by spawning them, which needs the caller's main module to be
+    guarded, so there the work is done in this process.
     """
     affinity = getattr(os, "sched_getaffinity", None)
-    if affinity is None or multiprocessing.current_process().daemon:
-        return 1
-    return min(len(affinity(0)), tasks)
+    return 1 if affinity is None else min(len(affinity(0)), tasks)
 
 
-def _in_order(func: Callable, tasks: list) -> Iterator:
-    """Yield func(task) for each task in order, computed on a process pool.
+def _in_order(func: Callable, tasks: list, workers: int) -> Iterator:
+    """Yield func(task) for each task in order, computed on a process pool of size workers.
 
-    The pool has _csv_workers(len(tasks)) workers and at most two tasks per
-    worker are in flight, so results wait in this process only until the
-    consumer takes them. With one worker, or from the first task whose
-    result the pool cannot deliver because it cannot be built or breaks,
-    the tasks are computed in this process. An exception func raises
-    reaches the consumer (an OSError once the task has run again here).
+    At most two tasks per worker are in flight, so results wait in this
+    process only until the consumer takes them. With one worker, in a
+    daemonic process (a multiprocessing.Pool worker, which may not start
+    children), or from the first task whose result the pool cannot
+    deliver because it cannot be built or breaks, the tasks are computed
+    in this process. An exception func raises reaches the consumer (an
+    OSError once the task has run again here).
     """
-    workers = _csv_workers(len(tasks))
     done = 0
-    if workers > 1:
+    if workers > 1 and not multiprocessing.current_process().daemon:
         pool = None
         try:
             pool = ProcessPoolExecutor(max_workers=workers)
@@ -481,7 +478,7 @@ def write_measurements_csv(record: MeasurementRecord, path: str | Path) -> None:
     ]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t_s," + ",".join(f"z{i + 1}" for i in range(record.n_z)) + "\n")
-        fh.writelines(_in_order(_format_rows, tasks))
+        fh.writelines(_in_order(_format_rows, tasks, _csv_workers(len(tasks))))
 
 
 def _cut_body(path: str | Path, offset: int) -> list[tuple[int, int, int]]:
@@ -598,7 +595,8 @@ def read_measurements_csv(path: str | Path) -> MeasurementRecord:
     # |t - (t0 + k*Ts)| so far, NaN once any is
     t0 = ts = None
     worst = 0.0
-    parsed = _in_order(_parse_part, [(path, offset, size) for offset, size, _ in parts])
+    tasks = [(path, offset, size) for offset, size, _ in parts]
+    parsed = _in_order(_parse_part, tasks, _csv_workers(len(tasks)))
     try:
         for offset, size, n in parts:
             try:

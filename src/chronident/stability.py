@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import UnidentifiableError
-from .model import EnsembleParams, upper_triangle_indices, upper_triangle_pairs
+from .model import EnsembleParams, as_float, upper_triangle_indices, upper_triangle_pairs
 from .numerics import wishart_variance
 from .simulate import _BLOCK, MeasurementRecord
 
@@ -83,8 +83,8 @@ def log_spaced_grid(ell: int, m_max: int, ts: float) -> TauGrid:
 def integral(value, name: str) -> int:
     """``value`` (a number, or its text such as "5" or "5.0") as an int;
     a value with a fractional part raises ValueError instead of being
-    truncated."""
-    number = float(value)
+    truncated, as does one that is not a number."""
+    number = as_float(value, name)
     if not number.is_integer():
         raise ValueError(f"{name} must be an integer, got {value}")
     return int(number)

@@ -1,6 +1,7 @@
 import inspect
 import json
 import logging
+import multiprocessing
 import os
 import tracemalloc
 from dataclasses import replace
@@ -23,8 +24,10 @@ from chronident import (
 from chronident import cli
 from chronident.cli import (
     EXIT_INVALID_INPUT,
+    EXIT_OK,
     EXIT_UNIDENTIFIABLE,
     EstimationOptions,
+    _mc_worker,
     main,
     run_estimation,
     run_monte_carlo,
@@ -349,6 +352,30 @@ class TestAvarCommand:
         assert abs(slope - (-2.0)) < 0.1
 
 
+class _DiesInPoolOnRun:
+    """cli._mc_worker, except that in a pool worker one run ends the worker
+    process, as the OOM killer would, after touching a mark file."""
+
+    def __init__(self, run: int, mark):
+        self.run, self.mark = run, mark
+
+    def __call__(self, payload):
+        if payload[0] == self.run and multiprocessing.parent_process() is not None:
+            self.mark.touch()
+            os._exit(1)
+        return _mc_worker(payload)
+
+
+def _assert_same_summary(a: dict, b: dict) -> None:
+    assert {k: v for k, v in a.items() if k != "curves"} == {
+        k: v for k, v in b.items() if k != "curves"
+    }
+    assert a["curves"].keys() == b["curves"].keys()
+    for clk, curve in a["curves"].items():
+        for key, values in curve.items():
+            np.testing.assert_array_equal(values, b["curves"][clk][key])
+
+
 class TestMonteCarloCommand:
     def test_single_run_matches_direct_estimate(self, tmp_path, maser_params, maser_model):
         config = tmp_path / "scenario.json"
@@ -426,16 +453,56 @@ class TestMonteCarloCommand:
             assert (tmp_path / name / "mc_summary.json").exists()
         assert "curves" in summary
 
-    def test_concurrency_independent_results(self, maser_params):
+    @staticmethod
+    def _small_study(maser_params) -> dict:
+        """run_monte_carlo's arguments but jobs for a 4-run acov study at N = 5000."""
         opts = EstimationOptions(method="acov", ell=10, m_max=2000)
-        kwargs = dict(
+        return dict(
             params=maser_params, ts=5.0, n_steps=5000, options=opts,
             methods=["acov"], runs=4, master_seed=13,
         )
+
+    def test_concurrency_independent_results(self, maser_params):
+        kwargs = self._small_study(maser_params)
         serial = run_monte_carlo(jobs=1, **kwargs)["acov"]
         parallel = run_monte_carlo(jobs=2, **kwargs)["acov"]
         assert serial["mean"] == parallel["mean"]
         assert serial["std"] == parallel["std"]
+
+    def test_killed_pool_worker_runs_computed_in_process(self, tmp_path, monkeypatch, maser_params):
+        # the runs the broken pool did not deliver are computed here, each
+        # from its own seed, so the study equals one without a pool
+        kwargs = self._small_study(maser_params)
+        serial = run_monte_carlo(jobs=1, **kwargs)["acov"]
+        mark = tmp_path / "killed"
+        monkeypatch.setattr(cli, "_mc_worker", _DiesInPoolOnRun(1, mark))
+        _assert_same_summary(run_monte_carlo(jobs=2, **kwargs)["acov"], serial)
+        assert mark.exists()
+
+        config = tmp_path / "scenario.json"
+        dump_ensemble_config(
+            maser_params, 5.0, config, n_steps=5000, estimation={"ell": 10, "m_max": 2000}
+        )
+        mark.unlink()
+        for jobs in ("2", "1"):
+            code = main(
+                ["montecarlo", "--config", str(config), "--runs", "4", "--seed", "13",
+                 "--jobs", jobs, "--out", str(tmp_path / f"mc{jobs}")]
+            )
+            assert code == EXIT_OK
+        assert mark.exists()
+        summary = (tmp_path / "mc2" / "mc_summary.json").read_bytes()
+        assert summary == (tmp_path / "mc1" / "mc_summary.json").read_bytes()
+        assert multiprocessing.active_children() == []
+
+    def test_study_in_daemonic_process_runs_in_process(self, maser_params):
+        # a multiprocessing.Pool worker is daemonic and may not start children
+        kwargs = self._small_study(maser_params)
+        serial = run_monte_carlo(jobs=1, **kwargs)["acov"]
+        with multiprocessing.Pool(1) as outer:
+            nested = outer.apply(run_monte_carlo, (), dict(jobs=2, **kwargs))["acov"]
+        _assert_same_summary(nested, serial)
+        assert multiprocessing.active_children() == []
 
     def test_mean_q1_accuracy(self, maser_params):
         opts = EstimationOptions(method="acov", ell=15)
@@ -582,6 +649,30 @@ class TestMonteCarloCommand:
         )
         assert code == EXIT_INVALID_INPUT
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "estimation, extras, field",
+        [
+            ({}, {"n_steps": [20_000]}, "n_steps"),
+            ({}, {"seed": {}}, "seed"),
+            ({}, {"ts_seconds": [5.0]}, "ts_seconds"),
+            ({}, {"ts_seconds": float("nan")}, "ts_seconds"),
+            ({}, {"ts_seconds": float("inf")}, "ts_seconds"),
+            ({}, {"r_upper": {}}, "r_upper"),
+            ({"ell": [15]}, {}, "ell"),
+            ({"d1": [0.0]}, {}, "d1"),
+        ],
+        ids=["n_steps", "seed", "ts_list", "ts_nan", "ts_inf", "r_upper", "ell", "d1"],
+    )
+    def test_mistyped_config_number_is_invalid_input(
+        self, tmp_path, capsys, monkeypatch, maser_params, estimation, extras, field
+    ):
+        # a JSON list, object or non-finite step where a number belongs
+        code = self._study_before_simulating(
+            tmp_path, monkeypatch, maser_params, [], estimation, **extras
+        )
+        assert code == EXIT_INVALID_INPUT
+        assert field in capsys.readouterr().err
 
     @staticmethod
     def _study_before_simulating(tmp_path, monkeypatch, maser_params, flags, estimation, **extras):

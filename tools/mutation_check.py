@@ -1,5 +1,6 @@
 """Mutation check of the outlier filter's median selection, the Gram
-kernel, the estimators and the estimation options' checks.
+kernel, the estimators, the estimation options' checks and the process
+pool's daemon guard.
 
 Each mutant below is applied to a copy of the working tree as it is
 (without hidden files and directories), and the tier-1 suite runs on the
@@ -10,8 +11,8 @@ survives. Usage:
 
 The copies go to a fresh directory under DIR (the system temporary
 directory by default) and are removed afterwards. Each run of the suite
-takes up to about a minute on two CPUs, so the fifteen mutants take up
-to about fifteen minutes. The exit status is 1 if any mutant survives.
+takes up to about a minute on two CPUs, so the seventeen mutants take
+up to about seventeen minutes. The exit status is 1 if any mutant survives.
 ``tests/test_mutation_check.py``, which checks that each mutant's text
 occurs once in its target, is left out of the mutated runs.
 """
@@ -80,6 +81,12 @@ MUTANTS = [
         "    return x, diag\n",
     ),
     (
+        "ACOV drift fit counts masked samples",
+        ACOV,
+        "        np.copyto(wb, valid[:, start : start + v.size])\n",
+        "        wb[...] = 1.0\n",
+    ),
+    (
         "MDM without the drift correction",
         MDM,
         "    centred = residues - correction[:, None]\n",
@@ -140,6 +147,13 @@ MUTANTS = [
         "        return run_idx, {opts.method: {\"theta\": None, \"error\": error}"
         " for opts in per_method}\n",
         "    record = _filter_outliers(record, outlier_k)\n",
+    ),
+    (
+        # a daemonic process may not start children: its pool fails to start a worker
+        "pool started in a daemonic process",
+        SIMULATE,
+        "    if workers > 1 and not multiprocessing.current_process().daemon:\n",
+        "    if workers > 1:\n",
     ),
 ]
 
