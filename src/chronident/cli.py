@@ -129,13 +129,15 @@ def run_estimation(record: MeasurementRecord, opts: EstimationOptions) -> Estima
 
 
 def _check_mdm_settings(n: int, ts: float, n_steps: int, opts: EstimationOptions) -> None:
-    """Build the MDM system of a study (cached for its runs) and check that
-    records of n_steps steps every ts seconds can be resampled to its
-    period; the settings left unset take estimate_mdm's defaults."""
+    """Check that records of n_steps steps every ts seconds can be resampled
+    to the MDM period and fill a window, then build the study's MDM system
+    (cached for its runs); the settings left unset take estimate_mdm's
+    defaults."""
     settings = inspect.signature(estimate_mdm).bind_partial(**_settings(opts))
     settings.apply_defaults()
-    system = build_mdm_system(n, settings.arguments["ts_target_s"], settings.arguments["L"])
-    resampling_stride(system, ts, n_steps + 1)
+    ts_target_s, L = settings.arguments["ts_target_s"], settings.arguments["L"]
+    resampling_stride(ts_target_s, L, ts, n_steps + 1)
+    build_mdm_system(n, ts_target_s, L)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:

@@ -1,16 +1,19 @@
 """Measurement-difference identification.
 
 Stacking L consecutive measurements gives Z_k = O x_k plus the window's
-state and measurement noises. Each channel's second differences
-(1, -2, 1) annihilate O, since H F^l is linear in l, so the residues
+state and measurement noises, with O = [H; HF; ...; HF^(L-1)]. Each
+channel's second differences (1, -2, 1) annihilate O, since H F^l is
+linear in l, so the residues
 
     Zbar_k = Am Z_k,   Am = B kron I_{n_z},
 
 with B the (L-2) x L band of (1, -2, 1) rows, are free of the state.
+Neither O nor Am is built: the residues are the second differences of
+the record at the MDM period, and their moments have closed forms.
 Each of their L-2 rows of channel i has mean (d_{i+1} - d_1) ts^2, so the
 drifts are a row average; their second moment is linear in q1, q2 and
-the unique elements of R in closed form, and is fitted by ``wishart_fit``
-with nu the number of residue windows.
+the unique elements of R, and is fitted by ``wishart_fit`` with nu the
+number of residue windows.
 
 A masked record (``MeasurementRecord.valid``) keeps only the windows whose
 L samples at the MDM period are valid on every channel.
@@ -25,12 +28,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NoResidueError, UnidentifiableError
-from .model import (
-    clock_noise_cov,
-    ensemble_structure,
-    params_from_theta_alpha,
-    upper_triangle_indices,
-)
+from .model import clock_noise_cov, params_from_theta_alpha, upper_triangle_indices
 from .numerics import wishart_fit
 from .report import EstimateReport
 from .simulate import MeasurementRecord
@@ -41,7 +39,6 @@ __all__ = [
     "resampling_stride",
     "compute_residues",
     "residue_mean_from_drifts",
-    "residue_second_moment_from_cov",
     "solve_drifts_from_mean",
     "solve_theta_alpha_from_moment",
     "estimate_theta_alpha",
@@ -51,19 +48,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MdmSystem:
-    """Matrices of the residue construction.
+    """The residue moment map of n clocks at the MDM period Ts, window L.
 
-    O          : (L n_z, 2n) stacked observation matrix [H; HF; ...]
-    Am         : (n_aO, L n_z) stencil B kron I_{n_z}, Am O = 0,
-                 n_aO = (L-2) n_z
-    drift_map  : (n_aO, n) residue-mean map of d^(1..n), pivot in column 0
-    theta_map  : (n_aO(n_aO+1)/2, n(n+3)/2) map of [q1 x n, q2 x n, upper
-                 triangle of R] to the residue covariance's vech (a <= b, row-major)
+    theta_map : (n_aO(n_aO+1)/2, n(n+3)/2) map of [q1 x n, q2 x n, upper
+                triangle of R] to the residue covariance's vech (a <= b,
+                row-major), with n_aO = (L-2) n_z residue rows
     """
 
-    O: np.ndarray
-    Am: np.ndarray
-    drift_map: np.ndarray
     theta_map: np.ndarray
     Ts: float
     L: int
@@ -75,7 +66,7 @@ class MdmSystem:
 
     @property
     def n_residue(self) -> int:
-        return self.Am.shape[0]
+        return (self.L - 2) * self.n_z
 
 
 def _residue_moments(L: int, ts: float, blocks: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -102,19 +93,20 @@ def _residue_moments(L: int, ts: float, blocks: np.ndarray, R: np.ndarray) -> np
 
 @functools.lru_cache
 def build_mdm_system(n: int, ts: float, L: int) -> MdmSystem:
-    """Assemble the stencil and the moment maps for n clocks sampled
-    every ts seconds and window L.
+    """Assemble the residue moment map for n clocks sampled every ts
+    seconds and window L.
 
     Only the model structure enters; the noise parameters being estimated
     never do, so the system is built once per (n, ts, L) and cached: every
-    call with the same arguments returns the same object, whose arrays are
-    read-only. Raises NoResidueError for L = 2, whose window holds no
+    call with the same arguments returns the same object, whose theta_map
+    is read-only. Raises NoResidueError for L = 2, whose window holds no
     second difference (rank(O) = 2(n-1) fills all of its rows).
     """
     if int(L) != L or L < 2:
         raise ValueError(f"L must be an integer >= 2, got {L}")
     L = int(L)
-    F, H = ensemble_structure(n, ts)
+    if n < 2:
+        raise ValueError("an ensemble needs at least 2 clocks")
     if L == 2:
         raise NoResidueError(
             f"a window of L=2 samples holds no second difference (n={n}); "
@@ -131,35 +123,27 @@ def build_mdm_system(n: int, ts: float, L: int) -> MdmSystem:
     unit_r = np.zeros((n_q + n_r, n_z, n_z))
     i, j = upper_triangle_indices(n_z)
     unit_r[n_q + np.arange(n_r), i, j] = unit_r[n_q + np.arange(n_r), j, i] = 1.0
-
-    # a clock's phase second difference has mean d ts^2
-    drift_rows = ts**2 * np.hstack([-np.ones((n_z, 1)), np.eye(n_z)])
-    system = MdmSystem(
-        O=np.vstack([H @ np.linalg.matrix_power(F, l) for l in range(L)]),
-        Am=np.kron(np.diff(np.eye(L), 2, axis=0), np.eye(n_z)),
-        drift_map=np.tile(drift_rows, (L - 2, 1)),
-        theta_map=_residue_moments(L, ts, blocks, unit_r).T,
-        Ts=float(ts),
-        L=L,
-        n=n,
-    )
-    for array in (system.O, system.Am, system.drift_map, system.theta_map):
-        array.flags.writeable = False
-    return system
+    theta_map = _residue_moments(L, ts, blocks, unit_r).T
+    theta_map.flags.writeable = False
+    return MdmSystem(theta_map=theta_map, Ts=float(ts), L=L, n=n)
 
 
-def resampling_stride(system: MdmSystem, ts: float, n_samples: int) -> int:
-    """The stride f = system.Ts / ts that takes a record of n_samples
-    samples every ts seconds to system.Ts; ValueError unless f is an integer
-    and the ceil(n_samples / f) samples at system.Ts fill a window of L."""
-    ratio = system.Ts / ts
+def resampling_stride(ts_target_s: float, L: int, ts: float, n_samples: int) -> int:
+    """The stride f = ts_target_s / ts that takes a record of n_samples
+    samples every ts seconds to the MDM period ts_target_s; ValueError
+    unless that period is finite and positive, f is an integer and the
+    ceil(n_samples / f) samples at ts_target_s fill a window of L. It needs
+    no MdmSystem, so settings can be checked before one is built."""
+    if not 0.0 < ts_target_s < np.inf:
+        raise ValueError(f"MDM period ts_target_s must be finite and > 0, got {ts_target_s}")
+    ratio = ts_target_s / ts
+    if ratio == np.inf:
+        raise ValueError(f"MDM Ts={ts_target_s} over record Ts={ts} overflows the stride")
     f = int(round(ratio))
     if f < 1 or abs(ratio - f) > 1e-9 * f:
-        raise ValueError(f"MDM Ts={system.Ts} is not an integer multiple of record Ts={ts}")
-    if (samples := -(-n_samples // f)) < system.L:
-        raise ValueError(
-            f"record has {samples} samples at Ts={system.Ts}, need at least L={system.L}"
-        )
+        raise ValueError(f"MDM Ts={ts_target_s} is not an integer multiple of record Ts={ts}")
+    if (samples := -(-n_samples // f)) < L:
+        raise ValueError(f"record has {samples} samples at Ts={ts_target_s}, need at least L={L}")
     return f
 
 
@@ -178,7 +162,7 @@ def compute_residues(record: MeasurementRecord, system: MdmSystem) -> np.ndarray
         raise ValueError(
             f"record has {record.n_z} channels, system expects {system.n_z}"
         )
-    f = resampling_stride(system, record.Ts, record.Z.shape[1])
+    f = resampling_stride(system.Ts, system.L, record.Ts, record.Z.shape[1])
     Z = record.Z[:, ::f]
     count = Z.shape[1] - system.L + 1
     D = Z[:, 2:] - 2.0 * Z[:, 1:-1] + Z[:, :-2]
@@ -195,22 +179,14 @@ def compute_residues(record: MeasurementRecord, system: MdmSystem) -> np.ndarray
 
 
 def residue_mean_from_drifts(system: MdmSystem, drifts: np.ndarray) -> np.ndarray:
-    """Model-implied residue mean for the full drift vector d^(1..n)."""
+    """Model-implied residue mean for the full drift vector d^(1..n): a
+    clock's phase second difference has mean d ts^2, so each of the L-2
+    rows of channel i holds (d_{i+1} - d_1) ts^2."""
     d = np.asarray(drifts, dtype=float).ravel()
     if d.size != system.n:
         raise ValueError(f"expected {system.n} drifts, got {d.size}")
-    return system.drift_map @ d
-
-
-def residue_second_moment_from_cov(
-    system: MdmSystem, Q: np.ndarray, R: np.ndarray
-) -> np.ndarray:
-    """Model-implied vech of the residue covariance (row-major upper
-    triangle) from Q's diagonal 2 x 2 clock blocks and R; theta_map is
-    the same form for unit parameters."""
-    n = system.n
-    blocks = np.asarray(Q, dtype=float).reshape(n, 2, n, 2)[np.arange(n), :, np.arange(n)]
-    return _residue_moments(system.L, system.Ts, blocks, np.asarray(R, dtype=float))
+    ts2 = system.Ts**2
+    return np.tile(ts2 * d[1:] - ts2 * d[0], system.L - 2)
 
 
 def solve_drifts_from_mean(
@@ -278,11 +254,13 @@ def estimate_mdm(
     drifts from their mean and noise from their drift-corrected moments.
 
     ts_target_s must be an integer multiple of the record's Ts, and the
-    record must hold at least L samples at that period; compute_residues
-    takes every (ts_target_s / Ts)-th sample through a strided view.
+    record must hold at least L samples at that period; both are checked
+    before the system is built. compute_residues takes every
+    (ts_target_s / Ts)-th sample through a strided view.
     """
     if not np.isfinite(d1):
         raise ValueError(f"pivot drift d1 must be finite, got {d1}")
+    resampling_stride(ts_target_s, L, record.Ts, record.Z.shape[1])
     system = build_mdm_system(record.n_z + 1, ts_target_s, L)
     residues = compute_residues(record, system)
     drifts, drift_diag = solve_drifts_from_mean(residues.mean(axis=1), system, d1)

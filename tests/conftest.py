@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from chronident import ClockParams, EnsembleParams, MeasurementRecord, assemble_ensemble
+from chronident import (
+    ClockParams,
+    EnsembleParams,
+    MeasurementRecord,
+    assemble_ensemble,
+    ensemble_structure,
+)
 
 
 @pytest.fixture(scope="session")
@@ -73,3 +79,18 @@ def quantised_record(record, steps=6.0):
         q = steps * np.std(np.diff(row, 2))
         row[:] = np.round(row / q) * q
     return MeasurementRecord(Ts=record.Ts, Z=Z)
+
+
+def reference_observation(n, ts, L):
+    """O = [H; HF; ...; HF^(L-1)], the window's stacked observation matrix."""
+    F, H = ensemble_structure(n, ts)
+    return np.vstack([H @ np.linalg.matrix_power(F, l) for l in range(L)])
+
+
+def noiseless_record(n, ts, steps, seed):
+    """z_k = H F^k x0 for k = 0..steps from random phases and frequencies."""
+    F, H = ensemble_structure(n, ts)
+    states = [np.random.default_rng(seed).normal(scale=[1e-6, 1e-11] * n)]
+    for _ in range(steps):
+        states.append(F @ states[-1])
+    return MeasurementRecord(Ts=ts, Z=H @ np.column_stack(states))

@@ -20,6 +20,7 @@ from chronident import (
     assemble_ensemble,
     build_mdm_system,
     build_regression,
+    compute_residues,
     log_spaced_grid,
     recover_drifts,
     remove_outliers,
@@ -31,14 +32,13 @@ from chronident.cli import EstimationOptions, run_monte_carlo
 from chronident.errors import NoResidueError
 from chronident.ident_mdm import (
     residue_mean_from_drifts,
-    residue_second_moment_from_cov,
     solve_drifts_from_mean,
     solve_theta_alpha_from_moment,
 )
 from chronident.model import theta_alpha_from_params, upper_triangle_pairs
 from chronident.stability import AcovEstimate, TauGrid
 
-from conftest import random_params
+from conftest import noiseless_record, random_params, reference_observation
 
 FULL_STEPS = 6_312_000
 FULL_M_MAX = 3_150_000
@@ -100,9 +100,12 @@ def test_criterion_1_structural_exactness(maser_params):
 
 def test_criterion_2_annihilation_and_rank():
     start = time.perf_counter()
-    system = build_mdm_system(4, 5000.0, 5)
-    rel = np.linalg.norm(system.Am @ system.O) / np.linalg.norm(system.O)
-    rank = np.linalg.matrix_rank(system.O)
+    rank = np.linalg.matrix_rank(reference_observation(4, 5000.0, 5))
+    # the estimator's residues of a noiseless record z_k = H F^k x0 (random
+    # phases and frequencies), N = 20 000 at 5 s, resampled to 5000 s
+    record = noiseless_record(4, 5.0, 20_000, 200)
+    residues = compute_residues(record, build_mdm_system(4, 5000.0, 5))
+    rel = np.abs(residues).max() / np.abs(record.Z).max()
     try:
         build_mdm_system(2, 5000.0, 2)
         no_residue_raised = False
@@ -111,9 +114,9 @@ def test_criterion_2_annihilation_and_rank():
     elapsed = time.perf_counter() - start
     _criterion(
         2,
-        "annihilator quality, rank(O) = 6 and the n=2/L=2 no-residue error",
+        "noiseless residues vanish, rank(O) = 6 and the n=2/L=2 no-residue error",
         rel <= 1e-10 and rank == 6 and no_residue_raised and elapsed < 1.0,
-        f"|AmO|/|O|={rel:.2e}, rank={rank}, {elapsed:.2f}s",
+        f"max|residue|/max|Z|={rel:.2e}, rank={rank}, {elapsed:.2f}s",
     )
 
 
@@ -133,9 +136,9 @@ def test_criterion_3_exact_moment_round_trips(maser_params):
             worst_drift,
             float(np.max(np.abs(d_hat - params.drifts()[1:]) / np.abs(params.drifts()[1:]))),
         )
-        moment = residue_second_moment_from_cov(system, model.Q, model.R)
-        theta_hat, _ = solve_theta_alpha_from_moment(moment, system, 1000)
         theta_true = theta_alpha_from_params(params)
+        moment = system.theta_map @ theta_true
+        theta_hat, _ = solve_theta_alpha_from_moment(moment, system, 1000)
         worst_theta = max(
             worst_theta, float(np.max(np.abs(theta_hat - theta_true) / np.abs(theta_true)))
         )
@@ -148,9 +151,9 @@ def test_criterion_3_exact_moment_round_trips(maser_params):
     mean = residue_mean_from_drifts(system, maser_params.drifts())
     d_hat, _ = solve_drifts_from_mean(mean, system, d1=0.0)
     drift_rel = np.max(np.abs(d_hat - maser_params.drifts()[1:]) / maser_params.drifts()[1:])
-    moment = residue_second_moment_from_cov(system, model.Q, model.R)
-    theta_hat, _ = solve_theta_alpha_from_moment(moment, system, 1000)
     theta_true = theta_alpha_from_params(maser_params)
+    moment = system.theta_map @ theta_true
+    theta_hat, _ = solve_theta_alpha_from_moment(moment, system, 1000)
     rel = np.abs(theta_hat - theta_true) / np.abs(theta_true)
     elapsed = time.perf_counter() - start
     _criterion(

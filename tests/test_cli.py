@@ -726,6 +726,34 @@ class TestMonteCarloCommand:
         assert calls == []
 
 
+@pytest.mark.parametrize(
+    "period, message",
+    [
+        ("1e308", "record has 1 samples at Ts=1e+308, need at least L=5"),
+        ("inf", "MDM period ts_target_s must be finite and > 0, got inf"),
+    ],
+    ids=["huge", "inf"],
+)
+@pytest.mark.parametrize("command", ["estimate", "montecarlo"])
+def test_mdm_period_rejected_before_system_is_built(
+    tmp_path, capsys, maser_model, maser_params, command, period, message
+):
+    # a period whose unit noise blocks overflow, or an infinite one, exits 2
+    # with the reason and writes nothing
+    if command == "estimate":
+        _, record = simulate_ensemble(maser_model, 2000, seed=9, keep_states=False)
+        write_measurements_csv(record, source := tmp_path / "meas.csv")
+        argv = ["estimate", str(source)]
+    else:
+        dump_ensemble_config(maser_params, 5.0, source := tmp_path / "scenario.json", n_steps=2000)
+        argv = ["montecarlo", "--config", str(source), "--runs", "2"]
+    out = tmp_path / "out"
+    code = main([*argv, "--method", "mdm", "--ts-target", period, "--out", str(out)])
+    assert code == EXIT_INVALID_INPUT
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.fixture(scope="class")
 def long_csv(tmp_path_factory, maser_model):
     """An N = 600 000 measurement CSV, a short one from its first samples,

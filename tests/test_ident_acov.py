@@ -412,6 +412,22 @@ class TestEstimateAcovMethod:
         delta = np.abs(params.drifts()[1:] - params.drifts()[0])
         assert np.all(error <= 3.0 * drift_floor(params, 630_000, ts) * delta), error
 
+    def test_picosecond_measurement_noise_identified(self):
+        # at the maser scenario's R, about 0.01 fs rms, no estimate can tell
+        # a right R from a wrong one; at R x 1e10 (about 1 ps rms) ACOV
+        # recovers each r_ii to a few parts in 1e3 at N = 631 200
+        params, ts, extras = load_ensemble_config(SCENARIOS / "ahm_four_clock_ps.json")
+        model = assemble_ensemble(params, ts)
+        q1 = np.array([clk.q1 for clk in params.clocks])
+        for run in range(3):
+            seed = derive_run_seed(extras["seed"], run)
+            _, record = simulate_ensemble(model, extras["n_steps"], seed, keep_states=False)
+            report = estimate_acov_method(record, ell=extras["estimation"]["ell"])
+            r_error = np.diag(report.params.R) / np.diag(params.R) - 1.0
+            q1_error = np.array([clk.q1 for clk in report.params.clocks]) / q1 - 1.0
+            assert np.abs(r_error).max() <= 0.02, (seed, r_error)
+            assert np.abs(q1_error).max() <= 0.15, (seed, q1_error)
+
     def test_record_too_short_rejected(self, maser_model):
         _, record = simulate_ensemble(maser_model, 1, seed=0)
         with pytest.raises(ValueError):

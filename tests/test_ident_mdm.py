@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -19,12 +21,16 @@ from chronident import (
 from chronident.errors import NoResidueError, UnidentifiableError
 from chronident.ident_mdm import (
     residue_mean_from_drifts,
-    residue_second_moment_from_cov,
     solve_drifts_from_mean,
     solve_theta_alpha_from_moment,
 )
 
-from conftest import random_params
+from conftest import noiseless_record, random_params, reference_observation
+
+
+def reference_stencil(L, n_z):
+    """Am = B kron I_{n_z}, B the (L-2) x L band of (1, -2, 1) rows."""
+    return np.kron(np.diff(np.eye(L), 2, axis=0), np.eye(n_z))
 
 
 def reference_residue_map(system):
@@ -40,7 +46,15 @@ def reference_residue_map(system):
             Gamma[r * n_z : (r + 1) * n_z, c * n_x : (c + 1) * n_x] = (
                 H @ np.linalg.matrix_power(F, r - 1 - c)
             )
-    return system.Am @ np.hstack([Gamma, np.eye(L * n_z)])
+    return reference_stencil(L, n_z) @ np.hstack([Gamma, np.eye(L * n_z)])
+
+
+def reference_drift_map(system):
+    """The (n_residue, n) map of d^(1..n) to the residue mean: A's
+    state-noise part applied to each clock's drift mean."""
+    n_w = (system.L - 1) * 2 * system.n
+    A = reference_residue_map(system)[:, :n_w]
+    return A.reshape(-1, system.L - 1, system.n, 2).sum(axis=1) @ clock_drift_mean(1.0, system.Ts)
 
 
 def noise_block(system, Q, R):
@@ -62,24 +76,32 @@ MAP_CASES = (
 class TestBuildSystem:
     def test_reference_dimensions(self):
         system = build_mdm_system(4, 5000.0, 5)
-        assert system.O.shape == (15, 8)
-        assert np.linalg.matrix_rank(system.O) == 6
-        assert system.Am.shape == (9, 15)
+        O = reference_observation(4, 5000.0, 5)
+        assert O.shape == (15, 8)
+        assert np.linalg.matrix_rank(O) == 6
+        assert system.n_residue == reference_stencil(5, 3).shape[0] == 9
         assert system.theta_map.shape == (45, 14)
         assert np.linalg.matrix_rank(system.theta_map) == 14
 
     def test_annihilation_property(self):
+        # the stencil annihilates O, and compute_residues leaves nothing of
+        # a noiseless record's state
         rng = np.random.default_rng(50)
-        for _ in range(10):
+        for seed in range(10):
             n = int(rng.integers(2, 6))
             L = int(rng.integers(3, 8))
             ts = float(rng.uniform(0.5, 100.0))
             system = build_mdm_system(n, ts, L)
-            rel = np.linalg.norm(system.Am @ system.O) / np.linalg.norm(system.O)
+            O = reference_observation(n, ts, L)
+            rel = np.linalg.norm(reference_stencil(L, n - 1) @ O) / np.linalg.norm(O)
             assert rel <= 1e-10
             # common pivot phase and frequency are unobservable
-            assert np.linalg.matrix_rank(system.O) == 2 * (n - 1)
+            assert np.linalg.matrix_rank(O) == 2 * (n - 1)
             assert system.n_residue == L * (n - 1) - 2 * (n - 1)
+            record = noiseless_record(n, ts, 3 * L, seed)
+            residues = compute_residues(record, system)
+            assert residues.shape == (system.n_residue, 2 * L + 2)
+            assert np.abs(residues).max() <= 1e-10 * np.abs(record.Z).max()
 
     def test_no_residue_for_minimal_window(self):
         with pytest.raises(NoResidueError):
@@ -94,9 +116,8 @@ class TestBuildSystem:
     def test_system_is_cached_and_read_only(self):
         system = build_mdm_system(4, 100.0, 5)
         assert build_mdm_system(4, 100.0, 5) is system
-        for name in ("theta_map", "Am", "O", "drift_map"):
-            with pytest.raises(ValueError, match="read-only"):
-                getattr(system, name)[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            system.theta_map[0, 0] = 1.0
 
     def test_kronecker_identity(self):
         # (A e) kron (A e) = (A kron A)(e kron e) for the residue map
@@ -139,21 +160,22 @@ class TestBuildSystem:
                 assert err <= 1e-13 * np.abs(expected).max(), (n, ts, L, col)
 
     def test_closed_form_maps_match_reference(self):
-        # drift_map and residue_second_moment_from_cov against A's
-        # state-noise mean and A blockdiag(...) A^T
+        # residue_mean_from_drifts of each unit drift and theta_map's
+        # moments against A's state-noise mean and A blockdiag(...) A^T
         rng = np.random.default_rng(66)
         for n, ts, L in MAP_CASES:
             system = build_mdm_system(n, ts, L)
             A = reference_residue_map(system)
-            n_w = (L - 1) * 2 * n
-            expected = A[:, :n_w].reshape(-1, L - 1, n, 2).sum(axis=1) @ clock_drift_mean(1.0, ts)
-            err = np.abs(system.drift_map - expected).max(axis=0)
+            expected = reference_drift_map(system)
+            mapped = np.column_stack([residue_mean_from_drifts(system, e) for e in np.eye(n)])
+            err = np.abs(mapped - expected).max(axis=0)
             assert np.all(err <= 1e-13 * np.abs(expected).max(axis=0)), (n, ts, L)
-            model = assemble_ensemble(random_params(rng, n), ts)
+            params = random_params(rng, n)
+            model = assemble_ensemble(params, ts)
             expected = (A @ noise_block(system, model.Q, model.R) @ A.T)[
                 np.triu_indices(system.n_residue)
             ]
-            moment = residue_second_moment_from_cov(system, model.Q, model.R)
+            moment = system.theta_map @ theta_alpha_from_params(params)
             assert np.abs(moment - expected).max() <= 1e-13 * np.abs(expected).max(), (n, ts, L)
 
     def test_stencil_spans_svd_left_null_space(self):
@@ -161,47 +183,48 @@ class TestBuildSystem:
         # left null space of O from its SVD
         for n, L in ((4, 5), (3, 5), (4, 6), (4, 4)):
             system = build_mdm_system(n, 5000.0, L)
-            U, s, _ = np.linalg.svd(system.O)
+            U, s, _ = np.linalg.svd(reference_observation(n, 5000.0, L))
             null = U[:, int(np.sum(s > 1e-10 * s[0])) :].T
             assert null.shape[0] == system.n_residue
-            stacked = np.vstack([system.Am, null])
+            stacked = np.vstack([reference_stencil(L, n - 1), null])
             assert np.linalg.matrix_rank(stacked) == system.n_residue, (n, L)
 
     def test_maps_match_model_moments(self):
-        # theta_map and drift_map reproduce the model's own residue moments
+        # theta_map and residue_mean_from_drifts reproduce the model's own
+        # residue moments, A blockdiag(...) A^T and A's mean of mu
         rng = np.random.default_rng(65)
         for n in (2, 3, 4, 5):
             for L, ts in ((3, 0.7), (4, 5.0), (5, 100.0), (7, 5000.0)):
                 params = random_params(rng, n)
                 model = assemble_ensemble(params, ts)
                 system = build_mdm_system(n, ts, L)
-                moment = residue_second_moment_from_cov(system, model.Q, model.R)
+                A = reference_residue_map(system)
+                moment = (A @ noise_block(system, model.Q, model.R) @ A.T)[
+                    np.triu_indices(system.n_residue)
+                ]
                 mapped = system.theta_map @ theta_alpha_from_params(params)
                 assert np.abs(mapped - moment).max() <= 1e-12 * np.abs(moment).max()
                 n_w = (L - 1) * 2 * n
-                mean = reference_residue_map(system)[:, :n_w] @ np.tile(model.mu, L - 1)
-                mapped = system.drift_map @ params.drifts()
+                mean = A[:, :n_w] @ np.tile(model.mu, L - 1)
+                mapped = residue_mean_from_drifts(system, params.drifts())
                 assert np.abs(mapped - mean).max() <= 1e-12 * np.abs(mean).max()
 
     def test_built_from_model_map(self):
-        # O stacks H F^l of the structure-only model map
+        # the model's F and H leave L n_z - rank(O) residue rows, and fewer
+        # than two clocks are rejected as ensemble_structure rejects them
         for n, ts, L in ((2, 1.0, 4), (4, 5.0, 5), (5, 5000.0, 3)):
-            F, H = ensemble_structure(n, ts)
-            expected = np.vstack([H @ np.linalg.matrix_power(F, l) for l in range(L)])
-            O = build_mdm_system(n, ts, L).O
-            np.testing.assert_allclose(O, expected, rtol=1e-15, atol=0.0)
-        with pytest.raises(ValueError):
+            O = reference_observation(n, ts, L)
+            assert build_mdm_system(n, ts, L).n_residue == len(O) - np.linalg.matrix_rank(O)
+        with pytest.raises(ValueError, match="an ensemble needs at least 2 clocks"):
             ensemble_structure(1, 1.0)
+        with pytest.raises(ValueError, match="an ensemble needs at least 2 clocks"):
+            build_mdm_system(1, 1.0, 5)
 
 
 class TestComputeResidues:
     def test_state_annihilation_noiseless(self):
         # noise-free, drift-free evolution z_k = H F^k x0 from a random state
-        F, H = ensemble_structure(4, 1000.0)
-        states = [np.random.default_rng(53).normal(scale=1e-6, size=8)]
-        for _ in range(200):
-            states.append(F @ states[-1])
-        record = MeasurementRecord(Ts=1000.0, Z=H @ np.column_stack(states))
+        record = noiseless_record(4, 1000.0, 200, 53)
         residues = compute_residues(record, build_mdm_system(4, 1000.0, 5))
         scale = np.abs(record.Z).max()
         assert np.abs(residues).max() <= 1e-10 * scale
@@ -260,7 +283,8 @@ class TestComputeResidues:
         _, record = simulate_ensemble(model, 100_000, seed=55)
         residues = compute_residues(record, system)
         sample_cov = np.cov(residues, ddof=1)
-        expected = system.Am @ np.kron(np.eye(4), R) @ system.Am.T
+        Am = reference_stencil(4, 2)
+        expected = Am @ np.kron(np.eye(4), R) @ Am.T
         err = np.linalg.norm(sample_cov - expected) / np.linalg.norm(expected)
         assert err < 0.05
 
@@ -307,7 +331,7 @@ class TestDriftEstimation:
         se_mean = residues.std(axis=1, ddof=1) / np.sqrt(count)
         import numpy.linalg as la
 
-        map_pinv = la.pinv(system.drift_map[:, 1:])
+        map_pinv = la.pinv(reference_drift_map(system)[:, 1:])
         se_d = np.sqrt((map_pinv**2) @ se_mean**2)
         assert np.all(np.abs(d_hat) <= 5.0 * se_d * np.sqrt(system.L))
 
@@ -321,10 +345,11 @@ class TestDriftEstimation:
     @staticmethod
     def assert_matches_lstsq(mean, system, d1):
         d_hat, diag = solve_drifts_from_mean(mean, system, d1=d1)
-        rhs = mean - system.drift_map[:, 0] * d1
-        x, *_ = np.linalg.lstsq(system.drift_map[:, 1:], rhs, rcond=None)
+        drift_map = reference_drift_map(system)
+        rhs = mean - drift_map[:, 0] * d1
+        x, *_ = np.linalg.lstsq(drift_map[:, 1:], rhs, rcond=None)
         assert np.max(np.abs(d_hat - x)) <= 1e-13 * np.max(np.abs(x))
-        residual = np.linalg.norm(rhs - system.drift_map[:, 1:] @ x)
+        residual = np.linalg.norm(rhs - drift_map[:, 1:] @ x)
         # L = 3 leaves no residual: both are rounding of the mean
         assert abs(diag["residual"] - residual) <= 1e-14 * np.linalg.norm(mean)
 
@@ -359,9 +384,9 @@ class TestThetaAlphaEstimation:
             ts = float(rng.uniform(1.0, 10.0))
             model = assemble_ensemble(params, ts)
             system = build_mdm_system(model.n, model.Ts, 5)
-            moment = residue_second_moment_from_cov(system, model.Q, model.R)
-            theta_hat, diag = solve_theta_alpha_from_moment(moment, system, 1000)
             theta_true = theta_alpha_from_params(params)
+            moment = system.theta_map @ theta_true
+            theta_hat, diag = solve_theta_alpha_from_moment(moment, system, 1000)
             rel = np.abs(theta_hat - theta_true) / np.abs(theta_true)
             assert rel.max() < 1e-10
             assert diag["clamped"] == []
@@ -370,9 +395,9 @@ class TestThetaAlphaEstimation:
         # r components are representation-limited at this scale (see ledger)
         model = assemble_ensemble(maser_params, 5000.0)
         system = build_mdm_system(model.n, model.Ts, 5)
-        moment = residue_second_moment_from_cov(system, model.Q, model.R)
-        theta_hat, _ = solve_theta_alpha_from_moment(moment, system, 1000)
         theta_true = theta_alpha_from_params(maser_params)
+        moment = system.theta_map @ theta_true
+        theta_hat, _ = solve_theta_alpha_from_moment(moment, system, 1000)
         rel = np.abs(theta_hat - theta_true) / np.abs(theta_true)
         assert rel[:8].max() < 1e-10  # q1, q2 of all four clocks
         assert rel[8:].max() < 1e-2  # r entries
@@ -505,6 +530,31 @@ class TestEstimateMdm:
             estimate_mdm(record, L=5, ts_target_s=0.0)
         with pytest.raises(ValueError):
             estimate_mdm(record, L=5, ts_target_s=np.inf)
+
+    @pytest.mark.parametrize(
+        "L, ts_target_s, ts, message",
+        [
+            (10**6, 5.0, 5.0, "record has 101 samples at Ts=5.0, need at least L=1000000"),
+            (5, 1e308, 5.0, "record has 1 samples at Ts=1e+308, need at least L=5"),
+            (5, 1e308, 0.5, "MDM Ts=1e+308 over record Ts=0.5 overflows the stride"),
+            (5, np.inf, 5.0, "MDM period ts_target_s must be finite and > 0, got inf"),
+            (5, np.nan, 5.0, "MDM period ts_target_s must be finite and > 0, got nan"),
+        ],
+        ids=["huge_window", "huge_period", "overflowing_stride", "inf_period", "nan_period"],
+    )
+    def test_settings_checked_before_system_is_built(
+        self, monkeypatch, maser_model, L, ts_target_s, ts, message
+    ):
+        # the record rejects these settings before the system is built, whose
+        # moment map grows as L^2 and whose unit blocks overflow at 1e308 s
+        def fail(*args):
+            raise AssertionError("build_mdm_system called")
+
+        monkeypatch.setattr("chronident.ident_mdm.build_mdm_system", fail)
+        _, record = simulate_ensemble(maser_model, 100, seed=0, keep_states=False)
+        record = MeasurementRecord(Ts=ts, Z=record.Z)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            estimate_mdm(record, L=L, ts_target_s=ts_target_s)
 
     def test_consistency_error_shrinks_with_record_length(self):
         # median absolute error decreases over 4x and 16x longer records

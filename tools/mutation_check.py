@@ -11,8 +11,8 @@ survives. Usage:
 
 The copies go to a fresh directory under DIR (the system temporary
 directory by default) and are removed afterwards. Each run of the suite
-takes up to about a minute on two CPUs, so the seventeen mutants take
-up to about seventeen minutes. The exit status is 1 if any mutant survives.
+takes up to about a minute on two CPUs, so the eighteen mutants take
+up to about eighteen minutes. The exit status is 1 if any mutant survives.
 ``tests/test_mutation_check.py``, which checks that each mutant's text
 occurs once in its target, is left out of the mutated runs.
 """
@@ -85,6 +85,13 @@ MUTANTS = [
         ACOV,
         "        np.copyto(wb, valid[:, start : start + v.size])\n",
         "        wb[...] = 1.0\n",
+    ),
+    (
+        # the first difference leaves each window's frequency term in the residues
+        "MDM residues of the first difference",
+        MDM,
+        "    D = Z[:, 2:] - 2.0 * Z[:, 1:-1] + Z[:, :-2]\n",
+        "    D = Z[:, 2:] - Z[:, 1:-1]\n",
     ),
     (
         "MDM without the drift correction",
