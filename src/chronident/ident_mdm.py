@@ -10,10 +10,12 @@ linear in l, so the residues
 with B the (L-2) x L band of (1, -2, 1) rows, are free of the state.
 Neither O nor Am is built: the residues are the second differences of
 the record at the MDM period, and their moments have closed forms.
-Each of their L-2 rows of channel i has mean (d_{i+1} - d_1) ts^2, so the
-drifts are a row average; their second moment is linear in q1, q2 and
-the unique elements of R, and is fitted by ``wishart_fit`` with nu the
-number of residue windows.
+Each of their L-2 rows of channel i has mean (d_{i+1} - d_1) ts^2, so one
+pass over the residues gives both halves: the row means averaged per
+channel give the drifts, and the residues' covariance about that
+average, linear in q1, q2 and the unique elements of R, is fitted by
+``wishart_fit`` with nu the number of residue windows. The noise fit
+never sees the pivot drift d1.
 
 A masked record (``MeasurementRecord.valid``) keeps only the windows whose
 L samples at the MDM period are valid on every channel.
@@ -38,9 +40,6 @@ __all__ = [
     "build_mdm_system",
     "resampling_stride",
     "compute_residues",
-    "residue_mean_from_drifts",
-    "solve_drifts_from_mean",
-    "solve_theta_alpha_from_moment",
     "estimate_theta_alpha",
     "estimate_mdm",
 ]
@@ -178,41 +177,21 @@ def compute_residues(record: MeasurementRecord, system: MdmSystem) -> np.ndarray
     return residues[:, keep]
 
 
-def residue_mean_from_drifts(system: MdmSystem, drifts: np.ndarray) -> np.ndarray:
-    """Model-implied residue mean for the full drift vector d^(1..n): a
-    clock's phase second difference has mean d ts^2, so each of the L-2
-    rows of channel i holds (d_{i+1} - d_1) ts^2."""
-    d = np.asarray(drifts, dtype=float).ravel()
-    if d.size != system.n:
-        raise ValueError(f"expected {system.n} drifts, got {d.size}")
-    ts2 = system.Ts**2
-    return np.tile(ts2 * d[1:] - ts2 * d[0], system.L - 2)
-
-
-def solve_drifts_from_mean(
-    mean: np.ndarray, system: MdmSystem, d1: float = 0.0
+def estimate_theta_alpha(
+    residues: np.ndarray, mean: np.ndarray, system: MdmSystem
 ) -> tuple[np.ndarray, dict]:
-    """Drifts d^(2..n) from a residue mean, with the pivot drift known.
-
-    The map of d^(2..n) is ts^2 times L-2 stacked identities, so the
-    least-squares drifts are d1 plus the average of the L-2 rows over
-    ts^2; ``residual`` is the norm of the mean left unexplained."""
-    mean = np.asarray(mean, dtype=float).ravel()
-    drifts = d1 + mean.reshape(system.L - 2, system.n_z).mean(axis=0) / system.Ts**2
-    residual = mean - residue_mean_from_drifts(system, np.concatenate([[d1], drifts]))
-    return drifts, {"residual": float(np.linalg.norm(residual))}
-
-
-def solve_theta_alpha_from_moment(
-    moment: np.ndarray, system: MdmSystem, count: int
-) -> tuple[np.ndarray, dict]:
-    """Noise parameters theta_alpha from the vech of a residue covariance
-    over ``count`` windows: one block of ``wishart_fit`` with nu = count, so
-    its ``se`` treats the windows as independent. Below full column rank
-    the parameters are not identifiable: a larger L is suggested for three
-    or more clocks, and a third clock for two, where no window helps.
+    """Noise parameters theta_alpha from the residues' covariance about
+    ``mean``, each channel's residue mean (d_{i+1} - d_1) ts^2 repeated over
+    the L-2 rows: one block of ``wishart_fit`` with nu the number of
+    windows, so its ``se`` treats the windows as independent. Below full
+    column rank the parameters are not identifiable: a larger L is
+    suggested for three or more clocks, and a third clock for two, where
+    no window helps.
     """
-    moment = np.asarray(moment, dtype=float).reshape(-1, 1)
+    centred = residues - np.tile(mean, system.L - 2)[:, None]
+    count = centred.shape[1]
+    outer = (centred @ centred.T) / count
+    moment = outer[upper_triangle_indices(len(outer))]
     try:
         return wishart_fit(system.theta_map, moment, 1.0 / count, system.n)
     except UnidentifiableError as exc:
@@ -228,22 +207,6 @@ def solve_theta_alpha_from_moment(
         ) from None
 
 
-def estimate_theta_alpha(
-    residues: np.ndarray,
-    drifts: np.ndarray,
-    system: MdmSystem,
-    d1: float = 0.0,
-) -> tuple[np.ndarray, dict]:
-    """Noise parameters from drift-corrected residue second moments."""
-    correction = residue_mean_from_drifts(
-        system, np.concatenate([[d1], np.asarray(drifts, dtype=float).ravel()])
-    )
-    centred = residues - correction[:, None]
-    count = centred.shape[1]
-    outer = (centred @ centred.T) / count
-    return solve_theta_alpha_from_moment(outer[upper_triangle_indices(len(outer))], system, count)
-
-
 def estimate_mdm(
     record: MeasurementRecord,
     L: int = 5,
@@ -251,7 +214,10 @@ def estimate_mdm(
     d1: float = 0.0,
 ) -> EstimateReport:
     """Full MDM pipeline: build the system at ts_target_s, then residues,
-    drifts from their mean and noise from their drift-corrected moments.
+    each channel's residue mean, the drifts d1 + mean / ts^2 and the noise
+    from the residues' covariance about that mean. ``drift_residual`` is
+    the norm of the row means less the channel means repeated over the
+    L-2 rows.
 
     ts_target_s must be an integer multiple of the record's Ts, and the
     record must hold at least L samples at that period; both are checked
@@ -263,10 +229,12 @@ def estimate_mdm(
     resampling_stride(ts_target_s, L, record.Ts, record.Z.shape[1])
     system = build_mdm_system(record.n_z + 1, ts_target_s, L)
     residues = compute_residues(record, system)
-    drifts, drift_diag = solve_drifts_from_mean(residues.mean(axis=1), system, d1)
-    theta_alpha, diagnostics = estimate_theta_alpha(residues, drifts, system, d1=d1)
+    row_means = residues.mean(axis=1)
+    mean = row_means.reshape(system.L - 2, system.n_z).mean(axis=0)
+    drifts = d1 + mean / system.Ts**2
+    theta_alpha, diagnostics = estimate_theta_alpha(residues, mean, system)
 
-    diagnostics["drift_residual"] = drift_diag["residual"]
+    diagnostics["drift_residual"] = float(np.linalg.norm(row_means - np.tile(mean, system.L - 2)))
     diagnostics["L"] = system.L
     diagnostics["ts_target_s"] = system.Ts
     diagnostics["n_residue_dim"] = system.n_residue

@@ -318,6 +318,9 @@ def load_ensemble_config(path: str | Path) -> tuple[EnsembleParams, float, dict]
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        shown = json.dumps(raw)[:40]
+        raise ValueError(f"config file {path} must hold a JSON object, not {shown}")
     for key in ("ts_seconds", "clocks", "r_upper"):
         if key not in raw:
             raise ValueError(f"config field '{key}' is missing in {path}")

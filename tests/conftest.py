@@ -94,3 +94,15 @@ def noiseless_record(n, ts, steps, seed):
     for _ in range(steps):
         states.append(F @ states[-1])
     return MeasurementRecord(Ts=ts, Z=H @ np.column_stack(states))
+
+
+def drifting_record(drifts, ts, steps, seed=None):
+    """z_c = (d_{c+1} - d_1) t^2 / 2 at t = k ts for k = 0..steps, the
+    noiseless phase differences of clocks with drifts d^(1..n), plus
+    noiseless_record's ramps when a seed is given."""
+    d = np.asarray(drifts, dtype=float)
+    t = ts * np.arange(steps + 1)
+    Z = 0.5 * (d[1:] - d[0])[:, None] * t**2
+    if seed is not None:
+        Z = Z + noiseless_record(d.size, ts, steps, seed).Z
+    return MeasurementRecord(Ts=ts, Z=Z)

@@ -21,6 +21,7 @@ from chronident import (
     build_mdm_system,
     build_regression,
     compute_residues,
+    estimate_mdm,
     log_spaced_grid,
     recover_drifts,
     remove_outliers,
@@ -30,15 +31,11 @@ from chronident import (
 )
 from chronident.cli import EstimationOptions, run_monte_carlo
 from chronident.errors import NoResidueError
-from chronident.ident_mdm import (
-    residue_mean_from_drifts,
-    solve_drifts_from_mean,
-    solve_theta_alpha_from_moment,
-)
 from chronident.model import theta_alpha_from_params, upper_triangle_pairs
+from chronident.numerics import wishart_fit
 from chronident.stability import AcovEstimate, TauGrid
 
-from conftest import noiseless_record, random_params, reference_observation
+from conftest import drifting_record, noiseless_record, random_params, reference_observation
 
 FULL_STEPS = 6_312_000
 FULL_M_MAX = 3_150_000
@@ -122,23 +119,27 @@ def test_criterion_2_annihilation_and_rank():
 
 def test_criterion_3_exact_moment_round_trips(maser_params):
     start = time.perf_counter()
-    # scale-balanced ensembles: the round trip is exact to the stated 1e-10
+    # scale-balanced ensembles: the round trip is exact to the stated 1e-10;
+    # estimate_mdm takes the drifts from a noiseless drifting record (40
+    # steps plus random phase and frequency ramps), and the noise
+    # parameters are fitted to the exact residue covariance
     rng = np.random.default_rng(300)
     worst_theta = 0.0
     worst_drift = 0.0
-    for _ in range(3):
+    for k in range(3):
         params = random_params(rng, 4)
-        model = assemble_ensemble(params, float(rng.uniform(1.0, 20.0)))
-        system = build_mdm_system(model.n, model.Ts, 5)
-        mean = residue_mean_from_drifts(system, params.drifts())
-        d_hat, _ = solve_drifts_from_mean(mean, system, d1=params.clocks[0].d)
+        ts = float(rng.uniform(1.0, 20.0))
+        system = build_mdm_system(4, ts, 5)
+        record = drifting_record(params.drifts(), ts, 40, seed=300 + k)
+        report = estimate_mdm(record, L=5, ts_target_s=ts, d1=params.clocks[0].d)
+        d_hat = report.params.drifts()[1:]
         worst_drift = max(
             worst_drift,
             float(np.max(np.abs(d_hat - params.drifts()[1:]) / np.abs(params.drifts()[1:]))),
         )
         theta_true = theta_alpha_from_params(params)
         moment = system.theta_map @ theta_true
-        theta_hat, _ = solve_theta_alpha_from_moment(moment, system, 1000)
+        theta_hat, _ = wishart_fit(system.theta_map, moment, 1e-3, system.n)
         worst_theta = max(
             worst_theta, float(np.max(np.abs(theta_hat - theta_true) / np.abs(theta_true)))
         )
@@ -146,14 +147,13 @@ def test_criterion_3_exact_moment_round_trips(maser_params):
     # maser-scale instance: drifts and q components reach 1e-10; the r
     # components are limited by float64 representation of the moment
     # vector (q terms dominate by ~11 orders), see the acceptance notes
-    model = assemble_ensemble(maser_params, 5000.0)
-    system = build_mdm_system(model.n, model.Ts, 5)
-    mean = residue_mean_from_drifts(system, maser_params.drifts())
-    d_hat, _ = solve_drifts_from_mean(mean, system, d1=0.0)
+    system = build_mdm_system(4, 5000.0, 5)
+    record = drifting_record(maser_params.drifts(), 5000.0, 40)
+    d_hat = estimate_mdm(record, L=5, ts_target_s=5000.0, d1=0.0).params.drifts()[1:]
     drift_rel = np.max(np.abs(d_hat - maser_params.drifts()[1:]) / maser_params.drifts()[1:])
     theta_true = theta_alpha_from_params(maser_params)
     moment = system.theta_map @ theta_true
-    theta_hat, _ = solve_theta_alpha_from_moment(moment, system, 1000)
+    theta_hat, _ = wishart_fit(system.theta_map, moment, 1e-3, system.n)
     rel = np.abs(theta_hat - theta_true) / np.abs(theta_true)
     elapsed = time.perf_counter() - start
     _criterion(

@@ -125,6 +125,21 @@ class TestSimulateCommand:
         code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_INVALID_INPUT
 
+    @pytest.mark.parametrize("command", ["simulate", "montecarlo"])
+    @pytest.mark.parametrize(
+        "text", ["5", "null", "[1, 2]", '"text"'], ids=["number", "null", "array", "string"]
+    )
+    def test_config_that_is_not_an_object_is_invalid_input(self, tmp_path, capsys, command, text):
+        config = tmp_path / "scenario.json"
+        config.write_text(text + "\n")
+        out = tmp_path / "out"
+        runs = ["--runs", "1"] if command == "montecarlo" else []
+        argv = [command, "--config", str(config), *runs, "--out", str(out)]
+        assert main(argv) == EXIT_INVALID_INPUT
+        message = f"config file {config} must hold a JSON object, not {text}"
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "extras, message",
         [

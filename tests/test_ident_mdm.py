@@ -19,13 +19,9 @@ from chronident import (
     theta_alpha_from_params,
 )
 from chronident.errors import NoResidueError, UnidentifiableError
-from chronident.ident_mdm import (
-    residue_mean_from_drifts,
-    solve_drifts_from_mean,
-    solve_theta_alpha_from_moment,
-)
+from chronident.numerics import wishart_fit
 
-from conftest import noiseless_record, random_params, reference_observation
+from conftest import drifting_record, noiseless_record, random_params, reference_observation
 
 
 def reference_stencil(L, n_z):
@@ -160,16 +156,18 @@ class TestBuildSystem:
                 assert err <= 1e-13 * np.abs(expected).max(), (n, ts, L, col)
 
     def test_closed_form_maps_match_reference(self):
-        # residue_mean_from_drifts of each unit drift and theta_map's
-        # moments against A's state-noise mean and A blockdiag(...) A^T
+        # the residues of a noiseless record drifting by each unit drift, and
+        # theta_map's moments, against A's state-noise mean and
+        # A blockdiag(...) A^T
         rng = np.random.default_rng(66)
         for n, ts, L in MAP_CASES:
             system = build_mdm_system(n, ts, L)
             A = reference_residue_map(system)
             expected = reference_drift_map(system)
-            mapped = np.column_stack([residue_mean_from_drifts(system, e) for e in np.eye(n)])
-            err = np.abs(mapped - expected).max(axis=0)
-            assert np.all(err <= 1e-13 * np.abs(expected).max(axis=0)), (n, ts, L)
+            for e, column in zip(np.eye(n), expected.T):
+                residues = compute_residues(drifting_record(e, ts, 3 * L, seed=n), system)
+                err = np.abs(residues - column[:, None]).max()
+                assert err <= 1e-12 * np.abs(column).max(), (n, ts, L)
             params = random_params(rng, n)
             model = assemble_ensemble(params, ts)
             expected = (A @ noise_block(system, model.Q, model.R) @ A.T)[
@@ -190,8 +188,9 @@ class TestBuildSystem:
             assert np.linalg.matrix_rank(stacked) == system.n_residue, (n, L)
 
     def test_maps_match_model_moments(self):
-        # theta_map and residue_mean_from_drifts reproduce the model's own
-        # residue moments, A blockdiag(...) A^T and A's mean of mu
+        # theta_map and the residues of a noiseless drifting record reproduce
+        # the model's own residue moments, A blockdiag(...) A^T and A's mean
+        # of mu
         rng = np.random.default_rng(65)
         for n in (2, 3, 4, 5):
             for L, ts in ((3, 0.7), (4, 5.0), (5, 100.0), (7, 5000.0)):
@@ -206,8 +205,8 @@ class TestBuildSystem:
                 assert np.abs(mapped - moment).max() <= 1e-12 * np.abs(moment).max()
                 n_w = (L - 1) * 2 * n
                 mean = A[:, :n_w] @ np.tile(model.mu, L - 1)
-                mapped = residue_mean_from_drifts(system, params.drifts())
-                assert np.abs(mapped - mean).max() <= 1e-12 * np.abs(mean).max()
+                residues = compute_residues(drifting_record(params.drifts(), ts, 3 * L), system)
+                assert np.abs(residues - mean[:, None]).max() <= 1e-12 * np.abs(mean).max()
 
     def test_built_from_model_map(self):
         # the model's F and H leave L n_z - rank(O) residue rows, and fewer
@@ -301,20 +300,22 @@ class TestComputeResidues:
             compute_residues(record, system)
 
 
+# (n, ts, L) of MAP_CASES whose noise fit has full rank, as estimate_mdm needs
+FULL_RANK_CASES = ((3, 5.0, 5), (4, 5000.0, 5), (4, 100.0, 6), (5, 7.0, 7))
+
+
 class TestDriftEstimation:
     def test_exact_mean_recovers_maser_drifts(self, maser_params):
-        system = build_mdm_system(4, 5000.0, 5)
-        mean = residue_mean_from_drifts(system, maser_params.drifts())
-        d_hat, _ = solve_drifts_from_mean(mean, system, d1=0.0)
-        np.testing.assert_allclose(d_hat, [8e-21, 7.5e-21, 3e-21], rtol=1e-12)
+        record = drifting_record(maser_params.drifts(), 5000.0, 40)
+        report = estimate_mdm(record, L=5, ts_target_s=5000.0)
+        np.testing.assert_allclose(report.params.drifts()[1:], [8e-21, 7.5e-21, 3e-21], rtol=1e-12)
 
     def test_exact_mean_with_nonzero_pivot(self):
         rng = np.random.default_rng(56)
-        system = build_mdm_system(4, 100.0, 5)
         drifts = rng.normal(size=4)
-        mean = residue_mean_from_drifts(system, drifts)
-        d_hat, _ = solve_drifts_from_mean(mean, system, d1=drifts[0])
-        np.testing.assert_allclose(d_hat, drifts[1:], rtol=1e-10)
+        record = drifting_record(drifts, 100.0, 40, seed=56)
+        report = estimate_mdm(record, L=5, ts_target_s=100.0, d1=drifts[0])
+        np.testing.assert_allclose(report.params.drifts(), drifts, rtol=1e-10)
 
     def test_zero_drift_estimates_near_zero(self):
         params = EnsembleParams(
@@ -324,45 +325,40 @@ class TestDriftEstimation:
         model = assemble_ensemble(params, 1.0)
         system = build_mdm_system(model.n, model.Ts, 5)
         _, record = simulate_ensemble(model, 20_000, seed=57)
-        residues = compute_residues(record, system)
-        d_hat, _ = solve_drifts_from_mean(residues.mean(axis=1), system, d1=0.0)
+        d_hat = estimate_mdm(record, L=5, ts_target_s=1.0).params.drifts()[1:]
         # rough standard error of the residue mean, ignoring overlap correlation
+        residues = compute_residues(record, system)
         count = residues.shape[1]
         se_mean = residues.std(axis=1, ddof=1) / np.sqrt(count)
-        import numpy.linalg as la
-
-        map_pinv = la.pinv(reference_drift_map(system)[:, 1:])
+        map_pinv = np.linalg.pinv(reference_drift_map(system)[:, 1:])
         se_d = np.sqrt((map_pinv**2) @ se_mean**2)
         assert np.all(np.abs(d_hat) <= 5.0 * se_d * np.sqrt(system.L))
 
-    def test_two_clock_drift_identified(self):
-        # the drift (unlike the noise split) is identifiable for n = 2
-        system = build_mdm_system(2, 10.0, 4)
-        mean = residue_mean_from_drifts(system, np.array([0.0, 0.3]))
-        d_hat, _ = solve_drifts_from_mean(mean, system, d1=0.0)
-        np.testing.assert_allclose(d_hat, [0.3], rtol=1e-12)
-
     @staticmethod
-    def assert_matches_lstsq(mean, system, d1):
-        d_hat, diag = solve_drifts_from_mean(mean, system, d1=d1)
+    def assert_matches_lstsq(record, L, ts_target_s, d1):
+        report = estimate_mdm(record, L=L, ts_target_s=ts_target_s, d1=d1)
+        system = build_mdm_system(record.n_z + 1, ts_target_s, L)
+        mean = compute_residues(record, system).mean(axis=1)
         drift_map = reference_drift_map(system)
         rhs = mean - drift_map[:, 0] * d1
         x, *_ = np.linalg.lstsq(drift_map[:, 1:], rhs, rcond=None)
+        d_hat = report.params.drifts()[1:]
         assert np.max(np.abs(d_hat - x)) <= 1e-13 * np.max(np.abs(x))
         residual = np.linalg.norm(rhs - drift_map[:, 1:] @ x)
-        # L = 3 leaves no residual: both are rounding of the mean
-        assert abs(diag["residual"] - residual) <= 1e-14 * np.linalg.norm(mean)
+        assert residual > 0.0
+        drift_residual = report.diagnostics["drift_residual"]
+        assert abs(drift_residual - residual) <= 1e-14 * np.linalg.norm(mean)
 
-    @pytest.mark.parametrize("n, ts, L", MAP_CASES)
+    @pytest.mark.parametrize("n, ts, L", FULL_RANK_CASES)
     def test_closed_form_matches_lstsq(self, n, ts, L):
-        # the row average is the least-squares solution of the stacked map,
-        # also for a mean that no drift vector explains exactly
+        # the row average is the least-squares solution of the stacked map
+        # for a noisy record's mean, which no drift vector explains exactly
         rng = np.random.default_rng(L * 10 + n)
-        system = build_mdm_system(n, ts, L)
-        drifts = rng.normal(size=n)
-        mean = residue_mean_from_drifts(system, drifts)
-        mean = mean + 0.1 * ts**2 * rng.normal(size=mean.size)
-        self.assert_matches_lstsq(mean, system, drifts[0])
+        params = random_params(rng, n)
+        _, record = simulate_ensemble(
+            assemble_ensemble(params, ts), 100 * L, seed=L * 10 + n, keep_states=False
+        )
+        self.assert_matches_lstsq(record, L, ts, params.clocks[0].d)
 
     def test_closed_form_matches_lstsq_on_masked_record(self, maser_model):
         _, record = simulate_ensemble(maser_model, 40_000, seed=61, keep_states=False)
@@ -370,9 +366,9 @@ class TestDriftEstimation:
         valid[1, 7000:12000] = False
         masked = MeasurementRecord(Ts=5.0, Z=record.Z, valid=valid)
         system = build_mdm_system(4, 250.0, 5)
-        residues = compute_residues(masked, system)
-        assert residues.shape[1] < compute_residues(record, system).shape[1]
-        self.assert_matches_lstsq(residues.mean(axis=1), system, 2e-21)
+        windows = compute_residues(masked, system).shape[1]
+        assert windows < compute_residues(record, system).shape[1]
+        self.assert_matches_lstsq(masked, 5, 250.0, 2e-21)
 
 
 class TestThetaAlphaEstimation:
@@ -386,7 +382,7 @@ class TestThetaAlphaEstimation:
             system = build_mdm_system(model.n, model.Ts, 5)
             theta_true = theta_alpha_from_params(params)
             moment = system.theta_map @ theta_true
-            theta_hat, diag = solve_theta_alpha_from_moment(moment, system, 1000)
+            theta_hat, diag = wishart_fit(system.theta_map, moment, 1e-3, system.n)
             rel = np.abs(theta_hat - theta_true) / np.abs(theta_true)
             assert rel.max() < 1e-10
             assert diag["clamped"] == []
@@ -397,7 +393,7 @@ class TestThetaAlphaEstimation:
         system = build_mdm_system(model.n, model.Ts, 5)
         theta_true = theta_alpha_from_params(maser_params)
         moment = system.theta_map @ theta_true
-        theta_hat, _ = solve_theta_alpha_from_moment(moment, system, 1000)
+        theta_hat, _ = wishart_fit(system.theta_map, moment, 1e-3, system.n)
         rel = np.abs(theta_hat - theta_true) / np.abs(theta_true)
         assert rel[:8].max() < 1e-10  # q1, q2 of all four clocks
         assert rel[8:].max() < 1e-2  # r entries
@@ -413,9 +409,7 @@ class TestThetaAlphaEstimation:
         system = build_mdm_system(model.n, model.Ts, 5)
         _, record = simulate_ensemble(model, 100_000, seed=59)
         residues = compute_residues(record, system)
-        theta_hat, diag = estimate_theta_alpha(
-            residues, np.zeros(2), system, d1=0.0
-        )
+        theta_hat, diag = estimate_theta_alpha(residues, np.zeros(2), system)
         r11_index = 6  # theta_alpha = [q1 x 3, q2 x 3, r_11, r_12, r_22]
         r11 = theta_hat[r11_index]
         se = diag["se"][r11_index]
@@ -426,24 +420,24 @@ class TestThetaAlphaEstimation:
         # no window helps and the hint asks for a third clock
         for L in (4, 5, 8):
             system = build_mdm_system(2, 1.0, L)
-            moment = np.zeros(system.theta_map.shape[0])
+            residues = np.zeros((system.n_residue, 1000))
             with pytest.raises(UnidentifiableError, match="a third clock is needed") as err:
-                solve_theta_alpha_from_moment(moment, system, 1000)
+                estimate_theta_alpha(residues, np.zeros(system.n_z), system)
             assert "increase" not in str(err.value)
 
     def test_rank_deficient_short_window_three_clocks(self):
         # n = 3 is identifiable from L = 5 on, so a short window asks for more
         system = build_mdm_system(3, 1.0, 4)
-        moment = np.zeros(system.theta_map.shape[0])
+        residues = np.zeros((system.n_residue, 1000))
         with pytest.raises(UnidentifiableError, match="increase the window L"):
-            solve_theta_alpha_from_moment(moment, system, 1000)
+            estimate_theta_alpha(residues, np.zeros(system.n_z), system)
 
     def test_negative_entries_clamped(self):
         system = build_mdm_system(3, 1.0, 5)
         # [q1 x 3, q2 x 3, r_11, r_12, r_22] with a negative q1 for the pivot
         theta_bad = np.array([-0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 1.0])
         moment = system.theta_map @ theta_bad
-        theta_hat, diag = solve_theta_alpha_from_moment(moment, system, 1000)
+        theta_hat, diag = wishart_fit(system.theta_map, moment, 1e-3, system.n)
         assert "q1_clk1" in diag["clamped"]
         assert theta_hat[0] > 0.0
 
@@ -509,6 +503,27 @@ class TestEstimateMdm:
             q1 = [clk.q1 for clk in report.params.clocks]
             np.testing.assert_allclose(q1, [1.0, 2.0, 1.5], rtol=0.5)
             np.testing.assert_allclose(report.params.drifts(), [0.0, 3.0, -2.0], atol=1e-3)
+
+    @pytest.mark.parametrize(
+        "seed, L, ts_target_s", [(1, 5, 5000.0), (0, 5, 2500.0), (1, 7, 5000.0)]
+    )
+    def test_noise_estimates_do_not_depend_on_d1(self, maser_model, seed, L, ts_target_s):
+        # the noise fit centres the residues on their own mean, so the pivot
+        # drift moves the drifts alone; on these records a centring rebuilt
+        # from d1 and the drifts moves q1, q2 or R by 2e-15 to 4e-15 relative
+        _, record = simulate_ensemble(maser_model, 20_000, seed=seed, keep_states=False)
+        reports = [
+            estimate_mdm(record, L=L, ts_target_s=ts_target_s, d1=d1) for d1 in (0.0, 1e-22)
+        ]
+        noise = [
+            np.concatenate([[(c.q1, c.q2) for c in rep.params.clocks], rep.params.R], axis=None)
+            for rep in reports
+        ]
+        assert noise[0].tobytes() == noise[1].tobytes()
+        assert reports[0].diagnostics["clamped"] == reports[1].diagnostics["clamped"]
+        np.testing.assert_allclose(
+            reports[1].params.drifts() - reports[0].params.drifts(), 1e-22, rtol=1e-6
+        )
 
     def test_two_clock_pipeline_unidentifiable(self):
         # drifts are identifiable for n=2 but the noise split is not, so the

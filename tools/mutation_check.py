@@ -96,14 +96,14 @@ MUTANTS = [
     (
         "MDM without the drift correction",
         MDM,
-        "    centred = residues - correction[:, None]\n",
+        "    centred = residues - np.tile(mean, system.L - 2)[:, None]\n",
         "    centred = residues\n",
     ),
     (
         "MDM drifts without the pivot drift",
         MDM,
-        "    drifts = d1 + mean.reshape(system.L - 2, system.n_z).mean(axis=0) / system.Ts**2\n",
-        "    drifts = mean.reshape(system.L - 2, system.n_z).mean(axis=0) / system.Ts**2\n",
+        "    drifts = d1 + mean / system.Ts**2\n",
+        "    drifts = mean / system.Ts**2\n",
     ),
     (
         "MDM se x100",
