@@ -49,10 +49,10 @@ EXIT_NUMERICAL = 4
 log = logging.getLogger("chronident")
 
 
-# each method's estimator and the EstimationOptions fields it takes
+# the EstimationOptions fields each method's estimator takes
 _ESTIMATORS = {
-    "acov": (estimate_acov_method, ("ell", "m_max", "d1")),
-    "mdm": (estimate_mdm, ("L", "ts_target_s", "d1")),
+    "acov": ("ell", "m_max", "d1"),
+    "mdm": ("L", "ts_target_s", "d1"),
 }
 METHODS = tuple(_ESTIMATORS)
 
@@ -119,13 +119,14 @@ def _filter_outliers(record: MeasurementRecord, k: float | None) -> MeasurementR
 
 def _settings(opts: EstimationOptions) -> dict:
     """The options that are set among those the selected method's estimator takes."""
-    return {n: v for n in _ESTIMATORS[opts.method][1] if (v := getattr(opts, n)) is not None}
+    return {n: v for n in _ESTIMATORS[opts.method] if (v := getattr(opts, n)) is not None}
 
 
 def run_estimation(record: MeasurementRecord, opts: EstimationOptions) -> EstimateReport:
     """Apply optional preprocessing, then the selected method with the options that are set."""
     record = _filter_outliers(record, opts.outlier_k)
-    return _ESTIMATORS[opts.method][0](record, **_settings(opts))
+    estimator = estimate_mdm if opts.method == "mdm" else estimate_acov_method
+    return estimator(record, **_settings(opts))
 
 
 def _check_mdm_settings(n: int, ts: float, n_steps: int, opts: EstimationOptions) -> None:
@@ -221,6 +222,7 @@ def run_monte_carlo(
     runs = integral(runs, "runs")
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
+    jobs = integral(jobs, "jobs")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     # EstimationOptions checks each name; the outliers are masked once per run, before every method

@@ -16,12 +16,11 @@ its frequency share, a cumulative sum of F[1, r] n carried from block to
 block and shifted one step. Z's channels hold steps until their clock
 is done (the pivot's steps are subtracted from every channel), then one
 cumulative sum makes them phases; measurement row j adds R's factor
-column S[:, j] times its draws. Exact zeros of the factors are skipped.
-Carried sums equal one sum over the whole row bit for bit (the tests
-compare them with a one-shot form), and the values equal the mixing of
-the same draws in one matrix product to rounding. No row is held or
-drawn twice: a run without states holds Z and two block-sized buffers,
-a run with states X beside them.
+column S[:, j] times its draws. Carried sums equal one sum over the
+whole row bit for bit (the tests compare them with a one-shot form),
+and the values equal the mixing of the same draws in one matrix product
+to rounding. No row is held or drawn twice: a run without states holds
+Z and two block-sized buffers, a run with states X beside them.
 
 A record may carry a boolean validity mask of Z's shape. remove_outliers
 flags spikes from the second differences of each channel and returns a
@@ -209,15 +208,12 @@ def simulate_ensemble(
             for start in range(0, n_steps, _BLOCK):
                 g = draws[: min(_BLOCK, n_steps - start)]
                 rng.standard_normal(out=g)
-                if not (f0 or f1 or m0 or m1):
-                    continue
                 cols = slice(1 + start, 1 + start + g.size)
                 # the row's frequency share before each step and after the last
                 shares = sums[: g.size + 1]
                 shares[0] = freq
                 np.multiply(g, f1, out=shares[1:])
-                if m1:
-                    shares[1:] += m1
+                shares[1:] += m1
                 np.cumsum(shares, out=shares)
                 freq = shares[-1]
                 if X is not None:
@@ -225,13 +221,9 @@ def simulate_ensemble(
                 before = shares[:-1]
                 before *= ts
                 # g = the phase steps: f0 * draw + m0 + Ts * frequency before
-                if f0:
-                    g *= f0
-                    if m0:
-                        g += m0
-                    g += before
-                else:
-                    np.add(before, m0, out=g)
+                g *= f0
+                g += m0
+                g += before
                 if i == 0:
                     Z[:, cols] -= g
                 else:

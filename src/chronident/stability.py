@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import UnidentifiableError
-from .model import EnsembleParams, as_float, upper_triangle_indices, upper_triangle_pairs
+from .model import EnsembleParams, as_float, upper_triangle_pairs
 from .numerics import wishart_variance
 from .simulate import _BLOCK, MeasurementRecord
 
@@ -166,20 +166,22 @@ _WIDTH = 2 * _BLOCK
 def _second_difference_grams(
     Z: np.ndarray, m_values, valid: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Unnormalised Gram matrices D_m @ D_m.T, one per m, shape (len, n_z, n_z),
-    and with a mask the per-pair counts of valid columns (None without one).
+    """Unnormalised inner products D_m[i] . D_m[j], i <= j, as row-major
+    channel-pair rows (those of upper_triangle_pairs) by m columns, and
+    with a mask the per-pair counts of valid columns in the same layout
+    (None without one).
 
     D_m[:, k] = (Z[:, k+2m] - 2 Z[:, k+m]) + Z[:, k] is formed _WIDTH
     columns at a time in one buffer shared by all m (2 Z[k+m] into it, then
     Z[k+2m] minus it, then plus Z[k]), so every element of D_m is the same
     double as in a one-shot evaluation; only the summation order of the
     inner products differs. The loop over blocks is the outer one, so a
-    block of Z is read for every m while it is in cache; each Gram matrix
+    block of Z is read for every m while it is in cache; each product
     still adds its blocks in increasing order. A block adds only its
     n_z(n_z+1)/2 distinct products, one einsum per superdiagonal (row i
-    against row i+s), and the lower triangle is mirrored once at the end.
-    With a mask, D_m[c, k] is set to zero (a masked copyto, half the time
-    of a multiply by the bool block) unless w_c[k] = valid[c, k] &
+    against row i+s); they are put in row-major pair order once, at the
+    end. With a mask, D_m[c, k] is set to zero (a masked copyto, half the
+    time of a multiply by the bool block) unless w_c[k] = valid[c, k] &
     valid[c, k+m] & valid[c, k+2m], and each pair's valid columns are
     counted from w_i & w_j block by block (half the time of an einsum of w
     with itself); a block whose w is all True, as in a record with a few
@@ -232,33 +234,23 @@ def _second_difference_grams(
             for s, end in enumerate(ends):
                 np.einsum("ik,ik->i", db[: n_z - s], db[s:], out=products[end - n_z + s : end])
             upper[p] += products
-    grams = np.empty((len(m_values), n_z, n_z))
-    grams[:, rows, cols] = grams[:, cols, rows] = upper
-    counts = None
-    if tally is not None:
-        counts = np.empty_like(grams)
-        counts[:, rows, cols] = counts[:, cols, rows] = tally
-    return grams, counts
-
-
-def _pair_rows(stack: np.ndarray) -> np.ndarray:
-    """(len, n_z, n_z) matrices as upper-triangle pair rows by tau columns."""
-    rows, cols = upper_triangle_indices(stack.shape[-1])
-    return stack[:, rows, cols].T
+    order = np.lexsort((cols, rows))
+    return upper[:, order].T, None if tally is None else tally[:, order].T
 
 
 def acov_grid(record: MeasurementRecord, grid: TauGrid) -> AcovEstimate:
     """Evaluate all n_z(n_z+1)/2 channel pairs on the grid, with variances.
 
-    At each m one Gram matrix of the second differences serves every pair.
-    It is accumulated over blocks of _WIDTH = 2 _BLOCK columns, with
-    n_z(n_z+1)/2 products per column, so the cost is O(len(grid) * n_z^2 * N)
-    time with O(n_z * _WIDTH) extra memory, and it runs on the calling
-    thread alone (no BLAS call), so process-pool workers start no BLAS
-    threads to compete for their cores. A masked record uses only its
-    valid second differences (module docstring); an m at which some pair
-    has none is dropped from the grid and listed in ``dropped_m``, and
-    UnidentifiableError is raised when no m is left.
+    At each m the inner products of the second differences serve every
+    pair. The kernel accumulates them over blocks of _WIDTH = 2 _BLOCK
+    columns, n_z(n_z+1)/2 products per column, and hands them over as
+    pair rows by m columns, which are normalised in one expression. The
+    cost is O(len(grid) * n_z^2 * N) time with O(n_z * _WIDTH) extra
+    memory, on the calling thread alone (no BLAS call), so process-pool
+    workers start no BLAS threads to compete for their cores. A masked
+    record uses only its valid second differences (module docstring); an
+    m at which some pair has none is dropped from the grid and listed in
+    ``dropped_m``, and UnidentifiableError is raised when no m is left.
     """
     n = record.n_steps
     if grid.m_values[-1] > n // 2:
@@ -267,30 +259,26 @@ def acov_grid(record: MeasurementRecord, grid: TauGrid) -> AcovEstimate:
         )
     if abs(grid.Ts - record.Ts) > 1e-9 * record.Ts:
         raise ValueError(f"grid Ts={grid.Ts} does not match record Ts={record.Ts}")
-    pairs = upper_triangle_pairs(record.n_z)
-    grams, counts = _second_difference_grams(record.Z, grid.m_values, record.valid)
+    sums, counts = _second_difference_grams(record.Z, grid.m_values, record.valid)
     dropped = ()
     if counts is not None and not counts.all():
-        kept = counts.all(axis=(1, 2))
+        kept = counts.all(axis=0)
         if not kept.any():
             raise UnidentifiableError(
                 "no averaging time of the grid has a valid second difference on every channel pair"
             )
         dropped = tuple(int(m) for m in grid.m_values[~kept])
         grid = TauGrid(m_values=grid.m_values[kept], Ts=grid.Ts)
-        grams, counts = grams[kept], counts[kept]
-    columns = (n - 2 * grid.m_values + 1)[:, None, None] if counts is None else counts
-    for G, C, m in zip(grams, columns, grid.m_values):
-        tau = m * record.Ts
-        G /= 2.0 * tau**2 * C
-    sigma2 = _pair_rows(grams)
+        sums, counts = sums[:, kept], counts[:, kept]
+    columns = n - 2 * grid.m_values + 1
+    taus = grid.m_values * record.Ts
+    sigma2 = sums / (2.0 * taus**2 * (columns if counts is None else counts))
     scale = np.broadcast_to(grid.m_values / n, sigma2.shape)
     if counts is not None:
-        counts = _pair_rows(counts)
-        scale = scale * (n - 2 * grid.m_values + 1) / counts
+        scale = scale * columns / counts
     return AcovEstimate(
         grid=grid,
-        pairs=tuple(pairs),
+        pairs=tuple(upper_triangle_pairs(record.n_z)),
         sigma2=sigma2,
         scale=scale,
         counts=counts,

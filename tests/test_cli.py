@@ -484,6 +484,15 @@ class TestMonteCarloCommand:
         assert serial["mean"] == parallel["mean"]
         assert serial["std"] == parallel["std"]
 
+    def test_jobs_taken_as_integer(self, maser_params):
+        # jobs is checked as runs and n_steps are: 2.0 is two workers, 1.5
+        # is rejected by name before any run
+        kwargs = self._small_study(maser_params)
+        serial = run_monte_carlo(jobs=1, **kwargs)["acov"]
+        _assert_same_summary(run_monte_carlo(jobs=2.0, **kwargs)["acov"], serial)
+        with pytest.raises(ValueError, match="jobs must be an integer, got 1.5"):
+            run_monte_carlo(jobs=1.5, **kwargs)
+
     def test_killed_pool_worker_runs_computed_in_process(self, tmp_path, monkeypatch, maser_params):
         # the runs the broken pool did not deliver are computed here, each
         # from its own seed, so the study equals one without a pool
@@ -785,6 +794,29 @@ class TestRunEstimation:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="method must be 'acov' or 'mdm', got 'acvo'"):
             EstimationOptions(method="acvo")
+
+    @pytest.mark.parametrize(
+        "method, options, settings",
+        [
+            ("acov", {"ell": 10, "L": 6}, {"ell": 10}),
+            ("mdm", {"ell": 10, "L": 6, "d1": 1e-22}, {"L": 6, "d1": 1e-22}),
+        ],
+        ids=["acov", "mdm"],
+    )
+    def test_estimator_looked_up_when_called(self, monkeypatch, method, options, settings):
+        # the module's estimator is called, as it is when the call runs (a
+        # wrapped or replaced estimator included), with its own settings only
+        calls = []
+
+        def stub(record, **kwargs):
+            calls.append((record, kwargs))
+            return "report"
+
+        name = {"acov": "estimate_acov_method", "mdm": "estimate_mdm"}[method]
+        monkeypatch.setattr(cli, name, stub)
+        record = MeasurementRecord(Ts=5.0, Z=np.zeros((2, 11)))
+        assert run_estimation(record, EstimationOptions(method=method, **options)) == "report"
+        assert calls == [(record, settings)]
 
     def test_config_text_values_take_the_estimators_types(self, maser_model):
         # a config may spell a number as JSON text; the estimator gets it as

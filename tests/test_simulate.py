@@ -37,7 +37,9 @@ from conftest import random_params
 
 def _reference_simulation(model, n_steps, seed):
     """One-shot form of the simulator's superposition (the reference): whole
-    rows of the same draws in the same order, with the same zero skips."""
+    rows of the same draws in the same order. It skips the exact zeros of
+    the factors, which the simulator adds, so the bit-for-bit comparison
+    also shows that those zeros change no double."""
     ts = model.Ts
     rng = np.random.default_rng(seed)
     X = np.zeros((2 * model.n, n_steps + 1))

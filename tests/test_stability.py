@@ -23,6 +23,7 @@ from chronident.stability import (
     write_acov_csv,
 )
 from chronident.errors import UnidentifiableError
+from chronident.model import upper_triangle_indices
 from chronident.numerics import wishart_variance
 from conftest import gapped_record, random_params
 
@@ -268,22 +269,24 @@ class TestAcovGrid:
             for model in models:
                 _, record = simulate_ensemble(model, n_steps, seed=22, keep_states=False)
                 est = acov_grid(record, grid)
-                grams, counts = _second_difference_grams(record.Z, grid.m_values)
+                sums, counts = _second_difference_grams(record.Z, grid.m_values)
                 assert counts is None
+                assert sums.shape == (len(est.pairs), len(grid))
+                rows, cols = upper_triangle_indices(record.n_z)
                 Z = record.Z
                 for p, m in enumerate(grid.m_values):
-                    assert np.array_equal(grams[p], grams[p].T)
                     D = Z[:, 2 * m :] - 2.0 * Z[:, m:-m] + Z[:, : -2 * m]
                     D_gram = D @ D.T
-                    assert np.max(np.abs(grams[p] - D_gram)) <= 1e-12 * np.max(np.abs(D_gram))
+                    error = np.max(np.abs(sums[:, p] - D_gram[rows, cols]))
+                    assert error <= 1e-12 * np.max(np.abs(D_gram))
                     G = D_gram / (2.0 * (m * 5.0) ** 2 * (n_steps - 2 * m + 1))
                     ref = np.array([G[i - 1, j - 1] for i, j in est.pairs])
                     assert np.max(np.abs(est.sigma2[:, p] - ref)) <= 1e-12 * np.max(np.abs(G))
 
     def test_block_outer_order_bit_identical_to_m_outer(self, maser_model):
-        # each Gram matrix adds its blocks in the same order whichever loop
-        # is outside, one product vector per superdiagonal and block; m
-        # values below, at and above _WIDTH, the last leaving a partial block
+        # each pair row adds its blocks in the same order whichever loop is
+        # outside, one product vector per superdiagonal and block; m values
+        # below, at and above _WIDTH, the last leaving a partial block
         n_steps = 2 * _WIDTH + 777
         m_values = TauGrid(
             m_values=np.array([1, 3, 50, _BLOCK, _WIDTH - 1, _WIDTH, _WIDTH + 5, n_steps // 2]),
@@ -292,8 +295,9 @@ class TestAcovGrid:
         _, record = simulate_ensemble(maser_model, n_steps, seed=25, keep_states=False)
         Z = record.Z
         n_z = Z.shape[0]
-        reference = np.zeros((len(m_values), n_z, n_z))
-        for G, m in zip(reference, m_values):
+        row_of = {pair: k for k, pair in enumerate(zip(*upper_triangle_indices(n_z)))}
+        reference = np.zeros((len(row_of), len(m_values)))
+        for p, m in enumerate(m_values):
             count = Z.shape[1] - 2 * m
             for start in range(0, count, _WIDTH):
                 width = min(_WIDTH, count - start)
@@ -303,10 +307,9 @@ class TestAcovGrid:
                 for s in range(n_z):
                     products = np.einsum("ik,ik->i", db[: n_z - s], db[s:])
                     for i, value in enumerate(products):
-                        G[i, i + s] += value
-            G.T[np.triu_indices(n_z, 1)] = G[np.triu_indices(n_z, 1)]
-        grams, _ = _second_difference_grams(Z, m_values)
-        assert np.array_equal(grams, reference)
+                        reference[row_of[i, i + s], p] += value
+        sums, _ = _second_difference_grams(Z, m_values)
+        assert np.array_equal(sums, reference)
 
     def test_variances_follow_scalar_formula(self, maser_model):
         # Wishart form (s_ii s_jj + s_ij^2) m/N, the scalar 2 s^2 m/N on the diagonal

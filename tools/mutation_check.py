@@ -1,6 +1,6 @@
-"""Mutation check of the outlier filter's median selection, the Gram
-kernel, the estimators, the estimation options' checks and the process
-pool's daemon guard.
+"""Mutation check of the simulator's phase steps, the outlier filter's
+median selection, the Gram kernel, the estimators, the estimation
+options' checks and the process pool's daemon guard.
 
 Each mutant below is applied to a copy of the working tree as it is
 (without hidden files and directories), and the tier-1 suite runs on the
@@ -11,8 +11,8 @@ survives. Usage:
 
 The copies go to a fresh directory under DIR (the system temporary
 directory by default) and are removed afterwards. Each run of the suite
-takes up to about a minute on two CPUs, so the eighteen mutants take
-up to about eighteen minutes. The exit status is 1 if any mutant survives.
+takes up to about a minute on two CPUs, so the nineteen mutants take
+up to about nineteen minutes. The exit status is 1 if any mutant survives.
 ``tests/test_mutation_check.py``, which checks that each mutant's text
 occurs once in its target, is left out of the mutated runs.
 """
@@ -58,10 +58,17 @@ MUTANTS = [
         "",
     ),
     (
-        "Gram kernel without the mirrored lower triangle",
+        # a drifting clock's phase then lacks d Ts^2 / 2 in every step
+        "simulator phase steps without the drift mean",
+        SIMULATE,
+        "                g += m0\n",
+        "",
+    ),
+    (
+        "Gram kernel rows in superdiagonal order",
         STABILITY,
-        "    grams[:, rows, cols] = grams[:, cols, rows] = upper\n",
-        "    grams[:, rows, cols] = upper\n",
+        "    order = np.lexsort((cols, rows))\n",
+        "    order = np.arange(len(rows))\n",
     ),
     (
         # a record of one block per m is unaffected; a longer one loses its tail
