@@ -178,23 +178,22 @@ def cmd_avar(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _mc_worker(payload: tuple) -> tuple[int, dict]:
-    """Simulate one run, mask its outliers once if asked, then estimate with each method."""
-    run_idx, seed, model, n_steps, outlier_k, per_method = payload
+def _mc_worker(payload: tuple) -> dict:
+    """Simulate one run, mask its outliers once if asked, then estimate with
+    each method: {method: theta array, or the error text}."""
+    seed, model, n_steps, outlier_k, per_method = payload
     _, record = simulate_ensemble(model, n_steps, seed, keep_states=False)
     try:  # remove_outliers rejects a channel with more than half its samples flagged
         record = _filter_outliers(record, outlier_k)
     except Exception as exc:  # every method's run fails alike
-        error = f"{type(exc).__name__}: {exc}"
-        return run_idx, {opts.method: {"theta": None, "error": error} for opts in per_method}
+        return dict.fromkeys((opts.method for opts in per_method), f"{type(exc).__name__}: {exc}")
     results: dict = {}
     for opts in per_method:
         try:
-            report = run_estimation(record, opts)
-            results[opts.method] = {"theta": report.theta.tolist(), "error": None}
+            results[opts.method] = run_estimation(record, opts).theta
         except Exception as exc:  # recorded, excluded from stats
-            results[opts.method] = {"theta": None, "error": f"{type(exc).__name__}: {exc}"}
-    return run_idx, results
+            results[opts.method] = f"{type(exc).__name__}: {exc}"
+    return results
 
 
 def run_monte_carlo(
@@ -212,11 +211,10 @@ def run_monte_carlo(
     Returns {method: summary} where summary carries per-parameter stats
     and per-clock AVAR curves (truth, MC-mean estimate, 2.5/97.5
     percentile bands across runs). The runs are computed by _in_order on
-    min(jobs, runs) processes; each has its own seed and they are
-    aggregated by run index, so results do not depend on jobs or on
-    _in_order's fallback to this process. The
-    methods, model, tau grid and MDM settings are checked before any run
-    is simulated.
+    min(jobs, runs) processes; each has its own seed, and _in_order
+    yields them in run order, so results do not depend on jobs or on
+    _in_order's fallback to this process. The methods, model, tau grid
+    and MDM settings are checked before any run is simulated.
     """
     n_steps = integral(n_steps, "n_steps")
     runs = integral(runs, "runs")
@@ -234,7 +232,7 @@ def run_monte_carlo(
             _check_mdm_settings(params.n, ts, n_steps, opts)
     n = params.n
     payloads = [
-        (i, derive_run_seed(master_seed, i), model, n_steps, options.outlier_k, per_method)
+        (derive_run_seed(master_seed, i), model, n_steps, options.outlier_k, per_method)
         for i in range(runs)
     ]
     raw = list(_in_order(_mc_worker, payloads, min(jobs, runs)))
@@ -242,15 +240,13 @@ def run_monte_carlo(
     truth = pack_theta(params)
     summaries: dict = {}
     for method in methods:
-        thetas = []
-        failed = []
-        for run_idx, results in raw:
-            entry = results[method]
-            if entry["error"] is None:
-                thetas.append(entry["theta"])
+        thetas, failed = [], []
+        for run, results in enumerate(raw):
+            if isinstance(result := results[method], str):
+                log.warning("run %d (%s) failed: %s", run, method, result)
+                failed.append({"run": run, "error": result})
             else:
-                log.warning("run %d (%s) failed: %s", run_idx, method, entry["error"])
-                failed.append({"run": run_idx, "error": entry["error"]})
+                thetas.append(result)
         thetas = np.asarray(thetas, dtype=float)
         n_ok = thetas.shape[0]
         log.info("%s: %d/%d runs succeeded", method, n_ok, runs)
@@ -268,20 +264,21 @@ def run_monte_carlo(
         with np.errstate(divide="ignore", invalid="ignore"):
             rel = np.where(truth != 0.0, (mean - truth) / np.abs(truth), np.nan)
 
-        # (run, clock, tau) AVAR curves of every run, then their bands
-        per_run = clock_avar(
-            thetas[:, :n, None], thetas[:, n : 2 * n, None], thetas[:, 2 * n : 3 * n, None], taus
-        )
-        low, high = np.percentile(per_run, [2.5, 97.5], axis=0)
-        curves = {}
-        for clk in range(n):
-            curves[clk + 1] = {
+        # (row, clock, tau) AVAR curves of the truth, the mean and every
+        # run, then the bands of the runs
+        rows = np.vstack([truth, mean, thetas])[:, :, None]
+        avar = clock_avar(rows[:, :n], rows[:, n : 2 * n], rows[:, 2 * n : 3 * n], taus)
+        low, high = np.percentile(avar[2:], [2.5, 97.5], axis=0)
+        curves = {
+            clk + 1: {
                 "tau_s": taus,
-                "true": clock_avar(truth[clk], truth[n + clk], truth[2 * n + clk], taus),
-                "mc_mean": clock_avar(mean[clk], mean[n + clk], mean[2 * n + clk], taus),
+                "true": avar[0, clk],
+                "mc_mean": avar[1, clk],
                 "p2_5": low[clk],
                 "p97_5": high[clk],
             }
+            for clk in range(n)
+        }
         summary.update(
             n=n,
             n_steps=n_steps,
@@ -305,13 +302,11 @@ def write_mc_outputs(summary: dict, out_dir: str | Path) -> None:
     with open(out / "mc_summary.json", "w", encoding="utf-8") as fh:
         json.dump({k: v for k, v in summary.items() if k != "curves"}, fh, indent=2)
         fh.write("\n")
+    header = "tau_s,avar_true,avar_mc_mean,avar_p2_5,avar_p97_5"
     for clk, curve in curves.items():
-        with open(out / f"avar_clk{clk}.csv", "w", encoding="utf-8") as fh:
-            fh.write("tau_s,avar_true,avar_mc_mean,avar_p2_5,avar_p97_5\n")
-            for row in zip(
-                curve["tau_s"], curve["true"], curve["mc_mean"], curve["p2_5"], curve["p97_5"]
-            ):
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        table = np.column_stack([curve[k] for k in ("tau_s", "true", "mc_mean", "p2_5", "p97_5")])
+        path = out / f"avar_clk{clk}.csv"
+        np.savetxt(path, table, fmt="%.17g", delimiter=",", header=header, comments="")
 
 
 def cmd_montecarlo(args: argparse.Namespace) -> int:

@@ -28,9 +28,9 @@ record that shares the caller's Z and masks the flagged samples. Nothing
 is interpolated: a filled-in sample would lack its white FM and bias the
 AVAR low, while a masked one is left out of every estimate. The filter
 holds the mask (Z/8 bytes) and block-sized scratch: each channel's median
-and MAD come from a radix select over second differences formed _BLOCK
-columns at a time: each pass counts a 16-bit digit of order-preserving
-integer keys, so ties of any size count exactly and no row is formed.
+and MAD come from a radix select per middle rank over second differences
+formed _BLOCK columns at a time; each pass counts a 16-bit digit of
+order-preserving integer keys, so ties count exactly and no row is formed.
 
 Measurement CSVs are formatted in row blocks and parsed in byte ranges
 cut at newlines, on a process pool with one worker per available CPU, or
@@ -281,23 +281,18 @@ def _value(key: int) -> np.float64:
     return np.uint64(bits).view(np.float64)
 
 
-def _median(blocks: Callable[[], Iterator[np.ndarray]], n: int) -> np.float64:
-    """np.median of the n values that each call of blocks() yields, bit for
-    bit, holding O(_BLOCK) of them. The blocks must be contiguous float64
-    arrays, as _second_differences yields, and hold no NaN.
+def _select(blocks: Callable[[], Iterator[np.ndarray]], n: int, k: int) -> np.float64:
+    """The value of rank k (-0.0 below +0.0) among the n values, none NaN,
+    that blocks() yields (contiguous float64 arrays), holding O(_BLOCK) of them.
 
-    A radix select on the values' _keys: rank k = (n - 1) // 2 lies among
-    the m candidates, the keys whose top ``fixed`` bits are those of
-    ``prefix``, with ``below`` keys under them. Each pass counts the
-    candidates' next 16-bit digit and fixes the digit that holds rank k.
-    Once at most _GATHER candidates remain they are gathered and
-    np.partition finishes; once all 64 bits are fixed, every candidate is
-    rank k's value, however many ties it has. For even n, rank k + 1 is
-    the next candidate, or else the least key above rank k's, and np.mean
-    averages the two values as np.median does.
+    A radix select on the values' _keys: rank k lies among the m
+    candidates, the keys whose top ``fixed`` bits are ``prefix``'s. Each
+    pass counts their next 16-bit digit, fixes the one that holds rank k
+    and counts k from its first key. At most _GATHER candidates are
+    gathered for np.partition to finish; once all 64 bits are fixed,
+    every candidate is rank k's value, ties and all.
     """
-    k = (n - 1) // 2
-    prefix, fixed, below, m = 0, 0, 0, n
+    prefix, fixed, m = 0, 0, n
 
     def candidates(b: np.ndarray) -> np.ndarray:
         key = _keys(b)
@@ -312,31 +307,24 @@ def _median(blocks: Callable[[], Iterator[np.ndarray]], n: int) -> np.float64:
             # in place: a bincount per block would add all 65 536 bins
             np.add.at(counts, digits.view(np.int64), 1)
         np.cumsum(counts, out=counts)
-        digit = int(np.searchsorted(counts, k - below, side="right"))
+        digit = int(np.searchsorted(counts, k, side="right"))
         before = int(counts[digit - 1]) if digit else 0
-        below, m = below + before, int(counts[digit]) - before
+        k, m = k - before, int(counts[digit]) - before
         prefix |= digit << shift
         fixed += 16
-    j = k - below
-    ranks = [j] if n % 2 else [j, j + 1]
     if fixed < 64:
-        gathered, at = np.empty(m, dtype=np.uint64), 0
-        for b in blocks():
-            key = candidates(b)
-            gathered[at : at + key.size] = key
-            at += key.size
-        gathered.partition([r for r in ranks if r < m])
-    middle = []
-    for r in ranks:
-        if r == m:
-            above = (1 << 64) - 1
-            for b in blocks():
-                key = _keys(b)
-                above = min(above, int(key.min(where=key > middle[0], initial=above)))
-            middle.append(above)
-        else:
-            middle.append(prefix if fixed == 64 else int(gathered[r]))
-    return np.mean(np.array([_value(key) for key in middle]))
+        gathered = np.concatenate([candidates(b) for b in blocks()])
+        prefix = int(np.partition(gathered, k)[k])
+    return _value(prefix)
+
+
+def _median(blocks: Callable[[], Iterator[np.ndarray]], n: int) -> np.float64:
+    """np.median of the n values blocks() yields, bit for bit but for a zero's
+    sign: the middle rank, or for even n np.mean of the two middle ones."""
+    k = (n - 1) // 2
+    if n % 2:
+        return _select(blocks, n, k)
+    return np.mean([_select(blocks, n, k), _select(blocks, n, k + 1)])
 
 
 def remove_outliers(
@@ -352,10 +340,10 @@ def remove_outliers(
     one) with the flagged samples set to False, and the flags per channel.
 
     The second differences are formed _BLOCK columns at a time, once per
-    pass: the median and the MAD come from _median's radix select, and
-    the flag comparison is written into the mask block by block. The
-    filter holds the mask and O(_BLOCK) scratch, and its flags equal those
-    of np.median over full-length rows.
+    pass: the median and the MAD come from _median (a radix select per
+    middle rank), and the flag comparison is written into the mask block
+    by block. The filter holds the mask and O(_BLOCK) scratch, and its
+    flags equal those of np.median over full-length rows.
     """
     if not k > 0.0:
         raise ValueError(f"threshold k must be > 0, got {k}")

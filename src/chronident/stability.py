@@ -287,12 +287,10 @@ def acov_grid(record: MeasurementRecord, grid: TauGrid) -> AcovEstimate:
 
 
 def write_acov_csv(est: AcovEstimate, path: str | Path) -> None:
-    """Export as CSV with columns tau_s,pair_i,pair_j,sigma2,var_sigma2."""
-    taus, var = est.grid.taus, est.var
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("tau_s,pair_i,pair_j,sigma2,var_sigma2\n")
-        for row, (i, j) in enumerate(est.pairs):
-            for p, tau in enumerate(taus):
-                fh.write(
-                    f"{tau:.17g},{i},{j},{est.sigma2[row, p]:.17g},{var[row, p]:.17g}\n"
-                )
+    """Export as CSV with columns tau_s,pair_i,pair_j,sigma2,var_sigma2,
+    pair by pair."""
+    taus, pairs = est.grid.taus, np.asarray(est.pairs, dtype=float)
+    columns = [np.tile(taus, len(pairs)), np.repeat(pairs, len(taus), axis=0)]
+    table = np.column_stack(columns + [est.sigma2.ravel(), est.var.ravel()])
+    header = "tau_s,pair_i,pair_j,sigma2,var_sigma2"
+    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=header, comments="")

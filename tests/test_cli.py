@@ -264,6 +264,25 @@ class TestEstimateCommand:
         assert diagnostics["L"] == defaults["L"].default
         assert diagnostics["ts_target_s"] == defaults["ts_target_s"].default
 
+    @pytest.mark.parametrize("method", ["acov", "mdm"])
+    def test_report_to_stdout_without_out(self, measurement_path, tmp_path, capsys, method):
+        # without --out the report JSON goes to stdout, as the file would hold it
+        out = tmp_path / "report.json"
+        assert main(["estimate", str(measurement_path), "--method", method]) == EXIT_OK
+        printed = capsys.readouterr().out
+        jsonschema.validate(json.loads(printed), REPORT_SCHEMA)
+        argv = ["estimate", str(measurement_path), "--method", method, "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        assert printed == out.read_text()
+
+    @pytest.mark.parametrize("times", [(10, 5, 0), (0, 0, 0)], ids=["decreasing", "constant"])
+    def test_time_column_not_increasing_exit_code(self, tmp_path, capsys, times):
+        path = tmp_path / "backwards.csv"
+        path.write_text("t_s,z1\n" + "".join(f"{t},{t / 10}\n" for t in times))
+        assert main(["estimate", str(path)]) == EXIT_INVALID_INPUT
+        message = f"error: {path}: time column is not strictly increasing\n"
+        assert capsys.readouterr().err == message
+
     def test_too_short_file_exit_code(self, tmp_path):
         path = tmp_path / "short.csv"
         path.write_text("t_s,z1\n0,1.0\n5,2.0\n")
@@ -368,14 +387,14 @@ class TestAvarCommand:
 
 
 class _DiesInPoolOnRun:
-    """cli._mc_worker, except that in a pool worker one run ends the worker
-    process, as the OOM killer would, after touching a mark file."""
+    """cli._mc_worker, except that in a pool worker the run of one seed ends
+    the worker process, as the OOM killer would, after touching a mark file."""
 
-    def __init__(self, run: int, mark):
-        self.run, self.mark = run, mark
+    def __init__(self, seed: int, mark):
+        self.seed, self.mark = seed, mark
 
     def __call__(self, payload):
-        if payload[0] == self.run and multiprocessing.parent_process() is not None:
+        if payload[0] == self.seed and multiprocessing.parent_process() is not None:
             self.mark.touch()
             os._exit(1)
         return _mc_worker(payload)
@@ -499,7 +518,8 @@ class TestMonteCarloCommand:
         kwargs = self._small_study(maser_params)
         serial = run_monte_carlo(jobs=1, **kwargs)["acov"]
         mark = tmp_path / "killed"
-        monkeypatch.setattr(cli, "_mc_worker", _DiesInPoolOnRun(1, mark))
+        # run 1 of both studies below (master seed 13)
+        monkeypatch.setattr(cli, "_mc_worker", _DiesInPoolOnRun(derive_run_seed(13, 1), mark))
         _assert_same_summary(run_monte_carlo(jobs=2, **kwargs)["acov"], serial)
         assert mark.exists()
 

@@ -1,3 +1,4 @@
+import math
 import multiprocessing
 import os
 import tracemalloc
@@ -31,6 +32,7 @@ from chronident.simulate import (
     _format_rows,
     _median,
     _psd_factor,
+    _select,
 )
 from conftest import random_params
 
@@ -386,6 +388,24 @@ class TestMedianSelection:
         # and ties reach the end with all 64 bits of the key fixed
         monkeypatch.setattr(simulate_module, "_GATHER", 8)
         self.test_median_and_mad_equal_numpy(maser_model, name)
+
+    @pytest.mark.parametrize("gather", [_GATHER, 8, 1])
+    @pytest.mark.parametrize("length", range(1, 10))
+    def test_select_every_rank_equals_sort(self, monkeypatch, gather, length):
+        # ties, negatives, subnormals and both zeros; with at most 8 or 1
+        # candidates gathered the digit passes run, down to all 64 bits.
+        # np.sort leaves -0.0 and +0.0 in any order: the reference is its
+        # order with -0.0 first, as a stable sort on (value, sign) gives
+        monkeypatch.setattr(simulate_module, "_GATHER", gather)
+        tiny = np.finfo(float).smallest_subnormal
+        pool = np.array([-2.5, -1.0, -tiny, -0.0, 0.0, tiny, 2 * tiny, 1e-300, 1.0, 3.0])
+        rng = np.random.default_rng(length)
+        for _ in range(20):
+            x = rng.choice(pool, length)
+            ref = np.array(sorted(x, key=lambda v: (v, math.copysign(1.0, v))))
+            assert np.array_equal(ref, np.sort(x))
+            for k in range(length):
+                assert _select(_blocks(x), length, k).tobytes() == ref[k].tobytes()
 
     def test_quantised_phase_is_mostly_ties(self, maser_model):
         # the case is the hard one: most of the values are one tie

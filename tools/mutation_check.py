@@ -11,8 +11,8 @@ survives. Usage:
 
 The copies go to a fresh directory under DIR (the system temporary
 directory by default) and are removed afterwards. Each run of the suite
-takes up to about a minute on two CPUs, so the nineteen mutants take
-up to about nineteen minutes. The exit status is 1 if any mutant survives.
+takes up to about a minute on two CPUs, so the twenty mutants take
+up to about twenty minutes. The exit status is 1 if any mutant survives.
 ``tests/test_mutation_check.py``, which checks that each mutant's text
 occurs once in its target, is left out of the mutated runs.
 """
@@ -42,8 +42,14 @@ MUTANTS = [
     (
         "even n returns rank k alone",
         SIMULATE,
-        "    ranks = [j] if n % 2 else [j, j + 1]\n",
-        "    ranks = [j]\n",
+        "    return np.mean([_select(blocks, n, k), _select(blocks, n, k + 1)])\n",
+        "    return _select(blocks, n, k)\n",
+    ),
+    (
+        "select fixes the digit left of rank k",
+        SIMULATE,
+        "        digit = int(np.searchsorted(counts, k, side=\"right\"))\n",
+        "        digit = int(np.searchsorted(counts, k, side=\"left\"))\n",
     ),
     (
         "negative values keyed as positive ones",
@@ -54,8 +60,8 @@ MUTANTS = [
     (
         "no final partition",
         SIMULATE,
-        "        gathered.partition([r for r in ranks if r < m])\n",
-        "",
+        "        prefix = int(np.partition(gathered, k)[k])\n",
+        "        prefix = int(gathered[k])\n",
     ),
     (
         # a drifting clock's phase then lacks d Ts^2 / 2 in every step
@@ -157,9 +163,8 @@ MUTANTS = [
         "    try:  # remove_outliers rejects a channel with more than half its samples flagged\n"
         "        record = _filter_outliers(record, outlier_k)\n"
         "    except Exception as exc:  # every method's run fails alike\n"
-        "        error = f\"{type(exc).__name__}: {exc}\"\n"
-        "        return run_idx, {opts.method: {\"theta\": None, \"error\": error}"
-        " for opts in per_method}\n",
+        "        return dict.fromkeys((opts.method for opts in per_method),"
+        " f\"{type(exc).__name__}: {exc}\")\n",
         "    record = _filter_outliers(record, outlier_k)\n",
     ),
     (
