@@ -39,6 +39,7 @@ from .model import (
     ensemble_structure,
     load_ensemble_config,
     pack_theta,
+    second_difference_moments,
     theta_alpha_from_params,
     unpack_theta,
 )

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import NoResidueError, UnidentifiableError
 from .ident_acov import estimate_acov_method
-from .ident_mdm import build_mdm_system, estimate_mdm, resampling_stride
+from .ident_mdm import check_window, estimate_mdm, resampling_stride
 from .model import (
     EnsembleParams,
     as_float,
@@ -131,14 +131,14 @@ def run_estimation(record: MeasurementRecord, opts: EstimationOptions) -> Estima
 
 def _check_mdm_settings(n: int, ts: float, n_steps: int, opts: EstimationOptions) -> None:
     """Check that records of n_steps steps every ts seconds can be resampled
-    to the MDM period and fill a window, then build the study's MDM system
-    (cached for its runs); the settings left unset take estimate_mdm's
-    defaults."""
+    to the MDM period and fill a window that holds a residue; the settings
+    left unset take estimate_mdm's defaults. The first run builds the
+    study's MDM system."""
     settings = inspect.signature(estimate_mdm).bind_partial(**_settings(opts))
     settings.apply_defaults()
     ts_target_s, L = settings.arguments["ts_target_s"], settings.arguments["L"]
     resampling_stride(ts_target_s, L, ts, n_steps + 1)
-    build_mdm_system(n, ts_target_s, L)
+    check_window(n, L)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:

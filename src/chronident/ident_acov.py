@@ -27,6 +27,7 @@ from .errors import UnidentifiableError
 from .model import (
     EnsembleParams,
     params_from_theta_alpha,
+    second_difference_moments,
     symmetric_to_upper,
     theta_alpha_from_params,
     upper_triangle_pairs,
@@ -55,32 +56,19 @@ def theta_a_from_params(params: EnsembleParams) -> np.ndarray:
 def build_regression(acov: AcovEstimate, n: int) -> np.ndarray:
     """Design Phi of the regression acov.sigma2.ravel() ~ Phi theta_a for n
     clocks: one row per entry of ``sigma2.ravel()`` (pair rows of
-    ``upper_triangle_pairs`` by the tau grid)."""
-    n_z = n - 1
-    pairs = upper_triangle_pairs(n_z)
+    ``upper_triangle_pairs`` by the tau grid). Its theta_alpha columns are
+    ``second_difference_moments`` at lag 0 with h = tau over 2 tau^2, the
+    channel pair's f column tau^2 / 2."""
+    pairs = upper_triangle_pairs(n - 1)
     if acov.pairs != tuple(pairs):
         raise ValueError(
             f"ACOV estimate covers {len(acov.pairs)} channel pairs, "
-            f"expected {len(pairs)} for n_z={n_z}"
+            f"expected {len(pairs)} for n_z={n - 1}"
         )
     taus = acov.grid.taus
-    ell = len(taus)
-    Phi = np.zeros((len(pairs) * ell, n * (n + 1)))
-    r_col = 2 * n
-    f_col = r_col + len(pairs)
-    white_fm = 1.0 / taus
-    walk_fm = taus / 3.0
-
-    for t, (i, j) in enumerate(pairs):
-        rows = slice(t * ell, (t + 1) * ell)
-        Phi[rows, 0] = white_fm
-        Phi[rows, n] = walk_fm
-        Phi[rows, r_col + t] = 3.0 / taus**2
-        Phi[rows, f_col + t] = taus**2 / 2.0
-        if i == j:
-            Phi[rows, i] = white_fm
-            Phi[rows, n + i] = walk_fm
-    return Phi
+    alpha = second_difference_moments(n, taus, 0).transpose(1, 0, 2) / (2.0 * taus**2)[:, None]
+    drift = np.eye(len(pairs))[:, None] * (taus**2 / 2.0)[:, None]
+    return np.concatenate([alpha, drift], axis=-1).reshape(len(pairs) * len(taus), -1)
 
 
 def solve_theta_a(acov: AcovEstimate, n: int) -> tuple[np.ndarray, dict]:

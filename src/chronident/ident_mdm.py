@@ -9,7 +9,8 @@ linear in l, so the residues
 
 with B the (L-2) x L band of (1, -2, 1) rows, are free of the state.
 Neither O nor Am is built: the residues are the second differences of
-the record at the MDM period, and their moments have closed forms.
+the record at the MDM period, and their moments are the model's
+``second_difference_moments`` at h = ts, the map ACOV's design shares.
 Each of their L-2 rows of channel i has mean (d_{i+1} - d_1) ts^2, so one
 pass over the residues gives both halves: the row means averaged per
 channel give the drifts, and the residues' covariance about that
@@ -30,7 +31,12 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NoResidueError, UnidentifiableError
-from .model import clock_noise_cov, params_from_theta_alpha, upper_triangle_indices
+from .model import (
+    params_from_theta_alpha,
+    second_difference_moments,
+    upper_to_symmetric,
+    upper_triangle_indices,
+)
 from .numerics import wishart_fit
 from .report import EstimateReport
 from .simulate import MeasurementRecord
@@ -38,6 +44,7 @@ from .simulate import MeasurementRecord
 __all__ = [
     "MdmSystem",
     "build_mdm_system",
+    "check_window",
     "resampling_stride",
     "compute_residues",
     "estimate_theta_alpha",
@@ -68,42 +75,12 @@ class MdmSystem:
         return (self.L - 2) * self.n_z
 
 
-def _residue_moments(L: int, ts: float, blocks: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Vech rows of the residue covariance for the clocks' noise blocks
-    [[a, b], [b, c]] over one step of ts, shape (..., n, 2, 2), and R,
-    shape (..., n_z, n_z); the leading axes broadcast.
-
-    A clock's phase second difference has autocovariance gamma_0 =
-    ts^2 c + 2a - 2 ts b and gamma_1 = ts b - a, none beyond lag 1, and the
-    measurement noise adds rho_l R with rho = (6, -4, 1) at lags 0-2. Rows
-    (s, i) and (t, j) of the residue, at lag l = t - s, share the pivot's
-    gamma_l, clock i+1's gamma_l when i = j, and rho_l R_ij.
-    """
-    a, b, c = blocks[..., 0, 0], blocks[..., 0, 1], blocks[..., 1, 1]
-    zero = np.zeros_like(a)
-    gamma = np.stack([ts**2 * c + 2.0 * a - 2.0 * ts * b, ts * b - a, zero, zero], axis=-1)
-    rho = np.array([6.0, -4.0, 1.0, 0.0])
-    n_z = blocks.shape[-3] - 1
-    rows, cols = upper_triangle_indices((L - 2) * n_z)
-    (s, i), (t, j) = np.divmod(rows, n_z), np.divmod(cols, n_z)
-    lag = np.minimum(t - s, 3)
-    return gamma[..., 0, lag] + (i == j) * gamma[..., i + 1, lag] + rho[lag] * R[..., i, j]
-
-
-@functools.lru_cache
-def build_mdm_system(n: int, ts: float, L: int) -> MdmSystem:
-    """Assemble the residue moment map for n clocks sampled every ts
-    seconds and window L.
-
-    Only the model structure enters; the noise parameters being estimated
-    never do, so the system is built once per (n, ts, L) and cached: every
-    call with the same arguments returns the same object, whose theta_map
-    is read-only. Raises NoResidueError for L = 2, whose window holds no
-    second difference (rank(O) = 2(n-1) fills all of its rows).
-    """
+def check_window(n: int, L: int) -> int:
+    """The window L as an int; ValueError unless it is an integer >= 2 and
+    n >= 2, NoResidueError for L = 2, whose window holds no second
+    difference (rank(O) = 2(n-1) fills all of its rows)."""
     if int(L) != L or L < 2:
         raise ValueError(f"L must be an integer >= 2, got {L}")
-    L = int(L)
     if n < 2:
         raise ValueError("an ensemble needs at least 2 clocks")
     if L == 2:
@@ -111,18 +88,26 @@ def build_mdm_system(n: int, ts: float, L: int) -> MdmSystem:
             f"a window of L=2 samples holds no second difference (n={n}); "
             "increase L to obtain a residue"
         )
-    n_z = n - 1
+    return int(L)
 
-    # one column per parameter: unit q1 and q2 blocks of each clock, then
-    # the unit symmetric R of each upper-triangle entry
-    n_q, n_r = 2 * n, n_z * (n_z + 1) // 2
-    unit = np.stack([clock_noise_cov(1.0, 0.0, ts), clock_noise_cov(0.0, 1.0, ts)])
-    blocks = np.zeros((n_q + n_r, n, 2, 2))
-    blocks[np.arange(n_q), np.tile(np.arange(n), 2)] = np.repeat(unit, n, axis=0)
-    unit_r = np.zeros((n_q + n_r, n_z, n_z))
-    i, j = upper_triangle_indices(n_z)
-    unit_r[n_q + np.arange(n_r), i, j] = unit_r[n_q + np.arange(n_r), j, i] = 1.0
-    theta_map = _residue_moments(L, ts, blocks, unit_r).T
+
+@functools.lru_cache
+def build_mdm_system(n: int, ts: float, L: int) -> MdmSystem:
+    """Assemble the residue moment map for n clocks sampled every ts
+    seconds and window L (``check_window``).
+
+    Rows (s, i) and (t, j) of the residue share the moments of channels i
+    and j's second differences at lag t - s, ``second_difference_moments``
+    at h = ts. Only the model structure enters; the noise parameters being
+    estimated never do, so the system is built once per (n, ts, L) and
+    cached: every call with the same arguments returns the same object,
+    whose theta_map is read-only.
+    """
+    L = check_window(n, L)
+    n_z = n - 1
+    pair = upper_to_symmetric(np.arange(n_z * (n_z + 1) // 2), n_z).astype(int)
+    (s, i), (t, j) = (np.divmod(k, n_z) for k in upper_triangle_indices((L - 2) * n_z))
+    theta_map = second_difference_moments(n, ts, np.arange(L - 2))[t - s, pair[i, j]]
     theta_map.flags.writeable = False
     return MdmSystem(theta_map=theta_map, Ts=float(ts), L=L, n=n)
 

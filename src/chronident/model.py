@@ -28,6 +28,7 @@ __all__ = [
     "clock_drift_mean",
     "ensemble_structure",
     "assemble_ensemble",
+    "second_difference_moments",
     "pack_theta",
     "unpack_theta",
     "theta_length",
@@ -209,6 +210,29 @@ def upper_triangle_indices(size: int) -> tuple[np.ndarray, np.ndarray]:
     rows, cols = np.triu_indices(size)
     rows.flags.writeable = cols.flags.writeable = False
     return rows, cols
+
+
+def second_difference_moments(n: int, h, lag) -> np.ndarray:
+    """Map of theta_alpha = [q1 x n, q2 x n, upper triangle of R] to the
+    covariance of channels i and j's spacing-h second differences at lag
+    lag * h (lag >= 0), shape broadcast(h, lag).shape + (pairs, n(n+3)/2), one row per
+    pair of ``upper_triangle_pairs(n - 1)``; h is a multiple of the record's
+    period, since R is white per sample.
+
+    Each clock's phase second differences are an MA(1): 2 q1 h + (2/3) q2 h^3
+    at lag 0 and -q1 h + q2 h^3 / 6 at lag 1. The measurement noise adds
+    (6, -4, 1) R at lags 0-2. The pivot's terms enter every pair, clock
+    i+1's only (i, i), and R_ij only (i, j).
+    """
+    i, j = upper_triangle_indices(n - 1)
+    # per lag 0-3: the q1 term over h, the q2 term over h^3, the R term
+    coef = np.array([[2.0, 2.0 / 3.0, 6.0], [-1.0, 1.0 / 6.0, -4.0], [0.0, 0.0, 1.0], [0.0] * 3])
+    kind = np.repeat([0, 1, 2], [n, n, i.size])
+    lag, h = np.minimum(lag, 3)[..., None, None], np.asarray(h, dtype=float)[..., None, None]
+    terms = coef[lag, kind] * h ** np.array([1, 3, 0])[kind]
+    clock = np.arange(n)
+    shares = (clock == 0) | (i == j)[:, None] & (clock == i[:, None] + 1)
+    return np.where(np.hstack([shares, shares, np.eye(i.size, dtype=bool)]), terms, 0.0)
 
 
 def symmetric_to_upper(mat: np.ndarray) -> np.ndarray:

@@ -782,7 +782,7 @@ class TestMonteCarloCommand:
 def test_mdm_period_rejected_before_system_is_built(
     tmp_path, capsys, maser_model, maser_params, command, period, message
 ):
-    # a period whose unit noise blocks overflow, or an infinite one, exits 2
+    # a period whose h^3 term overflows, or an infinite one, exits 2
     # with the reason and writes nothing
     if command == "estimate":
         _, record = simulate_ensemble(maser_model, 2000, seed=9, keep_states=False)

@@ -561,7 +561,7 @@ class TestEstimateMdm:
         self, monkeypatch, maser_model, L, ts_target_s, ts, message
     ):
         # the record rejects these settings before the system is built, whose
-        # moment map grows as L^2 and whose unit blocks overflow at 1e308 s
+        # moment map grows as L^2 and whose h^3 term overflows at 1e308 s
         def fail(*args):
             raise AssertionError("build_mdm_system called")
 

@@ -9,7 +9,10 @@ from chronident import (
     clock_noise_cov,
     clock_transition,
     ensemble_structure,
+    analytic_acov,
     pack_theta,
+    second_difference_moments,
+    theta_alpha_from_params,
     unpack_theta,
 )
 from chronident.model import (
@@ -17,10 +20,10 @@ from chronident.model import (
     load_ensemble_config,
     params_from_theta_alpha,
     symmetric_to_upper,
-    theta_alpha_from_params,
     theta_length,
     upper_to_symmetric,
     upper_triangle_indices,
+    upper_triangle_pairs,
 )
 
 from conftest import random_params
@@ -146,6 +149,61 @@ class TestAssembleEnsemble:
                 block = model.Q[2 * i : 2 * i + 2, 2 * i : 2 * i + 2]
                 np.testing.assert_allclose(block, block.T)
                 assert np.linalg.eigvalsh(block).min() >= 0.0
+
+
+class TestSecondDifferenceMoments:
+    def test_two_clock_closed_form(self):
+        # columns q1 (pivot, clock 2), q2 (pivot, clock 2), r_11 at lags 0-3;
+        # each clock is an MA(1), R's white noise reaches lag 2
+        h = 3.0
+        expected = np.array(
+            [
+                [2 * h, 2 * h, 2 * h**3 / 3, 2 * h**3 / 3, 6.0],
+                [-h, -h, h**3 / 6, h**3 / 6, -4.0],
+                [0.0, 0.0, 0.0, 0.0, 1.0],
+                [0.0, 0.0, 0.0, 0.0, 0.0],
+            ]
+        )
+        got = second_difference_moments(2, h, np.arange(4))
+        assert got.shape == (4, 1, 5)
+        np.testing.assert_allclose(got[:, 0], expected, rtol=1e-15, atol=0.0)
+        # h and lag broadcast against each other
+        both = second_difference_moments(2, np.array([1.0, h]), np.arange(4)[:, None])
+        assert both.shape == (4, 2, 1, 5)
+        np.testing.assert_array_equal(both[:, 1], got)
+
+    def test_clock_terms_match_noise_blocks(self):
+        # a clock's phase second difference over two steps of h with noise
+        # block [[a, b], [b, c]] has autocovariance h^2 c + 2a - 2hb at lag 0
+        # and hb - a at lag 1
+        for h in (0.7, 5.0, 5000.0):
+            for q1, q2 in ((1.0, 0.0), (0.0, 1.0)):
+                (a, b), (_, c) = clock_noise_cov(q1, q2, h)
+                gamma = [h**2 * c + 2 * a - 2 * h * b, h * b - a]
+                got = second_difference_moments(2, h, np.arange(2))[:, 0, 1 if q1 else 3]
+                np.testing.assert_allclose(got, gamma, rtol=1e-14)
+
+    def test_four_clock_pair_pattern(self):
+        # the pivot's terms on every pair, clock i+1's on (i, i), R_ij on (i, j)
+        n = 4
+        moments = second_difference_moments(n, 2.0, np.arange(3))
+        for p, (i, j) in enumerate(upper_triangle_pairs(n - 1)):
+            clocks = {0, i} if i == j else {0}
+            noise = clocks | {n + c for c in clocks}
+            assert set(np.flatnonzero(moments[0, p])) == noise | {2 * n + p}
+            assert set(np.flatnonzero(moments[1, p])) == noise | {2 * n + p}
+            assert set(np.flatnonzero(moments[2, p])) == {2 * n + p}
+
+    def test_lag_zero_is_analytic_acov(self, maser_params):
+        # the AVAR is half the lag-0 second-difference moment over tau^2,
+        # plus the drift's (delta_i delta_j tau^2) / 2
+        taus = np.array([5.0, 35.0, 1000.0, 1e5, 1.578e7])
+        moments = second_difference_moments(4, taus, 0) @ theta_alpha_from_params(maser_params)
+        delta = maser_params.drifts()[1:] - maser_params.clocks[0].d
+        for p, (i, j) in enumerate(upper_triangle_pairs(3)):
+            got = moments[:, p] / (2 * taus**2) + delta[i - 1] * delta[j - 1] * taus**2 / 2
+            expected = [analytic_acov(maser_params, i, j, tau) for tau in taus]
+            np.testing.assert_allclose(got, expected, rtol=1e-15, atol=0.0)
 
 
 class TestThetaPacking:

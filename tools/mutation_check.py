@@ -1,6 +1,7 @@
 """Mutation check of the simulator's phase steps, the outlier filter's
-median selection, the Gram kernel, the estimators, the estimation
-options' checks and the process pool's daemon guard.
+median selection, the Gram kernel, the second-difference moment model,
+the estimators, the estimation options' checks and the process pool's
+daemon guard.
 
 Each mutant below is applied to a copy of the working tree as it is
 (without hidden files and directories), and the tier-1 suite runs on the
@@ -11,10 +12,11 @@ survives. Usage:
 
 The copies go to a fresh directory under DIR (the system temporary
 directory by default) and are removed afterwards. Each run of the suite
-takes up to about a minute on two CPUs, so the twenty mutants take
-up to about twenty minutes. The exit status is 1 if any mutant survives.
-``tests/test_mutation_check.py``, which checks that each mutant's text
-occurs once in its target, is left out of the mutated runs.
+takes up to about a minute on two CPUs, so the twenty-three mutants
+take up to about twenty-three minutes. The exit status is 1 if any
+mutant survives. ``tests/test_mutation_check.py``, which checks that
+each mutant's text occurs once in its target, is left out of the
+mutated runs.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+MODEL = Path("src/chronident/model.py")
 SIMULATE = Path("src/chronident/simulate.py")
 STABILITY = Path("src/chronident/stability.py")
 ACOV = Path("src/chronident/ident_acov.py")
@@ -84,6 +87,24 @@ MUTANTS = [
         "            width = min(_WIDTH, count - start)\n"
         "            if start and width < _WIDTH:\n"
         "                break\n",
+    ),
+    (
+        "moment model puts the pivot only on pairs (i, i)",
+        MODEL,
+        "    shares = (clock == 0) | (i == j)[:, None] & (clock == i[:, None] + 1)\n",
+        "    shares = (i == j)[:, None] & ((clock == 0) | (clock == i[:, None] + 1))\n",
+    ),
+    (
+        "moment model's lag-1 white-FM term +q1 h",
+        MODEL,
+        "[-1.0, 1.0 / 6.0, -4.0]",
+        "[1.0, 1.0 / 6.0, -4.0]",
+    ),
+    (
+        "moment model without R at lag 2",
+        MODEL,
+        "[0.0, 0.0, 1.0], [0.0] * 3]",
+        "[0.0, 0.0, 0.0], [0.0] * 3]",
     ),
     (
         "ACOV se x100",
