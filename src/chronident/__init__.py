@@ -17,7 +17,6 @@ from .errors import (
 from .ident_acov import (
     build_regression,
     estimate_acov_method,
-    recover_drifts,
     solve_theta_a,
     theta_a_from_params,
 )

@@ -41,7 +41,7 @@ __all__ = [
     "theta_a_from_params",
     "build_regression",
     "solve_theta_a",
-    "recover_drifts",
+    "fit_drifts",
     "estimate_acov_method",
 ]
 
@@ -87,48 +87,6 @@ def solve_theta_a(acov: AcovEstimate, n: int) -> tuple[np.ndarray, dict]:
     return wishart_fit(build_regression(acov, n), acov.sigma2, acov.scale, n)
 
 
-def recover_drifts(
-    f_hat: np.ndarray,
-    d1: float = 0.0,
-    sign_hint: np.ndarray | None = None,
-) -> tuple[np.ndarray, dict]:
-    """Recover drifts d^(2..n) from the symmetric matrix of f estimates.
-
-    delta is the leading eigenpair sqrt(lambda_max) v_max of the
-    (symmetrised) f matrix, the best rank-one fit delta delta^T in the
-    Frobenius norm. f is invariant under delta -> -delta; the global sign
-    is fixed by a majority vote against ``sign_hint`` (one entry per
-    channel, typically the mean second difference which estimates
-    delta_i * Ts^2). Returns d1 + delta and an info dict; its
-    ``iterations`` is always 0, since the factorisation is closed-form.
-    """
-    F = np.asarray(f_hat, dtype=float)
-    if F.ndim != 2 or F.shape[0] != F.shape[1]:
-        raise ValueError(f"f_hat must be square, got shape {F.shape}")
-    F = 0.5 * (F + F.T)
-    n_z = F.shape[0]
-
-    info = {"degenerate": False, "iterations": 0}
-    if np.linalg.norm(F) == 0.0:
-        info["degenerate"] = True
-        return d1 + np.zeros(n_z), info
-
-    eigvals, eigvecs = np.linalg.eigh(F)
-    if eigvals[-1] <= 0.0:
-        info["degenerate"] = True
-        return d1 + np.zeros(n_z), info
-    delta = np.sqrt(eigvals[-1]) * eigvecs[:, -1]
-
-    if sign_hint is not None:
-        hint = np.asarray(sign_hint, dtype=float).ravel()
-        if hint.size != n_z:
-            raise ValueError(f"sign_hint has length {hint.size}, expected {n_z}")
-        votes = float(np.sum(np.sign(hint) * np.sign(delta)))
-        if votes < 0.0:
-            delta = -delta
-    return d1 + delta, info
-
-
 def fit_drifts(record: MeasurementRecord, d1: float = 0.0) -> np.ndarray:
     """Drifts d^(2..n): d1 plus twice each channel's least-squares t^2 coefficient.
 
@@ -141,6 +99,10 @@ def fit_drifts(record: MeasurementRecord, d1: float = 0.0) -> np.ndarray:
     Z, valid = record.Z, record.valid
     S = Z.shape[1]
     if valid is None:
+        if S < 3:
+            raise UnidentifiableError(
+                f"channel 1 has {S} valid samples; a quadratic drift fit needs 3"
+            )
         proj = np.zeros(record.n_z)
         for start in range(0, S, _BLOCK):
             u = np.arange(start, min(start + _BLOCK, S)) - 0.5 * (S - 1)

@@ -21,9 +21,9 @@ from chronident import (
     build_mdm_system,
     build_regression,
     compute_residues,
+    estimate_acov_method,
     estimate_mdm,
     log_spaced_grid,
-    recover_drifts,
     remove_outliers,
     simulate_ensemble,
     solve_theta_a,
@@ -35,7 +35,13 @@ from chronident.model import theta_alpha_from_params, upper_triangle_pairs
 from chronident.numerics import wishart_fit
 from chronident.stability import AcovEstimate, TauGrid
 
-from conftest import drifting_record, noiseless_record, random_params, reference_observation
+from conftest import (
+    drifting_record,
+    gapped_record,
+    noiseless_record,
+    random_params,
+    reference_observation,
+)
 
 FULL_STEPS = 6_312_000
 FULL_M_MAX = 3_150_000
@@ -170,16 +176,25 @@ def test_criterion_3_exact_moment_round_trips(maser_params):
     )
 
 
-def test_criterion_4_drift_factorisation():
-    delta_true = np.array([8e-21, 7.5e-21, 3e-21])
-    f_exact = np.outer(delta_true, delta_true)
-    d_hat, info = recover_drifts(f_exact, d1=0.0, sign_hint=np.ones(3))
-    rel = np.max(np.abs(d_hat - delta_true) / delta_true)
+def test_criterion_4_drift_recovery():
+    # noiseless drifts only: with noiseless_record's ramps (a seed) the
+    # errors reach 4e-9 to 5e-8, above this bound
+    truth = np.array([2e-21, 8e-21, 7.5e-21, 3e-21])
+    record = drifting_record(truth, 5.0, 20_000)
+    gapped = gapped_record(record, np.random.default_rng(4), 20, 50)
+    worst = {}
+    for name, rec in (("unmasked", record), ("gapped", gapped)):
+        for method, report in (
+            ("acov", estimate_acov_method(rec, ell=15, d1=truth[0])),
+            ("mdm", estimate_mdm(rec, ts_target_s=100.0, d1=truth[0])),
+        ):
+            worst[f"{method} {name}"] = np.max(np.abs(report.params.drifts() - truth) / truth)
     _criterion(
         4,
-        "exact drift products factorise to (8, 7.5, 3)e-21 after sign resolution",
-        rel <= 1e-10 and not info["degenerate"],
-        f"rel={rel:.2e}",
+        "ACOV and MDM report drifts (2, 8, 7.5, 3)e-21 of a noiseless drifting record, "
+        "unmasked and gapped",
+        max(worst.values()) <= 1e-9,
+        ", ".join(f"{key}={rel:.1e}" for key, rel in worst.items()),
     )
 
 

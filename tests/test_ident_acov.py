@@ -17,7 +17,6 @@ from chronident import (
     estimate_mdm,
     load_ensemble_config,
     pack_theta,
-    recover_drifts,
     remove_outliers,
     simulate_ensemble,
     solve_theta_a,
@@ -27,6 +26,7 @@ from chronident.errors import UnidentifiableError
 from chronident.ident_acov import fit_drifts
 from chronident.model import (
     clamp_negative_variances,
+    params_from_theta_alpha,
     upper_to_symmetric,
     upper_triangle_pairs,
 )
@@ -38,7 +38,7 @@ from chronident.stability import (
     log_spaced_grid,
 )
 
-from conftest import gapped_record, quantised_record, random_params
+from conftest import drifting_record, gapped_record, quantised_record, random_params
 
 
 def analytic_estimate(params, grid, n_steps):
@@ -276,63 +276,6 @@ class TestSolveThetaA:
         )
 
 
-class TestRecoverDrifts:
-    F_REF = np.array(
-        [
-            [6.4e-41, 6.0e-41, 2.4e-41],
-            [6.0e-41, 5.625e-41, 2.25e-41],
-            [2.4e-41, 2.25e-41, 9e-42],
-        ]
-    )
-
-    def test_exact_rank_one_recovery(self):
-        d, info = recover_drifts(self.F_REF, d1=0.0, sign_hint=np.ones(3))
-        np.testing.assert_allclose(d, [8e-21, 7.5e-21, 3e-21], rtol=1e-10)
-        assert not info["degenerate"]
-
-    def test_eigen_oracle_agrees(self):
-        # independent check: leading eigenpair of the exact rank-1 matrix
-        eigvals, eigvecs = np.linalg.eigh(self.F_REF)
-        delta = np.sqrt(eigvals[-1]) * eigvecs[:, -1]
-        if delta.sum() < 0:
-            delta = -delta
-        np.testing.assert_allclose(delta, [8e-21, 7.5e-21, 3e-21], rtol=1e-8)
-
-    def test_zero_matrix_degenerate(self):
-        d, info = recover_drifts(np.zeros((3, 3)), d1=1e-21)
-        np.testing.assert_array_equal(d, np.full(3, 1e-21))
-        assert info["degenerate"]
-
-    def test_sign_hint_flips_solution(self):
-        d_pos, _ = recover_drifts(self.F_REF, d1=0.0, sign_hint=np.ones(3))
-        d_neg, _ = recover_drifts(self.F_REF, d1=0.0, sign_hint=-np.ones(3))
-        np.testing.assert_allclose(d_neg, -d_pos)
-
-    def test_perturbed_recovery_within_two_percent(self):
-        rng = np.random.default_rng(42)
-        true = np.array([8e-21, 7.5e-21, 3e-21])
-        for _ in range(10):
-            noise = 1.0 + 0.01 * rng.uniform(-1.0, 1.0, self.F_REF.shape)
-            noise = 0.5 * (noise + noise.T)
-            d, _ = recover_drifts(self.F_REF * noise, d1=0.0, sign_hint=np.ones(3))
-            assert np.all(np.abs(d - true) / true < 0.02)
-
-    def test_pivot_offset_added(self):
-        d, _ = recover_drifts(self.F_REF, d1=2e-21, sign_hint=np.ones(3))
-        np.testing.assert_allclose(d, np.array([8e-21, 7.5e-21, 3e-21]) + 2e-21, rtol=1e-9)
-
-    def test_local_optimality_spot_check(self):
-        rng = np.random.default_rng(43)
-        F = self.F_REF * (1.0 + 0.05 * rng.standard_normal(self.F_REF.shape))
-        F = 0.5 * (F + F.T)
-        d, _ = recover_drifts(F, d1=0.0, sign_hint=np.ones(3))
-        best = np.linalg.norm(F - np.outer(d, d))
-        scale = np.linalg.norm(d)
-        for _ in range(100):
-            v = d + scale * 0.1 * rng.standard_normal(3)
-            assert best <= np.linalg.norm(F - np.outer(v, v)) + 1e-30
-
-
 class TestEstimateAcovMethod:
     def test_reduced_scale_report(self, maser_model, maser_params):
         _, record = simulate_ensemble(maser_model, 200_000, seed=1, keep_states=False)
@@ -396,9 +339,11 @@ class TestEstimateAcovMethod:
         valid = np.zeros((2, 50), dtype=bool)
         valid[:, [3, 20, 40]] = True
         valid[1, 40] = False
-        record = MeasurementRecord(Ts=1.0, Z=np.zeros((2, 50)), valid=valid)
-        with pytest.raises(UnidentifiableError, match="channel 2 has 2 valid samples"):
-            fit_drifts(record)
+        masked = MeasurementRecord(Ts=1.0, Z=np.zeros((2, 50)), valid=valid)
+        short = MeasurementRecord(Ts=1.0, Z=np.ones((2, 2)))
+        for record, channel in ((masked, 2), (short, 1)):
+            with pytest.raises(UnidentifiableError, match=f"channel {channel} has 2 valid samples"):
+                fit_drifts(record)
 
     def test_drifts_near_truth_at_630k_seed_1000(self):
         # the fault that factorised drifts behind a clamped f_ii showed:
@@ -490,42 +435,36 @@ class TestEstimateAcovMethod:
 
 
 class TestExactPipelineInvariant:
+    @staticmethod
+    def exact_pipeline(params, grid, n_steps):
+        """Exact ACOVs through solve_theta_a and an exact drifting record
+        through fit_drifts, assembled as estimate_acov_method assembles them."""
+        n = params.n
+        ta_hat, _ = solve_theta_a(analytic_estimate(params, grid, n_steps), n)
+        d1 = params.clocks[0].d
+        record = drifting_record(params.drifts(), grid.Ts, 20_000)
+        drifts = np.concatenate([[d1], fit_drifts(record, d1)])
+        return params_from_theta_alpha(ta_hat[: n * (n + 3) // 2], drifts)
+
     def test_full_pipeline_on_exact_data_balanced(self):
-        # exact z_a through solve + drift factorisation, scale-balanced
+        # scale-balanced parameters: noise and drifts to 1e-8 of the largest
         rng = np.random.default_rng(44)
         for _ in range(5):
-            n = int(rng.integers(3, 6))
-            params = random_params(rng, n)
-            grid = log_spaced_grid(12, 4096, 1.0)
-            ta_hat, _ = solve_theta_a(analytic_estimate(params, grid, 10_000), n)
-            delta_true = params.drifts()[1:] - params.clocks[0].d
-            d_hat, _ = recover_drifts(
-                upper_to_symmetric(ta_hat[n * (n + 3) // 2 :], n - 1),
-                d1=params.clocks[0].d,
-                sign_hint=np.sign(delta_true),
-            )
-            theta_hat = np.concatenate([ta_hat[: 2 * n], [params.clocks[0].d], d_hat])
-            theta_true = np.concatenate(
-                [
-                    [c.q1 for c in params.clocks],
-                    [c.q2 for c in params.clocks],
-                    params.drifts(),
-                ]
-            )
+            params = random_params(rng, int(rng.integers(3, 6)))
+            est = self.exact_pipeline(params, log_spaced_grid(12, 4096, 1.0), 10_000)
+            n = params.n
+            theta_hat, theta_true = pack_theta(est)[: 3 * n], pack_theta(params)[: 3 * n]
             scale = np.abs(theta_true).max()
             assert np.abs(theta_hat - theta_true).max() / scale < 1e-8
 
     def test_full_pipeline_on_exact_data_maser(self, maser_params):
-        ta_hat, _ = solve_theta_a(analytic_estimate(maser_params, YEAR_GRID, YEAR_STEPS), 4)
-        d_hat, _ = recover_drifts(
-            upper_to_symmetric(ta_hat[14:], 3), d1=0.0, sign_hint=np.ones(3)
-        )
-        np.testing.assert_allclose(d_hat, [8e-21, 7.5e-21, 3e-21], rtol=1e-8)
+        est = self.exact_pipeline(maser_params, YEAR_GRID, YEAR_STEPS)
+        np.testing.assert_allclose(est.drifts()[1:], [8e-21, 7.5e-21, 3e-21], rtol=1e-8)
         np.testing.assert_allclose(
-            ta_hat[:4], [1e-27, 1.5e-27, 5e-27, 7e-27], rtol=1e-8
+            [c.q1 for c in est.clocks], [1e-27, 1.5e-27, 5e-27, 7e-27], rtol=1e-8
         )
         np.testing.assert_allclose(
-            ta_hat[4:8], [1e-36, 2e-35, 1.5e-35, 2.5e-35], rtol=1e-8
+            [c.q2 for c in est.clocks], [1e-36, 2e-35, 1.5e-35, 2.5e-35], rtol=1e-8
         )
 
 

@@ -12,8 +12,8 @@ survives. Usage:
 
 The copies go to a fresh directory under DIR (the system temporary
 directory by default) and are removed afterwards. Each run of the suite
-takes up to about a minute on two CPUs, so the twenty-three mutants
-take up to about twenty-three minutes. The exit status is 1 if any
+takes up to about a minute on two CPUs, so the twenty-four mutants
+take up to about twenty-four minutes. The exit status is 1 if any
 mutant survives. ``tests/test_mutation_check.py``, which checks that
 each mutant's text occurs once in its target, is left out of the
 mutated runs.
@@ -113,6 +113,12 @@ MUTANTS = [
         "    x, diag = wishart_fit(build_regression(acov, n), acov.sigma2, acov.scale, n)\n"
         "    diag[\"se\"] = 100.0 * diag[\"se\"]\n"
         "    return x, diag\n",
+    ),
+    (
+        "ACOV drift fit's t^2 regressor not centred",
+        ACOV,
+        "u * u - (S * S - 1) / 12.0",
+        "u * u",
     ),
     (
         "ACOV drift fit counts masked samples",
