@@ -326,11 +326,13 @@ def params_from_theta_alpha(theta_alpha: np.ndarray, drifts: np.ndarray) -> Ense
 
 def as_float(value, name: str) -> float:
     """``value`` (a number, or its text) as a float; a value of another type,
-    such as a JSON list or object, raises ValueError naming ``name``."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be a number, got {value!r}") from None
+    such as a JSON list, object or boolean, raises ValueError naming ``name``."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 def load_ensemble_config(path: str | Path) -> tuple[EnsembleParams, float, dict]:
@@ -350,15 +352,20 @@ def load_ensemble_config(path: str | Path) -> tuple[EnsembleParams, float, dict]
             raise ValueError(f"config field '{key}' is missing in {path}")
     try:
         clocks = tuple(
-            ClockParams(q1=float(c["q1"]), q2=float(c["q2"]), d=float(c.get("d", 0.0)))
-            for c in raw["clocks"]
+            ClockParams(
+                q1=as_float(c["q1"], f"clock {k} q1"),
+                q2=as_float(c["q2"], f"clock {k} q2"),
+                d=as_float(c.get("d", 0.0), f"clock {k} d"),
+            )
+            for k, c in enumerate(raw["clocks"], start=1)
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"config field 'clocks' is malformed: {exc}") from exc
     if len(clocks) < 2:
         raise ValueError("config field 'clocks' must list at least 2 clocks")
     try:
-        R = upper_to_symmetric(raw["r_upper"], len(clocks) - 1)
+        entries = [as_float(v, f"entry {k}") for k, v in enumerate(raw["r_upper"], start=1)]
+        R = upper_to_symmetric(entries, len(clocks) - 1)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"config field 'r_upper' is malformed: {exc}") from exc
     params = EnsembleParams(clocks=clocks, R=R)

@@ -525,16 +525,6 @@ def _first_bad_line(raw: bytes, width: int) -> tuple[int, str]:
     raise AssertionError("every line parses on its own")
 
 
-def _time_deviation(t: np.ndarray, first: int, t0: float, ts: float) -> float:
-    """The largest |t[i] - (t0 + (first + i)*ts)|, NaN if any is."""
-    dev = np.arange(first, first + t.size, dtype=float)
-    dev *= ts
-    dev += t0
-    np.subtract(t, dev, out=dev)
-    np.abs(dev, out=dev)
-    return dev.max()
-
-
 def read_measurements_csv(path: str | Path) -> MeasurementRecord:
     """Read a measurement CSV written by write_measurements_csv.
 
@@ -600,7 +590,8 @@ def read_measurements_csv(path: str | Path) -> MeasurementRecord:
             if ts is not None and ts > 0.0:
                 # the time violation is raised after the loop, so a later
                 # row that does not parse still wins
-                worst = np.maximum(worst, _time_deviation(t, first, t0, ts))
+                expected = np.arange(first, first + t.size) * ts + t0
+                worst = np.maximum(worst, np.abs(t - expected).max())
             Z[:, rows : rows + len(data)] = data[:, 1:].T
             rows += len(data)
     finally:

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import UnidentifiableError
-from .model import EnsembleParams, as_float, upper_triangle_pairs
+from .model import EnsembleParams, as_float, upper_triangle_indices, upper_triangle_pairs
 from .numerics import wishart_variance
 from .simulate import _BLOCK, MeasurementRecord
 
@@ -167,7 +167,7 @@ def _second_difference_grams(
     Z: np.ndarray, m_values, valid: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Unnormalised inner products D_m[i] . D_m[j], i <= j, as row-major
-    channel-pair rows (those of upper_triangle_pairs) by m columns, and
+    channel-pair rows (those of upper_triangle_indices) by m columns, and
     with a mask the per-pair counts of valid columns in the same layout
     (None without one).
 
@@ -178,28 +178,25 @@ def _second_difference_grams(
     inner products differs. The loop over blocks is the outer one, so a
     block of Z is read for every m while it is in cache; each product
     still adds its blocks in increasing order. A block adds only its
-    n_z(n_z+1)/2 distinct products, one einsum per superdiagonal (row i
-    against row i+s); they are put in row-major pair order once, at the
-    end. With a mask, D_m[c, k] is set to zero (a masked copyto, half the
-    time of a multiply by the bool block) unless w_c[k] = valid[c, k] &
-    valid[c, k+m] & valid[c, k+2m], and each pair's valid columns are
-    counted from w_i & w_j block by block (half the time of an einsum of w
-    with itself); a block whose w is all True, as in a record with a few
-    long gaps, adds its width to every count and is summed as it is. The
-    products are summed by einsum's own loop, not by BLAS: OpenBLAS may
-    split a block's syrk over threads of its own, and Monte-Carlo pool
-    workers already occupy every core.
+    n_z(n_z+1)/2 distinct products, one einsum per channel row (row i
+    against rows i..n_z-1), written straight to that row's run of the
+    row-major pair order. With a mask, D_m[c, k] is set to zero (a masked
+    copyto, half the time of a multiply by the bool block) unless w_c[k] =
+    valid[c, k] & valid[c, k+m] & valid[c, k+2m], and each pair's valid
+    columns are counted from w_i & w_j block by block (half the time of an
+    einsum of w with itself); a block whose w is all True, as in a record
+    with a few long gaps, adds its width to every count and is summed as
+    it is. The products are summed by einsum's own loop, not by BLAS:
+    OpenBLAS may split a block's syrk over threads of its own, and
+    Monte-Carlo pool workers already occupy every core.
     """
     n_z, n_samples = Z.shape
     m_values = np.asarray(m_values).tolist()  # int arithmetic below, not numpy scalars
-    # the distinct products by superdiagonal: s = 0 (the diagonal), then s = 1, ...
-    sizes = np.arange(n_z, 0, -1)
-    rows = np.concatenate([np.arange(size) for size in sizes])
-    cols = rows + np.repeat(np.arange(n_z), sizes)
-    ends = np.cumsum(sizes).tolist()
+    rows, cols = (index.tolist() for index in upper_triangle_indices(n_z))
+    first = [k for k, (i, j) in enumerate(zip(rows, cols)) if i == j]  # row i starts at (i, i)
     d = np.empty((n_z, _WIDTH))
-    products = np.empty(ends[-1])
-    upper = np.zeros((len(m_values), ends[-1]))
+    products = np.empty(len(rows))
+    upper = np.zeros((len(m_values), len(rows)))
     tally = None
     if valid is not None:
         ok = np.empty((n_z, _WIDTH), dtype=bool)
@@ -231,11 +228,10 @@ def _second_difference_grams(
                             ob[i] if i == j else np.logical_and(ob[i], ob[j], out=both[:width])
                         )
                         tally[p, k] += np.count_nonzero(pair_ok)
-            for s, end in enumerate(ends):
-                np.einsum("ik,ik->i", db[: n_z - s], db[s:], out=products[end - n_z + s : end])
+            for i, k in enumerate(first):
+                np.einsum("k,jk->j", db[i], db[i:], out=products[k : k + n_z - i])
             upper[p] += products
-    order = np.lexsort((cols, rows))
-    return upper[:, order].T, None if tally is None else tally[:, order].T
+    return upper.T, None if tally is None else tally.T
 
 
 def acov_grid(record: MeasurementRecord, grid: TauGrid) -> AcovEstimate:
@@ -243,14 +239,16 @@ def acov_grid(record: MeasurementRecord, grid: TauGrid) -> AcovEstimate:
 
     At each m the inner products of the second differences serve every
     pair. The kernel accumulates them over blocks of _WIDTH = 2 _BLOCK
-    columns, n_z(n_z+1)/2 products per column, and hands them over as
-    pair rows by m columns, which are normalised in one expression. The
-    cost is O(len(grid) * n_z^2 * N) time with O(n_z * _WIDTH) extra
-    memory, on the calling thread alone (no BLAS call), so process-pool
-    workers start no BLAS threads to compete for their cores. A masked
-    record uses only its valid second differences (module docstring); an
-    m at which some pair has none is dropped from the grid and listed in
-    ``dropped_m``, and UnidentifiableError is raised when no m is left.
+    columns, n_z(n_z+1)/2 products per column by one einsum per channel
+    row, each written in the row-major pair order of the returned rows,
+    and hands them over as pair rows by m columns, which are normalised
+    in one expression. The cost is O(len(grid) * n_z^2 * N) time with
+    O(n_z * _WIDTH) extra memory, on the calling thread alone (no BLAS
+    call), so process-pool workers start no BLAS threads to compete for
+    their cores. A masked record uses only its valid second differences
+    (module docstring); an m at which some pair has none is dropped from
+    the grid and listed in ``dropped_m``, and UnidentifiableError is
+    raised when no m is left.
     """
     n = record.n_steps
     if grid.m_values[-1] > n // 2:

@@ -24,6 +24,7 @@ from chronident import (
 from chronident import cli
 from chronident.cli import (
     EXIT_INVALID_INPUT,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_UNIDENTIFIABLE,
     EstimationOptions,
@@ -313,6 +314,14 @@ class TestEstimateCommand:
         code = main(["estimate", str(path), "--method", "mdm", "--ts-target", "50"])
         assert code == EXIT_UNIDENTIFIABLE
         assert "a third clock is needed" in capsys.readouterr().err
+
+    def test_numerical_failure_exit_code(self, measurement_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(cli, "estimate_acov_method", fail)
+        assert main(["estimate", str(measurement_path), "--method", "acov"]) == EXIT_NUMERICAL
+        assert "SVD did not converge" in capsys.readouterr().err
 
     def test_masked_rank_error_names_mask(self, tmp_path, capsys, monkeypatch, maser_model):
         # the outlier filter masks the nonzero second differences of a
@@ -705,13 +714,36 @@ class TestMonteCarloCommand:
             ({}, {"r_upper": {}}, "r_upper"),
             ({"ell": [15]}, {}, "ell"),
             ({"d1": [0.0]}, {}, "d1"),
+            ({}, {"n_steps": True}, "n_steps"),
+            ({}, {"seed": False}, "seed"),
+            ({}, {"ts_seconds": True}, "ts_seconds"),
+            ({"ell": True}, {}, "ell"),
+            ({"d1": False}, {}, "d1"),
+            ({}, {"clocks": [{"q1": True, "q2": 1e-36}] * 4}, "q1"),
+            ({}, {"r_upper": [9e-35, 0.0, 0.0, 9e-35, 0.0, True]}, "r_upper"),
         ],
-        ids=["n_steps", "seed", "ts_list", "ts_nan", "ts_inf", "r_upper", "ell", "d1"],
+        ids=[
+            "n_steps",
+            "seed",
+            "ts_list",
+            "ts_nan",
+            "ts_inf",
+            "r_upper",
+            "ell",
+            "d1",
+            "n_steps_true",
+            "seed_false",
+            "ts_true",
+            "ell_true",
+            "d1_false",
+            "q1_true",
+            "r_upper_true",
+        ],
     )
     def test_mistyped_config_number_is_invalid_input(
         self, tmp_path, capsys, monkeypatch, maser_params, estimation, extras, field
     ):
-        # a JSON list, object or non-finite step where a number belongs
+        # a JSON list, object, boolean or non-finite step where a number belongs
         code = self._study_before_simulating(
             tmp_path, monkeypatch, maser_params, [], estimation, **extras
         )

@@ -263,6 +263,7 @@ class TestAcovGrid:
             assemble_ensemble(random_params(rng, 2, balanced=False), 5.0),
             maser_model,
             assemble_ensemble(random_params(rng, 6, balanced=False), 5.0),
+            assemble_ensemble(random_params(rng, 16, balanced=False), 5.0),
         ]
         for n_steps in (_WIDTH + 1, _WIDTH + 2, 3 * _BLOCK + 1001):
             grid = TauGrid(m_values=np.unique([1, 7, 1000, _BLOCK, n_steps // 2]), Ts=5.0)
@@ -285,7 +286,7 @@ class TestAcovGrid:
 
     def test_block_outer_order_bit_identical_to_m_outer(self, maser_model):
         # each pair row adds its blocks in the same order whichever loop is
-        # outside, one product vector per superdiagonal and block; m values
+        # outside, one product vector per channel row and block; m values
         # below, at and above _WIDTH, the last leaving a partial block
         n_steps = 2 * _WIDTH + 777
         m_values = TauGrid(
@@ -295,8 +296,8 @@ class TestAcovGrid:
         _, record = simulate_ensemble(maser_model, n_steps, seed=25, keep_states=False)
         Z = record.Z
         n_z = Z.shape[0]
-        row_of = {pair: k for k, pair in enumerate(zip(*upper_triangle_indices(n_z)))}
-        reference = np.zeros((len(row_of), len(m_values)))
+        rows, _ = upper_triangle_indices(n_z)
+        reference = np.zeros((len(rows), len(m_values)))
         for p, m in enumerate(m_values):
             count = Z.shape[1] - 2 * m
             for start in range(0, count, _WIDTH):
@@ -304,10 +305,8 @@ class TestAcovGrid:
                 twice = Z[:, start + m : start + m + width] * 2.0
                 db = Z[:, start + 2 * m : start + 2 * m + width] - twice
                 db += Z[:, start : start + width]
-                for s in range(n_z):
-                    products = np.einsum("ik,ik->i", db[: n_z - s], db[s:])
-                    for i, value in enumerate(products):
-                        reference[row_of[i, i + s], p] += value
+                products = [np.einsum("k,jk->j", db[i], db[i:]) for i in range(n_z)]
+                reference[:, p] += np.concatenate(products)
         sums, _ = _second_difference_grams(Z, m_values)
         assert np.array_equal(sums, reference)
 
@@ -433,21 +432,25 @@ class TestMaskedAcov:
 
     def test_mostly_valid_blocks_match_reference(self, maser_model):
         # masked samples in a few blocks only: the all-valid blocks take the
-        # fast path, and the result is that of the valid-column formula
-        _, record = simulate_ensemble(maser_model, 4 * _BLOCK + 17, seed=30, keep_states=False)
-        valid = np.ones(record.Z.shape, dtype=bool)
-        valid[0, [5, 2 * _BLOCK + 100]] = False
-        valid[2, 3 * _BLOCK + 1] = False
-        grid = log_spaced_grid(12, record.n_steps // 2, 5.0)
-        est = acov_grid(MeasurementRecord(Ts=5.0, Z=record.Z, valid=valid), grid)
-        for p, m in enumerate(grid.m_values):
-            ok = valid[:, 2 * m :] & valid[:, m:-m] & valid[:, : -2 * m]
-            D = (record.Z[:, 2 * m :] - 2.0 * record.Z[:, m:-m] + record.Z[:, : -2 * m]) * ok
-            for row, (i, j) in enumerate(est.pairs):
-                count = np.count_nonzero(ok[i - 1] & ok[j - 1])
-                assert est.counts[row, p] == count
-                ref = D[i - 1] @ D[j - 1] / (2.0 * (m * 5.0) ** 2 * count)
-                np.testing.assert_allclose(est.sigma2[row, p], ref, rtol=1e-12)
+        # fast path, and the result is that of the valid-column formula; the
+        # maser ensemble and 16 clocks
+        sixteen = assemble_ensemble(random_params(np.random.default_rng(30), 16), 5.0)
+        for model in (maser_model, sixteen):
+            _, record = simulate_ensemble(model, 4 * _BLOCK + 17, seed=30, keep_states=False)
+            valid = np.ones(record.Z.shape, dtype=bool)
+            valid[0, [5, 2 * _BLOCK + 100]] = False
+            valid[2, 3 * _BLOCK + 1] = False
+            valid[-1, _BLOCK + 7 : _BLOCK + 40] = False
+            grid = log_spaced_grid(12, record.n_steps // 2, 5.0)
+            est = acov_grid(MeasurementRecord(Ts=5.0, Z=record.Z, valid=valid), grid)
+            for p, m in enumerate(grid.m_values):
+                ok = valid[:, 2 * m :] & valid[:, m:-m] & valid[:, : -2 * m]
+                D = (record.Z[:, 2 * m :] - 2.0 * record.Z[:, m:-m] + record.Z[:, : -2 * m]) * ok
+                for row, (i, j) in enumerate(est.pairs):
+                    count = np.count_nonzero(ok[i - 1] & ok[j - 1])
+                    assert est.counts[row, p] == count
+                    ref = D[i - 1] @ D[j - 1] / (2.0 * (m * 5.0) ** 2 * count)
+                    np.testing.assert_allclose(est.sigma2[row, p], ref, rtol=1e-12)
 
     def test_peak_memory_below_record_size(self, maser_model):
         _, record = simulate_ensemble(maser_model, 200_000, seed=24, keep_states=False)
